@@ -1,12 +1,13 @@
 """Pruning variant of the multi-view solver: drops weak features, then empty views.
 
-Extends the block descent of :mod:`mvclust.amvfcm` with a hierarchical
-elimination step each iteration. Features whose weight falls strictly below an
-adaptive threshold (current view width divided by the sample count) are zeroed
-and never come back; surviving weights are renormalized. A view that loses all
-of its features is eliminated the same way, and the remaining view weights are
-renormalized. The working matrices are physically compacted after every
-elimination, so later iterations get cheaper as columns disappear.
+Runs the block descent of :mod:`mvclust.amvfcm` with one extra step in each
+iteration, right after the feature-weight update. Features whose weight falls
+strictly below an adaptive threshold (current view width divided by the sample
+count) are zeroed and never come back; surviving weights are renormalized. A
+view that loses all of its features is eliminated the same way, and the
+remaining view weights are renormalized. The working matrices are physically
+compacted after every elimination, so later iterations get cheaper as columns
+disappear.
 
 The objective is only comparable between eliminations: each pruning event
 changes the domain (and the automatic per-view beta), so the trace is
@@ -15,30 +16,13 @@ non-increasing within stretches where nothing was pruned.
 
 from __future__ import annotations
 
-import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import amvfcm
-from .amvfcm import (
-    ClusterModel,
-    FitResult,
-    HyperParams,
-    _centers_with_reseed,
-    _objective_given_costs,
-    _softmax_rows,
-    aggregate_distances,
-    resolve_regularization,
-    entropic_simplex_argmin,
-    init_centers,
-    update_feature_weights,
-    view_costs,
-)
-from .data import MultiViewDataset, restrict, validate
-from .snr import compute_delta
+from .amvfcm import FitResult, HyperParams, _descend
+from .data import MultiViewDataset, restrict
 
 
 @dataclass(frozen=True)
@@ -181,99 +165,49 @@ def fit(dataset: MultiViewDataset, params: HyperParams, *,
         prune_warmup=0, theta_scale=1.0) -> PruningFitResult:
     """Block descent with per-iteration elimination of weak features and views.
 
-    Iteration order: memberships, centers, feature weights, feature pruning,
-    view pruning, compaction, view weights, objective. Pruning is skipped for
-    the first ``prune_warmup`` iterations; ``theta_scale`` multiplies the
-    adaptive threshold (0 disables pruning entirely, recovering the plain
-    solver's trajectory). The dispersion ratios are computed once up front and
+    This is :func:`mvclust.amvfcm.fit` plus a pruning step. Iteration order:
+    memberships, centers, feature weights, feature pruning, view pruning,
+    compaction, view weights, objective. Pruning is skipped for the first
+    ``prune_warmup`` iterations; ``theta_scale`` multiplies the adaptive
+    threshold (0 disables pruning entirely, recovering the plain solver's
+    trajectory). The dispersion ratios are computed once up front and
     restricted to the surviving columns after each elimination. Stopping and
     determinism behave as in :func:`mvclust.amvfcm.fit`.
     """
-    validate(dataset)
     if prune_warmup < 0:
         raise ValueError("prune_warmup must be >= 0")
     if theta_scale < 0:
         raise ValueError("theta_scale must be >= 0")
-    views = [np.array(v, dtype=float) for v in dataset.views]
-    n = views[0].shape[0]
-    dims = [X.shape[1] for X in views]
-    if n < params.c:
-        raise ValueError(f"need at least c={params.c} samples, got {n}")
-    amvfcm._warn_out_of_range(params, dims, n)
-
-    delta = compute_delta(dataset, params.delta_clamp)
-    mask = ActiveMask.full(dims)
-    model = ClusterModel(
-        membership=np.empty((n, params.c)),
-        centers=init_centers(views, params.c, params.seed),
-        feature_weights=[np.full(d, 1.0 / d) for d in dims],
-        view_weights=np.full(len(views), 1.0 / len(views)),
-    )
-    beta, eta = resolve_regularization(params, dims, n)
-    agg = aggregate_distances(views, model, delta)
-    model.membership = _softmax_rows(-agg)
-    trace = [amvfcm.objective(views, model, delta, beta, eta)]
-
-    prev = math.inf
-    converged = False
-    iterations = 0
-    iter_seconds = []
+    n = dataset.n_samples
+    mask = None  # sized from the validated views on the first call
     pruning_iterations = []
-    for t in range(1, params.t_max + 1):
-        tic = time.perf_counter()
-        agg = aggregate_distances(views, model, delta)
-        model.membership = _softmax_rows(-agg)
-        model.centers = _centers_with_reseed(views, model.membership, agg)
-        model.feature_weights = update_feature_weights(views, model, delta, eta)
 
-        if t > prune_warmup and theta_scale > 0:
-            before = len(mask.removals)
-            model.feature_weights = prune_features(
-                model.feature_weights, mask, n,
-                theta_scale=theta_scale, iteration=t,
-            )
-            new_v, keep = prune_views(model.view_weights, mask, iteration=t)
-            if len(mask.removals) > before:
-                pruning_iterations.append(t)
-                # compact every per-view structure to the surviving columns
-                survivor_cols = [
-                    np.flatnonzero(w > 0) if w.size else np.arange(0)
-                    for w in model.feature_weights
-                ]
-                views = [views[p][:, survivor_cols[p]] for p in keep]
-                delta = [delta[p][survivor_cols[p]] for p in keep]
-                model.centers = [model.centers[p][:, survivor_cols[p]] for p in keep]
-                model.feature_weights = [
-                    model.feature_weights[p][survivor_cols[p]] for p in keep
-                ]
-                model.view_weights = new_v
-                dims = [X.shape[1] for X in views]
-                beta, eta = resolve_regularization(params, dims, n)
+    def prune(t, views, delta, model):
+        nonlocal mask
+        if mask is None:
+            mask = ActiveMask.full([X.shape[1] for X in views])
+        if t <= prune_warmup or not theta_scale > 0:
+            return views, delta
+        before = len(mask.removals)
+        model.feature_weights = prune_features(
+            model.feature_weights, mask, n, theta_scale=theta_scale, iteration=t,
+        )
+        new_v, keep = prune_views(model.view_weights, mask, iteration=t)
+        if len(mask.removals) == before:
+            return views, delta
+        pruning_iterations.append(t)
+        # compact every per-view structure to the surviving columns
+        cols = [np.flatnonzero(w > 0) for w in model.feature_weights]
+        model.centers = [model.centers[p][:, cols[p]] for p in keep]
+        model.feature_weights = [model.feature_weights[p][cols[p]] for p in keep]
+        model.view_weights = new_v
+        return [views[p][:, cols[p]] for p in keep], [delta[p][cols[p]] for p in keep]
 
-        costs = view_costs(views, model, delta)
-        model.view_weights = entropic_simplex_argmin(costs, beta)
-        J = _objective_given_costs(costs, model, delta, beta, eta)
-        trace.append(J)
-        iter_seconds.append(time.perf_counter() - tic)
-        iterations = t
-        if abs(J - prev) <= params.epsilon:
-            converged = True
-            break
-        prev = J
-
-    reduced = restrict(
-        dataset,
-        mask.active_views(),
-        [mask.active_columns(h) for h in mask.active_views()],
-    )
+    result = _descend(dataset, params, prune)
+    active = mask.active_views()
+    reduced = restrict(dataset, active, [mask.active_columns(h) for h in active])
     return PruningFitResult(
-        model=model,
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
-        converged=converged,
-        hard_labels=np.argmax(model.membership, axis=1),
-        delta=delta,
-        iter_seconds=iter_seconds,
+        **vars(result),
         mask=mask,
         reduced_dataset=reduced,
         pruning_iterations=pruning_iterations,

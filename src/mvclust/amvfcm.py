@@ -147,41 +147,16 @@ def per_view_distances(views, model, delta):
     return out
 
 
-def aggregate_distances(views, model, delta):
-    """View-weighted sum of the per-view distance matrices, shape (n, c)."""
-    D = per_view_distances(views, model, delta)
+def _weighted_sum(D, view_weights):
     T = np.zeros_like(D[0])
-    for v, Dh in zip(model.view_weights, D):
+    for v, Dh in zip(view_weights, D):
         T += v * Dh
     return T
 
 
-def weighted_distance(views, model, delta, i, k, h) -> float:
-    """Scalar weighted squared distance of sample i to center k in view h."""
-    X, A = _views_of(views)[h], model.centers[h]
-    scale = model.feature_weights[h] * delta[h]
-    return float(scale @ (X[i] - A[k]) ** 2)
-
-
-def update_membership(views, model, delta):
-    """Row-wise softmax of negative aggregate distances; exact U-block minimizer.
-
-    Max-subtraction keeps the exponentials stable, so adding a constant to
-    every cluster's aggregate distance leaves the result unchanged.
-    """
-    T = aggregate_distances(_views_of(views), model, delta)
-    return _softmax_rows(-T)
-
-
-def update_centers(views, membership):
-    """Membership-weighted mean of each view's samples, per cluster.
-
-    The dispersion and weight factors cancel out of the center stationarity
-    condition, so this is a plain weighted mean. Requires every membership
-    column to have positive mass.
-    """
-    colsum = membership.sum(axis=0)
-    return [(membership.T @ X) / colsum[:, None] for X in _views_of(views)]
+def aggregate_distances(views, model, delta):
+    """View-weighted sum of the per-view distance matrices, shape (n, c)."""
+    return _weighted_sum(per_view_distances(views, model, delta), model.view_weights)
 
 
 def _feature_costs(X, A, membership, dlt):
@@ -204,10 +179,14 @@ def update_feature_weights(views, model, delta, eta):
     return out
 
 
+def _costs_given_distances(D, membership):
+    return np.array([float(np.sum(membership * Dh)) for Dh in D])
+
+
 def view_costs(views, model, delta):
     """Membership-weighted total distortion per view, shape (s,)."""
     D = per_view_distances(_views_of(views), model, delta)
-    return np.array([float(np.sum(model.membership * Dh)) for Dh in D])
+    return _costs_given_distances(D, model.membership)
 
 
 def entropic_simplex_argmin(costs, beta):
@@ -251,11 +230,6 @@ def entropic_simplex_argmin(costs, beta):
             hi = mid
     v = np.exp((0.5 * (lo + hi) - costs) / beta - 1.0)
     return v / v.sum()
-
-
-def update_view_weights(views, model, delta, beta):
-    """Exact V-block minimizer given current memberships, centers, weights."""
-    return entropic_simplex_argmin(view_costs(views, model, delta), beta)
 
 
 def resolve_regularization(params, dims, n):
@@ -385,7 +359,7 @@ def _warn_out_of_range(params, dims, n):
                 warnings.warn(
                     f"beta={params.beta} is outside the recommended range "
                     f"[{lo:.6g}, {hi:.6g}] for view {h} (d={d}, n={n})",
-                    stacklevel=3,
+                    stacklevel=4,
                 )
                 break
     eta_hi = ETA_RANGE_SCALE * min(dims) / max(dims)
@@ -393,22 +367,22 @@ def _warn_out_of_range(params, dims, n):
         warnings.warn(
             f"eta={params.eta} is outside the recommended range "
             f"[{ETA_RANGE_FLOOR}, {eta_hi:.6g}]",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
-    """Run block coordinate descent until the objective change is <= epsilon.
+def _descend(dataset, params, step=None) -> FitResult:
+    """Block descent shared by both solvers; ``step`` is the pruning hook.
 
-    Initialization: spread-seeded centers, uniform feature and view weights,
-    and memberships computed from that starting state; the objective of the
-    initialized model is the first trace entry. Each iteration then updates
-    memberships, centers, feature weights, and view weights in that order and
-    appends the new objective. The first convergence comparison uses an
-    infinite sentinel, so at least one iteration always runs.
+    ``step(t, views, delta, model)`` runs in iteration t right after the
+    feature-weight update. It may shrink the model in place and returns the
+    (possibly compacted) views and dispersion ratios; beta and eta are then
+    re-resolved for the surviving widths.
 
-    Deterministic: identical (dataset, params) give identical results; the
-    recorded per-iteration times are the only exception.
+    Each view's distance matrix is built once per iteration, after the
+    feature weights (and any pruning) are final. It gives the view costs and
+    the objective of this iteration and, with the new view weights, the
+    aggregate distances that open the next one.
     """
     validate(dataset)
     views = _views_of(dataset)
@@ -426,26 +400,29 @@ def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
         feature_weights=[np.full(d, 1.0 / d) for d in dims],
         view_weights=np.full(s, 1.0 / s),
     )
-    agg = aggregate_distances(views, model, delta)
-    model.membership = _softmax_rows(-agg)
-    trace = [objective(views, model, delta, beta, eta)]
+    D = per_view_distances(views, model, delta)
+    model.membership = _softmax_rows(-_weighted_sum(D, model.view_weights))
+    costs = _costs_given_distances(D, model.membership)
+    trace = [_objective_given_costs(costs, model, delta, beta, eta)]
 
     prev = math.inf
     converged = False
-    iterations = 0
     iter_seconds = []
     for t in range(1, params.t_max + 1):
         tic = time.perf_counter()
-        agg = aggregate_distances(views, model, delta)
+        agg = _weighted_sum(D, model.view_weights)
         model.membership = _softmax_rows(-agg)
         model.centers = _centers_with_reseed(views, model.membership, agg)
         model.feature_weights = update_feature_weights(views, model, delta, eta)
-        costs = view_costs(views, model, delta)
+        if step is not None:
+            views, delta = step(t, views, delta, model)
+            beta, eta = resolve_regularization(params, [X.shape[1] for X in views], n)
+        D = per_view_distances(views, model, delta)
+        costs = _costs_given_distances(D, model.membership)
         model.view_weights = entropic_simplex_argmin(costs, beta)
         J = _objective_given_costs(costs, model, delta, beta, eta)
         trace.append(J)
         iter_seconds.append(time.perf_counter() - tic)
-        iterations = t
         if abs(J - prev) <= params.epsilon:
             converged = True
             break
@@ -453,7 +430,7 @@ def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
     return FitResult(
         model=model,
         objective_trace=np.asarray(trace),
-        iterations=iterations,
+        iterations=len(trace) - 1,
         converged=converged,
         hard_labels=np.argmax(model.membership, axis=1),
         delta=delta,
@@ -461,17 +438,19 @@ def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
     )
 
 
-def validate_model(views, model, tol=1e-9):
-    """Assert the simplex and range invariants; for tests and debugging."""
-    U = model.membership
-    assert np.all(U >= -tol) and np.all(U <= 1 + tol)
-    assert np.allclose(U.sum(axis=1), 1.0, atol=tol)
-    for w in model.feature_weights:
-        assert np.all(w >= -tol) and np.all(w <= 1 + tol)
-        assert abs(w.sum() - 1.0) <= tol
-    v = model.view_weights
-    assert np.all(v >= -tol) and np.all(v <= 1 + tol)
-    assert abs(v.sum() - 1.0) <= tol
-    for X, A in zip(_views_of(views), model.centers):
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        assert np.all(A >= lo - tol) and np.all(A <= hi + tol)
+def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
+    """Run block coordinate descent until the objective change is <= epsilon.
+
+    Initialization: spread-seeded centers, uniform feature and view weights,
+    and memberships computed from that starting state; the objective of the
+    initialized model is the first trace entry. Each iteration then updates
+    memberships, centers, feature weights, and view weights in that order and
+    appends the new objective. The first convergence comparison uses an
+    infinite sentinel, so at least one iteration always runs. The pruning
+    solver :func:`mvclust.aamvfcm.fit` runs this same loop with an
+    elimination step after the feature weights.
+
+    Deterministic: identical (dataset, params) give identical results; the
+    recorded per-iteration times are the only exception.
+    """
+    return _descend(dataset, params)

@@ -70,14 +70,12 @@ def _common_flags(parser):
                         help="parallel trials (threads)")
 
 
-def _fit_flags(parser):
-    parser.add_argument("--config", required=True, type=Path,
-                        help="dataset manifest path")
+def _model_flags(parser):
+    # hyperparameter and output flags shared by ``fit`` and ``bench``
     parser.add_argument("--clusters", required=True, type=int)
     parser.add_argument("--eta", type=float, default=0.025)
     parser.add_argument("--beta", type=_parse_beta, default=None,
                         help="'auto' (per-view d/n) or a fixed positive value")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-iters", type=int, default=100)
     parser.add_argument("--epsilon", type=float, default=1e-6)
     parser.add_argument("--delta-clamp", type=_parse_clamp, default=DEFAULT_CLAMP,
@@ -110,7 +108,10 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="fit one model on a dataset manifest")
     p_fit.add_argument("--algo", choices=("amvfcm", "aamvfcm"), required=True)
-    _fit_flags(p_fit)
+    p_fit.add_argument("--config", required=True, type=Path,
+                       help="dataset manifest path")
+    p_fit.add_argument("--seed", type=int, default=0)
+    _model_flags(p_fit)
     _common_flags(p_fit)
 
     p_score = sub.add_parser("score", help="compare two label files")
@@ -128,20 +129,9 @@ def build_parser():
     p_bench.add_argument("--noise-features", type=int, default=0)
     p_bench.add_argument("--noise-low", type=float, default=0.02)
     p_bench.add_argument("--noise-high", type=float, default=0.05)
-    p_bench.add_argument("--clusters", required=True, type=int)
-    p_bench.add_argument("--eta", type=float, default=0.025)
-    p_bench.add_argument("--beta", type=_parse_beta, default=None)
     p_bench.add_argument("--trials", type=int, default=1)
     p_bench.add_argument("--seed-base", type=int, default=0)
-    p_bench.add_argument("--max-iters", type=int, default=100)
-    p_bench.add_argument("--epsilon", type=float, default=1e-6)
-    p_bench.add_argument("--delta-clamp", type=_parse_clamp, default=DEFAULT_CLAMP,
-                         metavar="LO,HI")
-    p_bench.add_argument("--normalize", action=argparse.BooleanOptionalAction,
-                         default=False)
-    p_bench.add_argument("--dump-weights", action="store_true")
-    p_bench.add_argument("--prune-warmup", type=int, default=0)
-    p_bench.add_argument("--theta-scale", type=float, default=1.0)
+    _model_flags(p_bench)
     _common_flags(p_bench)
     return parser
 

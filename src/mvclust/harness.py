@@ -32,13 +32,11 @@ METRIC_KEYS = ("ri", "ari", "ji", "fmi", "nmi")
 
 
 class TrialError(RuntimeError):
-    """A single failed trial; carries the trial seed (and iteration if known)."""
+    """A single failed trial; carries the trial seed."""
 
-    def __init__(self, seed, iteration=None):
-        at = f", iteration {iteration}" if iteration is not None else ""
-        super().__init__(f"trial with seed {seed} failed{at}")
+    def __init__(self, seed):
+        super().__init__(f"trial with seed {seed} failed")
         self.seed = seed
-        self.iteration = iteration
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,7 @@ def _run_trial(dataset, config, seed):
                 theta_scale=config.theta_scale,
             )
     except Exception as exc:
-        raise TrialError(seed, getattr(exc, "iteration", None)) from exc
+        raise TrialError(seed) from exc
     elapsed = time.perf_counter() - tic
 
     if isinstance(result, aamvfcm.PruningFitResult):

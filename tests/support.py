@@ -1,8 +1,12 @@
-"""Shared helpers for the test suite: random instances and descent checks."""
+"""Shared helpers for the test suite: random instances, descent checks, oracles.
+
+The oracles state single block updates and the model invariants on their
+own, apart from the solver loop that fuses them.
+"""
 
 import numpy as np
 
-from mvclust.amvfcm import HyperParams
+from mvclust.amvfcm import HyperParams, _softmax_rows, _views_of, aggregate_distances
 from mvclust.data import MultiViewDataset
 
 
@@ -78,3 +82,47 @@ def trace_segments(trace, pruning_iterations):
         start = t
     segments.append(trace[start:])
     return [seg for seg in segments if seg.size >= 2]
+
+
+def weighted_distance(views, model, delta, i, k, h) -> float:
+    """Scalar weighted squared distance of sample i to center k in view h."""
+    X, A = _views_of(views)[h], model.centers[h]
+    scale = model.feature_weights[h] * delta[h]
+    return float(scale @ (X[i] - A[k]) ** 2)
+
+
+def update_membership(views, model, delta):
+    """Row-wise softmax of negative aggregate distances; exact U-block minimizer.
+
+    Max-subtraction keeps the exponentials stable, so adding a constant to
+    every cluster's aggregate distance leaves the result unchanged.
+    """
+    T = aggregate_distances(_views_of(views), model, delta)
+    return _softmax_rows(-T)
+
+
+def update_centers(views, membership):
+    """Membership-weighted mean of each view's samples, per cluster.
+
+    The dispersion and weight factors cancel out of the center stationarity
+    condition, so this is a plain weighted mean. Requires every membership
+    column to have positive mass.
+    """
+    colsum = membership.sum(axis=0)
+    return [(membership.T @ X) / colsum[:, None] for X in _views_of(views)]
+
+
+def validate_model(views, model, tol=1e-9):
+    """Assert the simplex and range invariants; for tests and debugging."""
+    U = model.membership
+    assert np.all(U >= -tol) and np.all(U <= 1 + tol)
+    assert np.allclose(U.sum(axis=1), 1.0, atol=tol)
+    for w in model.feature_weights:
+        assert np.all(w >= -tol) and np.all(w <= 1 + tol)
+        assert abs(w.sum() - 1.0) <= tol
+    v = model.view_weights
+    assert np.all(v >= -tol) and np.all(v <= 1 + tol)
+    assert abs(v.sum() - 1.0) <= tol
+    for X, A in zip(_views_of(views), model.centers):
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        assert np.all(A >= lo - tol) and np.all(A <= hi + tol)

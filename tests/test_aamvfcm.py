@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import support
+from support import validate_model
 from mvclust import amvfcm
 from mvclust.aamvfcm import (
     ActiveMask,
@@ -13,7 +14,7 @@ from mvclust.aamvfcm import (
     prune_features,
     prune_views,
 )
-from mvclust.amvfcm import HyperParams, validate_model
+from mvclust.amvfcm import HyperParams
 from mvclust.data import MultiViewDataset
 from mvclust.metrics import score_all
 from mvclust.snr import compute_delta
@@ -285,3 +286,23 @@ def test_fit_trace_monotone_between_pruning_events():
             res.objective_trace, res.pruning_iterations
         ):
             support.assert_trace_non_increasing(segment)
+
+
+def test_fit_matches_recorded_pruning_trace():
+    # recorded before the two solvers shared one loop; pruning starts at
+    # iteration 3, so later iterations run on compacted views
+    ds = noisy_benchmark(n=300, seed=3)
+    res = fit(ds, HyperParams(c=5, seed=3, t_max=12), prune_warmup=2)
+    recorded = [
+        90.08119535918438,
+        -897.4738368784027,
+        -908.8225171245191,
+        -886.5664468174548,
+        -886.5674218060484,
+        -886.5674289112225,
+        -886.5674289737101,
+    ]
+    np.testing.assert_allclose(res.objective_trace, recorded, rtol=1e-10)
+    removed = [(ev.iteration, ev.kind, ev.view, ev.feature) for ev in res.mask.removals]
+    assert removed == [(3, "feature", 0, 2), (3, "feature", 1, 2)]
+    assert res.pruning_iterations == [3]

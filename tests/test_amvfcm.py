@@ -9,22 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from support import update_centers, update_membership, validate_model, weighted_distance
+from mvclust import fit_full
 from mvclust.amvfcm import (
     ClusterModel,
     HyperParams,
+    _centers_with_reseed,
+    _softmax_rows,
+    aggregate_distances,
     beta_vector,
     entropic_simplex_argmin,
     fit,
     init_centers,
     objective,
     resolve_regularization,
-    update_centers,
     update_feature_weights,
-    update_membership,
-    update_view_weights,
-    validate_model,
     view_costs,
-    weighted_distance,
 )
 from mvclust.data import MultiViewDataset
 from mvclust.metrics import score_all
@@ -187,24 +187,6 @@ def test_view_weights_tie_and_log_ratio():
 
 def test_view_weights_single_view_is_one():
     np.testing.assert_allclose(entropic_simplex_argmin([5.0], 3.0), [1.0])
-
-
-def test_view_weights_update_wrapper():
-    rng = np.random.default_rng(6)
-    X1 = rng.uniform(0, 4, size=(15, 2))
-    X2 = rng.uniform(0, 4, size=(15, 3))
-    model = ClusterModel(
-        membership=np.full((15, 2), 0.5),
-        centers=[rng.uniform(0, 4, size=(2, 2)), rng.uniform(0, 4, size=(2, 3))],
-        feature_weights=[np.full(2, 0.5), np.full(3, 1 / 3)],
-        view_weights=np.array([0.5, 0.5]),
-    )
-    delta = [np.ones(2), np.ones(3)]
-    v = update_view_weights([X1, X2], model, delta, beta=np.array([4.0, 4.0]))
-    costs = view_costs([X1, X2], model, delta)
-    np.testing.assert_allclose(
-        v, entropic_simplex_argmin(costs, np.array([4.0, 4.0]))
-    )
 
 
 def heterogeneous_argmin_residual(costs, beta, v):
@@ -460,3 +442,47 @@ def test_fit_trace_monotone_on_random_instances():
         res = fit(ds, params)
         support.assert_trace_non_increasing(res.objective_trace)
         validate_model(list(ds.views), res.model)
+
+
+def replay_fit(dataset, params):
+    """The full solver written out block by block, each block a public call."""
+    views = list(dataset.views)
+    n, dims = dataset.n_samples, dataset.dims
+    delta = compute_delta(dataset, params.delta_clamp)
+    beta, eta = resolve_regularization(params, dims, n)
+    model = ClusterModel(
+        membership=np.empty((n, params.c)),
+        centers=init_centers(views, params.c, params.seed),
+        feature_weights=[np.full(d, 1.0 / d) for d in dims],
+        view_weights=np.full(len(views), 1.0 / len(views)),
+    )
+    model.membership = _softmax_rows(-aggregate_distances(views, model, delta))
+    trace = [objective(views, model, delta, beta, eta)]
+    for _ in range(params.t_max):
+        agg = aggregate_distances(views, model, delta)
+        model.membership = _softmax_rows(-agg)
+        model.centers = _centers_with_reseed(views, model.membership, agg)
+        model.feature_weights = update_feature_weights(views, model, delta, eta)
+        model.view_weights = entropic_simplex_argmin(
+            view_costs(views, model, delta), beta
+        )
+        trace.append(objective(views, model, delta, beta, eta))
+        if abs(trace[-1] - trace[-2]) <= params.epsilon:
+            break
+    return trace, model
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fit_equals_block_by_block_replay():
+    # the loop reuses one distance pass for view costs, objective, and the
+    # next aggregate; that must not change a single bit of the result
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        ds, params = support.random_instance(rng, n_max=120)
+        res = fit_full(ds, params)
+        trace, model = replay_fit(ds, params)
+        np.testing.assert_array_equal(res.objective_trace, trace)
+        np.testing.assert_array_equal(res.hard_labels, np.argmax(model.membership, axis=1))
+        np.testing.assert_array_equal(res.model.view_weights, model.view_weights)
+        for got, want in zip(res.model.feature_weights, model.feature_weights, strict=True):
+            np.testing.assert_array_equal(got, want)
