@@ -159,9 +159,19 @@ def aggregate_distances(views, model, delta):
     return _weighted_sum(per_view_distances(views, model, delta), model.view_weights)
 
 
-def _feature_costs(X, A, membership, dlt):
-    # E_j = delta_j * sum_ik mu_ik (x_ij - a_kj)^2
-    return dlt * np.einsum("ik,ikj->j", membership, _sq_diff(X, A))
+def _weights_and_distances(views, model, delta, eta):
+    # One (n, c, d) tensor per view, freed before the next view's is built:
+    # E_j = delta_j * sum_ik mu_ik (x_ij - a_kj)^2 gives the new weights, and
+    # the same tensor then gives the distance matrix at those weights.
+    weights, D = [], []
+    for X, A, dlt, v in zip(views, model.centers, delta, model.view_weights):
+        S = _sq_diff(X, A)
+        E = dlt * np.einsum("ik,ikj->j", model.membership, S)
+        w = _softmax_rows((-np.log(dlt) - v * E / eta)[None, :])[0]
+        weights.append(w)
+        D.append(S @ (w * dlt))
+        del S
+    return weights, D
 
 
 def update_feature_weights(views, model, delta, eta):
@@ -171,12 +181,7 @@ def update_feature_weights(views, model, delta, eta):
     (1/delta_j) * exp(-v_h * E_j / eta) where E_j is the membership-weighted,
     dispersion-scaled squared deviation of that feature. Computed in log space.
     """
-    out = []
-    for X, A, dlt, v in zip(_views_of(views), model.centers, delta, model.view_weights):
-        E = _feature_costs(X, A, model.membership, dlt)
-        logits = -np.log(dlt) - v * E / eta
-        out.append(_softmax_rows(logits[None, :])[0])
-    return out
+    return _weights_and_distances(_views_of(views), model, delta, eta)[0]
 
 
 def _costs_given_distances(D, membership):
@@ -295,13 +300,14 @@ def _greedy_spread(Z, c, rng, trials):
         if total > 0:
             cand = rng.choice(n, size=trials, p=d2 / total)
             cand_d2 = np.minimum(d2, ((Z[:, None, :] - Z[cand]) ** 2).sum(axis=2).T)
-            idx = int(cand[int(np.argmin(cand_d2.sum(axis=1)))])
+            best = int(np.argmin(cand_d2.sum(axis=1)))
+            idx, d2 = int(cand[best]), cand_d2[best]
         else:
-            # all remaining mass is zero (duplicate points): pick any unchosen
+            # all remaining mass is zero (duplicate points): pick any unchosen,
+            # and every distance stays zero
             unchosen = np.setdiff1d(np.arange(n), chosen)
             idx = int(rng.choice(unchosen))
         chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((Z - Z[idx]) ** 2, axis=1))
     return chosen, float(d2.sum())
 
 
@@ -374,15 +380,19 @@ def _warn_out_of_range(params, dims, n):
 def _descend(dataset, params, step=None) -> FitResult:
     """Block descent shared by both solvers; ``step`` is the pruning hook.
 
-    ``step(t, views, delta, model)`` runs in iteration t right after the
-    feature-weight update. It may shrink the model in place and returns the
-    (possibly compacted) views and dispersion ratios; beta and eta are then
-    re-resolved for the surviving widths.
-
-    Each view's distance matrix is built once per iteration, after the
-    feature weights (and any pruning) are final. It gives the view costs and
-    the objective of this iteration and, with the new view weights, the
+    Each iteration builds one (n, c, d) squared-difference tensor per view,
+    and only one view's tensor is alive at a time. It gives that view's
+    feature costs, hence its new feature weights, and then its distance
+    matrix at those weights. The distances give the view costs and the
+    objective of this iteration and, with the new view weights, the
     aggregate distances that open the next one.
+
+    ``step(t, views, delta, model)`` runs in iteration t right after the
+    feature-weight update. It returns the very ``views`` list it was given
+    when it changed nothing. Otherwise it has shrunk the model in place and
+    returns new compacted views and dispersion ratios; beta and eta are then
+    re-resolved for the surviving widths, and the distances are rebuilt from
+    the compacted views.
     """
     validate(dataset)
     views = _views_of(dataset)
@@ -413,11 +423,13 @@ def _descend(dataset, params, step=None) -> FitResult:
         agg = _weighted_sum(D, model.view_weights)
         model.membership = _softmax_rows(-agg)
         model.centers = _centers_with_reseed(views, model.membership, agg)
-        model.feature_weights = update_feature_weights(views, model, delta, eta)
+        model.feature_weights, D = _weights_and_distances(views, model, delta, eta)
         if step is not None:
-            views, delta = step(t, views, delta, model)
-            beta, eta = resolve_regularization(params, [X.shape[1] for X in views], n)
-        D = per_view_distances(views, model, delta)
+            kept, delta = step(t, views, delta, model)
+            if kept is not views:
+                views = kept
+                beta, eta = resolve_regularization(params, [X.shape[1] for X in views], n)
+                D = per_view_distances(views, model, delta)
         costs = _costs_given_distances(D, model.membership)
         model.view_weights = entropic_simplex_argmin(costs, beta)
         J = _objective_given_costs(costs, model, delta, beta, eta)

@@ -9,7 +9,6 @@ failures inside a run, 1 anything unexpected.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -61,13 +60,10 @@ def _parse_beta(text):
         ) from None
 
 
-def _common_flags(parser):
-    parser.add_argument("--out-dir", type=Path, default=None,
-                        help="directory for report and dataset files")
-    parser.add_argument("--format", choices=("table", "records"), default="table",
-                        help="stdout format for run summaries")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel trials (threads)")
+def _noise_flags(parser):
+    parser.add_argument("--noise-features", type=int, default=0)
+    parser.add_argument("--noise-low", type=float, default=0.02)
+    parser.add_argument("--noise-high", type=float, default=0.05)
 
 
 def _model_flags(parser):
@@ -88,6 +84,10 @@ def _model_flags(parser):
                         help="iterations before pruning may start (aamvfcm only)")
     parser.add_argument("--theta-scale", type=float, default=1.0,
                         help="multiplier on the adaptive pruning threshold (aamvfcm only)")
+    parser.add_argument("--out-dir", type=Path, default=None,
+                        help="directory for report and dataset files")
+    parser.add_argument("--format", choices=("table", "records"), default="table",
+                        help="stdout format for run summaries")
 
 
 def build_parser():
@@ -101,10 +101,9 @@ def build_parser():
     p_synth = sub.add_parser("synth", help="generate the synthetic benchmark")
     p_synth.add_argument("--n", required=True, type=int)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--noise-features", type=int, default=0)
-    p_synth.add_argument("--noise-low", type=float, default=0.02)
-    p_synth.add_argument("--noise-high", type=float, default=0.05)
-    _common_flags(p_synth)
+    _noise_flags(p_synth)
+    p_synth.add_argument("--out-dir", type=Path, default=None,
+                         help="directory for report and dataset files")
 
     p_fit = sub.add_parser("fit", help="fit one model on a dataset manifest")
     p_fit.add_argument("--algo", choices=("amvfcm", "aamvfcm"), required=True)
@@ -112,12 +111,10 @@ def build_parser():
                        help="dataset manifest path")
     p_fit.add_argument("--seed", type=int, default=0)
     _model_flags(p_fit)
-    _common_flags(p_fit)
 
     p_score = sub.add_parser("score", help="compare two label files")
     p_score.add_argument("--truth", required=True, type=Path)
     p_score.add_argument("--pred", required=True, type=Path)
-    _common_flags(p_score)
 
     p_bench = sub.add_parser("bench", help="multi-trial benchmark run")
     p_bench.add_argument("--algo", choices=("amvfcm", "aamvfcm"), required=True)
@@ -126,13 +123,12 @@ def build_parser():
     p_bench.add_argument("--synth-n", type=int, default=None,
                          help="use the synthetic benchmark with this sample count")
     p_bench.add_argument("--synth-seed", type=int, default=0)
-    p_bench.add_argument("--noise-features", type=int, default=0)
-    p_bench.add_argument("--noise-low", type=float, default=0.02)
-    p_bench.add_argument("--noise-high", type=float, default=0.05)
+    _noise_flags(p_bench)
     p_bench.add_argument("--trials", type=int, default=1)
     p_bench.add_argument("--seed-base", type=int, default=0)
     _model_flags(p_bench)
-    _common_flags(p_bench)
+    p_bench.add_argument("--jobs", type=int, default=1,
+                         help="parallel trials (threads)")
     return parser
 
 
@@ -151,19 +147,30 @@ def _cmd_synth(args):
     return EXIT_OK
 
 
-def _hyper_from_args(args, seed):
-    return HyperParams(
-        c=args.clusters,
-        eta=args.eta,
-        beta=args.beta,
-        t_max=args.max_iters,
-        epsilon=args.epsilon,
-        seed=seed,
-        delta_clamp=args.delta_clamp,
+def _run(args, trials, seed_base, jobs=1, synth=None):
+    # the one run path of ``fit`` and ``bench``: build, run, print, write
+    config = ExperimentConfig(
+        algorithm=args.algo,
+        params=HyperParams(
+            c=args.clusters,
+            eta=args.eta,
+            beta=args.beta,
+            t_max=args.max_iters,
+            epsilon=args.epsilon,
+            seed=seed_base,
+            delta_clamp=args.delta_clamp,
+        ),
+        trials=trials,
+        seed_base=seed_base,
+        normalize=args.normalize,
+        manifest=str(args.config) if args.config is not None else None,
+        synth=synth,
+        prune_warmup=args.prune_warmup,
+        theta_scale=args.theta_scale,
+        jobs=jobs,
+        dump_weights=args.dump_weights,
     )
-
-
-def _emit_run(report, args):
+    report = run_experiment(config)
     if args.format == "table":
         print(render_table(report), end="")
     else:
@@ -172,30 +179,15 @@ def _emit_run(report, args):
     if args.out_dir is not None:
         table_path, records_path = emit_report(report, args.out_dir)
         print(f"wrote {table_path} and {records_path}", file=sys.stderr)
+    return report
 
 
 def _cmd_fit(args):
-    config = ExperimentConfig(
-        algorithm=args.algo,
-        params=_hyper_from_args(args, args.seed),
-        trials=1,
-        seed_base=args.seed,
-        normalize=args.normalize,
-        manifest=str(args.config),
-        prune_warmup=args.prune_warmup,
-        theta_scale=args.theta_scale,
-        jobs=1,
-        dump_weights=args.dump_weights,
-    )
-    report = run_experiment(config)
-    _emit_run(report, args)
-    result = report.fit_results[0]
-    if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        np.savetxt(out_dir / "predicted_labels.txt", result.hard_labels, fmt="%d")
+    result = _run(args, trials=1, seed_base=args.seed).fit_results[0]
+    if args.out_dir is not None:  # created by the report write
+        np.savetxt(args.out_dir / "predicted_labels.txt", result.hard_labels, fmt="%d")
         if isinstance(result, PruningFitResult):
-            _write_filtered(result, out_dir / "filtered")
+            _write_filtered(result, args.out_dir / "filtered")
     return EXIT_OK
 
 
@@ -239,21 +231,7 @@ def _cmd_bench(args):
             noise_low=args.noise_low,
             noise_high=args.noise_high,
         )
-    config = ExperimentConfig(
-        algorithm=args.algo,
-        params=_hyper_from_args(args, args.seed_base),
-        trials=args.trials,
-        seed_base=args.seed_base,
-        normalize=args.normalize,
-        manifest=str(args.config) if args.config is not None else None,
-        synth=synth,
-        prune_warmup=args.prune_warmup,
-        theta_scale=args.theta_scale,
-        jobs=args.jobs,
-        dump_weights=args.dump_weights,
-    )
-    report = run_experiment(config)
-    _emit_run(report, args)
+    _run(args, args.trials, args.seed_base, args.jobs, synth)
     return EXIT_OK
 
 

@@ -87,8 +87,8 @@ class TrialRecord:
     active_views: list
     reduction_pct: float
     metrics: dict | None
+    weights: dict | None
     fit_seconds: float
-    weights: dict | None = None
 
 
 @dataclass
@@ -159,8 +159,8 @@ def _run_trial(dataset, config, seed):
         active_views=active_views,
         reduction_pct=reduction,
         metrics=metrics,
-        fit_seconds=elapsed,
         weights=weights,
+        fit_seconds=elapsed,
     )
     return record, result
 
@@ -247,20 +247,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def _trial_line(rec: TrialRecord) -> dict:
-    body = {
-        "kind": "trial",
-        "seed": rec.seed,
-        "iterations": rec.iterations,
-        "converged": rec.converged,
-        "final_objective": rec.final_objective,
-        "final_dims": rec.final_dims,
-        "active_views": rec.active_views,
-        "reduction_pct": rec.reduction_pct,
-        "metrics": rec.metrics,
-    }
-    if rec.weights is not None:
-        body["weights"] = rec.weights
-    body["timing"] = {"fit_seconds": rec.fit_seconds}
+    body = {"kind": "trial", **dataclasses.asdict(rec)}
+    if rec.weights is None:
+        del body["weights"]
+    body["timing"] = {"fit_seconds": body.pop("fit_seconds")}
     return body
 
 

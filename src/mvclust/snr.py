@@ -20,20 +20,6 @@ from .data import MultiViewDataset
 DEFAULT_CLAMP = (1e-6, 1e6)
 
 
-def feature_mean(view, j) -> float:
-    """Arithmetic mean of column j."""
-    view = np.asarray(view, dtype=float)
-    return float(view[:, j].mean())
-
-
-def feature_variance(view, j) -> float:
-    """Unbiased (n-1) sample variance of column j; needs at least 2 rows."""
-    view = np.asarray(view, dtype=float)
-    if view.shape[0] < 2:
-        raise ValueError("variance needs at least 2 samples")
-    return float(view[:, j].var(ddof=1))
-
-
 def column_deltas(view, clamp=DEFAULT_CLAMP) -> np.ndarray:
     """Clamped mean/variance ratio for every column of one view.
 

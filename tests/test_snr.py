@@ -6,32 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvclust.data import MultiViewDataset, restrict
-from mvclust.snr import (
-    DEFAULT_CLAMP,
-    column_deltas,
-    compute_delta,
-    feature_mean,
-    feature_variance,
-)
-
-
-def test_feature_mean_examples():
-    col = np.array([[1.0], [2.0], [3.0]])
-    assert feature_mean(col, 0) == 2.0
-    assert feature_mean(np.full((4, 1), 9.0), 0) == 9.0
-    assert feature_mean(np.array([[5.5]]), 0) == 5.5
-
-
-def test_feature_variance_examples():
-    assert feature_variance(np.array([[1.0], [2.0], [3.0]]), 0) == 1.0
-    assert feature_variance(np.full((5, 1), 3.0), 0) == 0.0
-    # (0-1)^2 + (2-1)^2 over n-1 = 1
-    assert feature_variance(np.array([[0.0], [2.0]]), 0) == 2.0
-
-
-def test_feature_variance_needs_two_rows():
-    with pytest.raises(ValueError):
-        feature_variance(np.array([[1.0]]), 0)
+from mvclust.snr import DEFAULT_CLAMP, column_deltas, compute_delta
 
 
 def test_column_deltas_basic_ratio():
