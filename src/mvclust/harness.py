@@ -89,6 +89,7 @@ class TrialRecord:
     metrics: dict | None
     weights: dict | None
     fit_seconds: float
+    seed_seconds: float
 
 
 @dataclass
@@ -161,6 +162,7 @@ def _run_trial(dataset, config, seed):
         metrics=metrics,
         weights=weights,
         fit_seconds=elapsed,
+        seed_seconds=result.seed_seconds,
     )
     return record, result
 
@@ -250,7 +252,7 @@ def _trial_line(rec: TrialRecord) -> dict:
     body = {"kind": "trial", **dataclasses.asdict(rec)}
     if rec.weights is None:
         del body["weights"]
-    body["timing"] = {"fit_seconds": body.pop("fit_seconds")}
+    body["timing"] = {key: body.pop(key) for key in ("fit_seconds", "seed_seconds")}
     return body
 
 

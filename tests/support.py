@@ -4,9 +4,17 @@ The oracles state single block updates and the model invariants on their
 own, apart from the solver loop that fuses them.
 """
 
+import math
+
 import numpy as np
 
-from mvclust.amvfcm import HyperParams, _softmax_rows, _views_of, aggregate_distances
+from mvclust.amvfcm import (
+    SEEDING_RESTARTS,
+    HyperParams,
+    _softmax_rows,
+    _views_of,
+    aggregate_distances,
+)
 from mvclust.data import MultiViewDataset
 
 
@@ -126,3 +134,46 @@ def validate_model(views, model, tol=1e-9):
     for X, A in zip(_views_of(views), model.centers):
         lo, hi = X.min(axis=0), X.max(axis=0)
         assert np.all(A >= lo - tol) and np.all(A <= hi + tol)
+
+
+def _greedy_spread(Z, c, rng, trials):
+    # one greedy k-means++ pass; returns (row indices, final total potential)
+    n = Z.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((Z - Z[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, c):
+        total = d2.sum()
+        if total > 0:
+            cand = rng.choice(n, size=trials, p=d2 / total)
+            cand_d2 = np.minimum(d2, ((Z[:, None, :] - Z[cand]) ** 2).sum(axis=2).T)
+            best = int(np.argmin(cand_d2.sum(axis=1)))
+            idx, d2 = int(cand[best]), cand_d2[best]
+        else:
+            # all remaining mass is zero (duplicate points): pick any unchosen,
+            # and every distance stays zero
+            unchosen = np.setdiff1d(np.arange(n), chosen)
+            idx = int(rng.choice(unchosen))
+        chosen.append(idx)
+    return chosen, float(d2.sum())
+
+
+def init_centers_exact(data, c, seed):
+    """Seeding that ranks candidates by exact distances; oracle for init_centers.
+
+    Same standardization, restart streams and "lowest potential wins, first
+    on ties" rule, but each greedy step materializes every candidate's
+    squared distances as one (n, trials, D) tensor.
+    """
+    views = _views_of(data)
+    stacked = np.hstack(views)
+    std = stacked.std(axis=0)
+    std[std == 0] = 1.0
+    Z = (stacked - stacked.mean(axis=0)) / std
+    trials = max(10, 2 + int(math.log(c)))
+    best, best_pot = None, math.inf
+    for restart in range(SEEDING_RESTARTS):
+        rng = np.random.default_rng([seed, restart])
+        chosen, pot = _greedy_spread(Z, c, rng, trials)
+        if pot < best_pot:
+            best, best_pot = chosen, pot
+    return [X[best].copy() for X in views]

@@ -2,8 +2,8 @@
 
 A fit builds each view's (n, c, d) tensor once at initialization and once per
 iteration; a pruning step that removes columns adds one rebuild per surviving
-view. Seeding keeps the distances of the candidate it picks instead of
-recomputing them, which must not change a single pick.
+view. Seeding ranks its candidates by a Gram expansion and recomputes only
+the winner's distances exactly, which must not change a single pick.
 """
 
 import numpy as np
@@ -58,26 +58,31 @@ def test_pruning_fit_rebuilds_only_after_removals(sq_diff_calls):
     assert pruned >= 5
 
 
-# row indices of the seeds on the noisy benchmark (n = 1500, 4 noise columns
-# per view, c = 5), keyed by (data seed, seeding seed)
+# row indices of the seeds on the noisy benchmark (4 noise columns per view,
+# c = 5), keyed by (n, data seed, seeding seed)
 RECORDED_SEEDS = {
-    (0, 0): [1469, 601, 1292, 849, 154],
-    (0, 1): [778, 229, 7, 171, 503],
-    (0, 2): [1140, 1465, 825, 341, 1231],
-    (0, 3): [472, 827, 270, 829, 712],
-    (1, 0): [1469, 390, 1286, 88, 86],
-    (1, 1): [1238, 1303, 1486, 1117, 609],
-    (1, 2): [312, 600, 305, 19, 463],
-    (1, 3): [35, 1043, 640, 19, 680],
+    (1500, 0, 0): [1469, 601, 1292, 849, 154],
+    (1500, 0, 1): [778, 229, 7, 171, 503],
+    (1500, 0, 2): [1140, 1465, 825, 341, 1231],
+    (1500, 0, 3): [472, 827, 270, 829, 712],
+    (1500, 1, 0): [1469, 390, 1286, 88, 86],
+    (1500, 1, 1): [1238, 1303, 1486, 1117, 609],
+    (1500, 1, 2): [312, 600, 305, 19, 463],
+    (1500, 1, 3): [35, 1043, 640, 19, 680],
+    (15000, 0, 0): [10446, 9177, 11336, 11944, 3370],
+    (15000, 0, 1): [11667, 5140, 13927, 6457, 2902],
+    (15000, 0, 2): [3122, 3286, 10757, 10974, 11879],
+    (15000, 0, 3): [6318, 4940, 11838, 12831, 5298],
 }
 
 
 @pytest.mark.parametrize("data_seed", [0, 1])
 def test_init_centers_matches_recorded_rows(data_seed):
-    ds = append_noise(generate(default_benchmark_spec(1500, seed=data_seed)),
-                      NoiseSpec(features_per_view=4), seed=data_seed)
-    for seed in range(4):
-        centers = init_centers(ds, 5, seed)
-        want = RECORDED_SEEDS[data_seed, seed]
-        for X, A in zip(ds.views, centers, strict=True):
-            np.testing.assert_array_equal(A, X[want])
+    for n in sorted({n for n, d, _ in RECORDED_SEEDS if d == data_seed}):
+        ds = append_noise(generate(default_benchmark_spec(n, seed=data_seed)),
+                          NoiseSpec(features_per_view=4), seed=data_seed)
+        for seed in range(4):
+            centers = init_centers(ds, 5, seed)
+            want = RECORDED_SEEDS[n, data_seed, seed]
+            for X, A in zip(ds.views, centers, strict=True):
+                np.testing.assert_array_equal(A, X[want])

@@ -276,7 +276,7 @@ def test_report_records_layout():
     assert records[0]["config"] == report.config
     for line in records[1:-1]:
         assert line["kind"] == "trial"
-        assert set(line["timing"]) == {"fit_seconds"}
+        assert set(line["timing"]) == {"fit_seconds", "seed_seconds"}
     assert records[-1]["kind"] == "aggregate"
     assert records[-1]["aggregates"] == report.aggregates
     assert set(records[-1]["timing"]) == {"total_seconds"}
@@ -291,6 +291,17 @@ def test_strip_timing_removes_only_timing():
     assert "timing" in records[1]
     assert stripped[1]["seed"] == records[1]["seed"]
     assert stripped[0] == records[0]
+
+
+def test_seeding_time_is_reported_as_timing():
+    report = run_experiment(synth_config(trials=2))
+    records = report_records(report)
+    for rec, res, line in zip(report.trials, report.fit_results, records[1:-1]):
+        assert res.seed_seconds > 0.0
+        assert rec.seed_seconds == res.seed_seconds
+        assert line["timing"]["seed_seconds"] == res.seed_seconds
+        assert "seed_seconds" not in line
+    assert not any("seed_seconds" in json.dumps(rec) for rec in strip_timing(records))
 
 
 def test_emit_report_and_parse_records_round_trip(tmp_path):
