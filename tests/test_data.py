@@ -48,9 +48,19 @@ def test_dataset_views_are_immutable():
 
 def test_dataset_copies_input_arrays():
     src = np.ones((3, 2))
-    ds = MultiViewDataset([src])
+    readonly_view = src.view()
+    readonly_view.flags.writeable = False
+    ds = MultiViewDataset([src, readonly_view])
     src[0, 0] = -1.0
     assert ds.views[0][0, 0] == 1.0
+    assert ds.views[1][0, 0] == 1.0
+
+
+def test_dataset_keeps_owned_read_only_arrays():
+    # freshly built views (see synth) are handed over read-only, not copied
+    X = np.ones((3, 2))
+    X.flags.writeable = False
+    assert MultiViewDataset([X]).views[0] is X
 
 
 # ----------------------------------------------------------------- validation

@@ -1,9 +1,10 @@
-"""How often the solvers build squared-difference tensors, and what seeding picks.
+"""How often the solvers build distance matrices, and what seeding picks.
 
-A fit builds each view's (n, c, d) tensor once at initialization and once per
-iteration; a pruning step that removes columns adds one rebuild per surviving
-view. Seeding ranks its candidates by a Gram expansion and recomputes only
-the winner's distances exactly, which must not change a single pick.
+A fit centres each view once and builds each view's (n, c) distance matrix
+once at initialization and once per iteration; a pruning step that removes
+columns adds one re-centring and one rebuild per surviving view. Seeding
+ranks its candidates by a Gram expansion and recomputes only the winner's
+distances exactly, which must not change a single pick.
 """
 
 import numpy as np
@@ -15,45 +16,61 @@ from mvclust.amvfcm import init_centers
 from mvclust.synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
 
-@pytest.fixture
-def sq_diff_calls(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    real = amvfcm._sq_diff
+    real = getattr(amvfcm, name)
 
-    def counting(X, A):
-        calls.append(X.shape[1])
-        return real(X, A)
+    def counting(*args):
+        calls.append(args[0].shape[1])
+        return real(*args)
 
-    monkeypatch.setattr(amvfcm, "_sq_diff", counting)
+    monkeypatch.setattr(amvfcm, name, counting)
     return calls
 
 
+@pytest.fixture
+def distance_calls(monkeypatch):
+    return _count_calls(monkeypatch, "_distances")
+
+
+@pytest.fixture
+def centring_calls(monkeypatch):
+    return _count_calls(monkeypatch, "_centred")
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_full_fit_builds_one_tensor_per_view_per_iteration(sq_diff_calls):
+def test_full_fit_builds_one_distance_matrix_per_view_per_iteration(
+        distance_calls, centring_calls):
     rng = np.random.default_rng(7)
     for _ in range(30):
         ds, params = support.random_instance(rng, n_max=120)
-        sq_diff_calls.clear()
+        distance_calls.clear()
+        centring_calls.clear()
         res = fit_full(ds, params)
-        assert len(sq_diff_calls) == ds.n_views * (1 + res.iterations)
+        assert len(distance_calls) == ds.n_views * (1 + res.iterations)
+        assert len(centring_calls) == ds.n_views
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_pruning_fit_rebuilds_only_after_removals(sq_diff_calls):
+def test_pruning_fit_rebuilds_only_after_removals(distance_calls, centring_calls):
     rng = np.random.default_rng(8)
     pruned = 0
     for i in range(30):
         ds, params = support.random_instance(rng, n_max=120)
-        sq_diff_calls.clear()
+        distance_calls.clear()
+        centring_calls.clear()
         res = fit_pruning(ds, params, prune_warmup=i % 3)
         view_removals = [e.iteration for e in res.mask.removals if e.kind == "view"]
-        expected = ds.n_views
+        expected = centred = ds.n_views
         for t in range(1, res.iterations + 1):
             # views alive when iteration t starts, and after its pruning step
             expected += ds.n_views - sum(r < t for r in view_removals)
             if t in res.pruning_iterations:
-                expected += ds.n_views - sum(r <= t for r in view_removals)
-        assert len(sq_diff_calls) == expected
+                survivors = ds.n_views - sum(r <= t for r in view_removals)
+                expected += survivors
+                centred += survivors
+        assert len(distance_calls) == expected
+        assert len(centring_calls) == centred
         pruned += bool(res.pruning_iterations)
     assert pruned >= 5
 
