@@ -76,15 +76,8 @@ class ActiveMask:
         return 1.0 - sum(self.active_dims) / total
 
 
-def compute_threshold(d_active, n) -> float:
-    """Adaptive pruning threshold: current view width over sample count."""
-    if d_active < 1 or n < 1:
-        raise ValueError("need positive dimensions and sample count")
-    return d_active / n
-
-
 def prune_features(feature_weights, mask: ActiveMask, n, *, theta_scale=1.0, iteration=0):
-    """Zero out feature weights strictly below the adaptive threshold.
+    """Zero out feature weights strictly below theta_scale * (view width / n).
 
     ``feature_weights`` is aligned with the mask's active views. Survivors in
     each view are renormalized to sum to 1; zeroed positions stay in place
@@ -98,7 +91,7 @@ def prune_features(feature_weights, mask: ActiveMask, n, *, theta_scale=1.0, ite
     out = []
     for pos, h in enumerate(active):
         w = feature_weights[pos]
-        theta = theta_scale * compute_threshold(w.size, n)
+        theta = theta_scale * (w.size / n)
         low = w < theta
         if not low.any():
             out.append(w)

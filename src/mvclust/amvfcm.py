@@ -57,7 +57,8 @@ class HyperParams:
         [0.0015, 0.025 * d_min/d_max] trigger a warning at fit time.
     beta : float or None
         View-weight entropy strength in per-sample units. None selects the
-        per-view automatic value d_h / n; a fixed scalar outside
+        per-view automatic value d_h / n, which is not size-invariant (see
+        :func:`resolve_regularization`); a fixed scalar outside
         [d_h/n, 3*d_h/n] for some view triggers a warning at fit time.
     t_max : int
         Iteration cap, >= 1.
@@ -186,19 +187,6 @@ def _distances_of(cviews, model, delta):
             in zip(cviews, model.centers, model.feature_weights, delta)]
 
 
-def per_view_distances(views, model, delta):
-    """Per-view weighted squared distance matrices, each (n, c).
-
-    Entry (i, k) of view h is sum_j w_j * delta_j * (x_ij - a_kj)^2. It is
-    computed by the expansion |x|^2 - 2 x.a + |a|^2 on column-centred data
-    (x - m and a - m, with m the view's column means), so each view takes
-    one matrix product and no (n, c, d) tensor. It differs from the exact
-    sum by at most 6.1e-16 of the view's largest distance (see the module
-    notes).
-    """
-    return _distances_of([_centred(X) for X in _views_of(views)], model, delta)
-
-
 def _weighted_sum(D, view_weights):
     T = view_weights[0] * D[0]
     for v, Dh in zip(view_weights[1:], D[1:]):
@@ -206,15 +194,11 @@ def _weighted_sum(D, view_weights):
     return T
 
 
-def aggregate_distances(views, model, delta):
-    """View-weighted sum of the per-view distance matrices, shape (n, c)."""
-    return _weighted_sum(per_view_distances(views, model, delta), model.view_weights)
-
-
 def _weights_and_distances(cviews, model, delta, eta):
     # E_j = delta_j * sum_ik mu_ik (xc_ij - ac_kj)^2 from (c, d) sums:
     # r.Xc^2 - 2 sum_k ac_k (mu^T Xc)_k + colsum.ac^2, with r and colsum the
-    # row and column sums of mu; then the distance matrix at the new weights
+    # row and column sums of mu. Feature j gets weight proportional to
+    # (1/delta_j) exp(-v_h E_j / eta); then the distances at the new weights
     U = model.membership
     rows, cols = _row_sums(U), _column_sums(U)
     weights, D = [], []
@@ -228,25 +212,8 @@ def _weights_and_distances(cviews, model, delta, eta):
     return weights, D
 
 
-def update_feature_weights(views, model, delta, eta):
-    """Per-view softmax over features; exact W-block minimizer.
-
-    Feature j of view h gets weight proportional to
-    (1/delta_j) * exp(-v_h * E_j / eta) where E_j is the membership-weighted,
-    dispersion-scaled squared deviation of that feature. Computed in log space.
-    """
-    cviews = [_centred(X) for X in _views_of(views)]
-    return _weights_and_distances(cviews, model, delta, eta)[0]
-
-
 def _costs_given_distances(D, membership):
     return np.array([float(np.vdot(membership, Dh)) for Dh in D])
-
-
-def view_costs(views, model, delta):
-    """Membership-weighted total distortion per view, shape (s,)."""
-    D = per_view_distances(views, model, delta)
-    return _costs_given_distances(D, model.membership)
 
 
 def entropic_simplex_argmin(costs, beta):
@@ -295,30 +262,29 @@ def entropic_simplex_argmin(costs, beta):
 def resolve_regularization(params, dims, n):
     """Map user-facing (beta, eta) to the coefficients the solver iterates with.
 
-    ``eta`` and ``beta`` are specified in per-sample units, but the cost sums
-    E_j and F_h that enter the weight softmax exponents grow linearly with n.
-    Multiplying both coefficients by n keeps the softmax temperatures invariant
-    to dataset size; without it any non-toy n collapses both weight vectors to
-    one-hot. A fixed calibration factor then lifts each temperature above the
-    spread that soft-membership tails induce in the per-feature and per-view
-    cost sums, so elimination is governed by the dispersion prefactor
-    1/delta_j and neither weight simplex gets pinned to a corner by an early
-    imperfect partition. Behaviour is flat across at least a factor-of-four
-    band around the chosen value. Auto beta (d_h / n per view) resolves to
-    TEMP_CALIBRATION * d_h after scaling.
+    ``eta`` and a fixed ``beta`` are specified in per-sample units, but the
+    cost sums E_j and F_h that enter the weight softmax exponents grow
+    linearly with n, so both coefficients are multiplied by n; without it any
+    non-toy n collapses both weight vectors to one-hot. A fixed calibration
+    factor then lifts each temperature above the spread that soft-membership
+    tails induce in the per-feature and per-view cost sums, so elimination is
+    governed by the dispersion prefactor 1/delta_j and neither weight simplex
+    gets pinned to a corner by an early imperfect partition. Behaviour is flat
+    across at least a factor-of-four band around the chosen value. Auto beta
+    (d_h / n per view) is not size-invariant: it resolves to TEMP_CALIBRATION
+    * d_h at every n while the view costs grow, so the view weights harden
+    with n (0.49 / 0.51 on the benchmark at n = 1.5k, 7.8e-17 / 1.0 at 15k).
     """
     scale = TEMP_CALIBRATION * float(n)
-    return beta_vector(params.beta, dims, n) * scale, params.eta * scale
-
-
-def beta_vector(beta, dims, n):
-    """Resolve the beta setting to one value per view (None selects d_h/n)."""
-    if beta is None:
-        return np.array([d / n for d in dims], dtype=float)
-    return np.full(len(dims), float(beta))
+    if params.beta is None:
+        beta = np.array([d / n for d in dims]) * scale
+    else:
+        beta = np.full(len(dims), float(params.beta)) * scale
+    return beta, params.eta * scale
 
 
 def _objective_given_costs(costs, model, delta, beta, eta):
+    # distortion plus the three entropy terms; 0*log(0) counts as 0
     distortion = float(model.view_weights @ costs)
     membership_entropy = _xlogx(model.membership)
     vw = model.view_weights
@@ -330,16 +296,6 @@ def _objective_given_costs(costs, model, delta, beta, eta):
         mask = w > 0
         feature_entropy += float(np.sum(w[mask] * np.log(dlt[mask] * w[mask])))
     return distortion + membership_entropy + view_entropy + eta * feature_entropy
-
-
-def objective(views, model, delta, beta, eta) -> float:
-    """Joint objective: view-weighted distortion plus the three entropy terms.
-
-    All 0*log(0) contributions count as 0. Passing beta = eta = 0 evaluates
-    the unregularized base objective (distortion plus membership entropy).
-    """
-    costs = view_costs(views, model, delta)
-    return _objective_given_costs(costs, model, delta, beta, eta)
 
 
 SEEDING_RESTARTS = 8

@@ -23,6 +23,7 @@ from .harness import (
     ExperimentConfig,
     SynthSource,
     TrialError,
+    _synth_dataset,
     emit_report,
     render_table,
     report_records,
@@ -30,7 +31,6 @@ from .harness import (
 )
 from .metrics import score_all
 from .snr import DEFAULT_CLAMP
-from .synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -132,15 +132,16 @@ def build_parser():
     return parser
 
 
+def _synth_source(args, n, seed):
+    return SynthSource(n=n, seed=seed, noise_features=args.noise_features,
+                       noise_low=args.noise_low, noise_high=args.noise_high)
+
+
 def _cmd_synth(args):
     if args.out_dir is None:
         print("synth requires --out-dir", file=sys.stderr)
         return EXIT_USAGE
-    spec = default_benchmark_spec(args.n, seed=args.seed)
-    dataset = generate(spec)
-    if args.noise_features > 0:
-        noise = NoiseSpec(args.noise_low, args.noise_high, args.noise_features)
-        dataset = append_noise(dataset, noise, seed=args.seed)
+    dataset = _synth_dataset(_synth_source(args, args.n, args.seed))
     manifest = save_dataset(dataset, args.out_dir)
     print(f"wrote {dataset.n_samples} samples, {dataset.n_views} views "
           f"({'x'.join(str(d) for d in dataset.dims)} columns) to {manifest}")
@@ -224,13 +225,7 @@ def _cmd_bench(args):
         return EXIT_USAGE
     synth = None
     if args.synth_n is not None:
-        synth = SynthSource(
-            n=args.synth_n,
-            seed=args.synth_seed,
-            noise_features=args.noise_features,
-            noise_low=args.noise_low,
-            noise_high=args.noise_high,
-        )
+        synth = _synth_source(args, args.synth_n, args.synth_seed)
     _run(args, args.trials, args.seed_base, args.jobs, synth)
     return EXIT_OK
 

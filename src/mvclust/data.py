@@ -182,7 +182,7 @@ def _check_dense_labels(lab):
         raise LabelValueError(f"negative label {lab.min()}")
     present = np.unique(lab)
     if present[-1] + 1 != present.size:
-        missing = next(i for i in range(present[-1] + 1) if i not in set(present))
+        missing = int(np.flatnonzero(present != np.arange(present.size))[0])
         raise LabelValueError(f"label classes are not dense: class {missing} is empty")
 
 

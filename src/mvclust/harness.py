@@ -102,16 +102,21 @@ class RunReport:
     fit_results: list = field(default_factory=list, repr=False)
 
 
+def _synth_dataset(src: SynthSource):
+    # the synthetic dataset of a source, for runs and for ``mvclust synth`` alike
+    dataset = generate(default_benchmark_spec(src.n, seed=src.seed))
+    if src.noise_features > 0:
+        noise = NoiseSpec(src.noise_low, src.noise_high, src.noise_features)
+        dataset = append_noise(dataset, noise, seed=src.seed)
+    return dataset
+
+
 def build_dataset(config: ExperimentConfig):
     """Materialize the configured data source, normalized when requested."""
     if config.manifest is not None:
         dataset = load_dataset(config.manifest)
     else:
-        src = config.synth
-        dataset = generate(default_benchmark_spec(src.n, seed=src.seed))
-        if src.noise_features > 0:
-            noise = NoiseSpec(src.noise_low, src.noise_high, src.noise_features)
-            dataset = append_noise(dataset, noise, seed=src.seed)
+        dataset = _synth_dataset(config.synth)
     if config.normalize:
         dataset, _ = minmax_normalize(dataset)
     return dataset

@@ -45,10 +45,9 @@ def contingency_table(truth, pred) -> np.ndarray:
         raise ValueError(
             f"label vectors differ in length: {truth.shape[0]} vs {pred.shape[0]}"
         )
-    _, ti = np.unique(truth, return_inverse=True)
-    _, pi = np.unique(pred, return_inverse=True)
-    r, s = ti.max() + 1, pi.max() + 1
-    table = np.zeros((r, s), dtype=np.int64)
+    rows, ti = np.unique(truth, return_inverse=True)
+    cols, pi = np.unique(pred, return_inverse=True)
+    table = np.zeros((rows.size, cols.size), dtype=np.int64)
     np.add.at(table, (ti, pi), 1)
     return table
 
@@ -58,22 +57,24 @@ def _comb2(x):
     return x * (x - 1) // 2
 
 
+def _pair_sums(table):
+    # pairs co-clustered within cells, within rows, within columns, and all pairs
+    return (int(_comb2(table).sum()), int(_comb2(table.sum(axis=1)).sum()),
+            int(_comb2(table.sum(axis=0)).sum()), int(_comb2(table.sum())))
+
+
+def _table_and_counts(truth, pred):
+    # the contingency table (which checks the lengths) and the pair quadruple
+    table = contingency_table(truth, pred)
+    if table.sum() < 2:
+        raise ValueError("pair counting needs at least 2 samples")
+    a, rows, cols, total = _pair_sums(table)
+    return table, PairCounts(a, rows - a, cols - a, total - rows - cols + a)
+
+
 def pair_counts(truth, pred) -> PairCounts:
     """Pair quadruple from contingency sums; needs n >= 2 and equal lengths."""
-    truth, pred = _as_labels(truth), _as_labels(pred)
-    n = truth.shape[0]
-    if pred.shape[0] != n:
-        raise ValueError(f"label vectors differ in length: {n} vs {pred.shape[0]}")
-    if n < 2:
-        raise ValueError("pair counting needs at least 2 samples")
-    table = contingency_table(truth, pred)
-    a = int(_comb2(table).sum())
-    same_truth = int(_comb2(table.sum(axis=1)).sum())
-    same_pred = int(_comb2(table.sum(axis=0)).sum())
-    total = int(_comb2(n))
-    b = same_truth - a
-    c = same_pred - a
-    return PairCounts(a, b, c, total - a - b - c)
+    return _table_and_counts(truth, pred)[1]
 
 
 def rand_index(counts: PairCounts) -> float:
@@ -115,11 +116,7 @@ def adjusted_rand(table) -> float:
     partitions and 0.0 otherwise.
     """
     table = np.asarray(table, dtype=np.int64)
-    n = int(table.sum())
-    index = int(_comb2(table).sum())
-    sum_rows = int(_comb2(table.sum(axis=1)).sum())
-    sum_cols = int(_comb2(table.sum(axis=0)).sum())
-    total = int(_comb2(n))
+    index, sum_rows, sum_cols, total = _pair_sums(table)
     # ARI = (index - sr*sc/T) / ((sr+sc)/2 - sr*sc/T), scaled by 2T
     num = 2 * total * index - 2 * sum_rows * sum_cols
     den = total * (sum_rows + sum_cols) - 2 * sum_rows * sum_cols
@@ -154,8 +151,7 @@ def normalized_mutual_info(table) -> float:
 
 def score_all(truth, pred) -> dict:
     """All five agreement scores as a {name: value} dict."""
-    counts = pair_counts(truth, pred)
-    table = contingency_table(truth, pred)
+    table, counts = _table_and_counts(truth, pred)
     return {
         "ri": rand_index(counts),
         "ari": adjusted_rand(table),

@@ -7,8 +7,12 @@ Each feature column j of view h gets a fixed multiplier
 computed once from the data and never from solver state. High-variance columns
 are damped, low-variance columns amplified. The ratio is clamped into
 ``[lo, hi]`` so degenerate columns stay usable: a constant column (variance 0)
-hits the ceiling, a zero- or negative-mean column hits the floor. Data
-normalized to [0, 1] keeps the ratio well scaled.
+hits the ceiling, a zero- or negative-mean column hits the floor. The ratio
+has the units of 1/x, and min-max normalization maps every column, noise
+included, onto [0, 1], where mean over variance no longer singles the noise
+out: at n = 1.5k with one noise column per view (seed 0) the pruning solver
+keeps dims [2, 2] with ARI 1.0 on raw data, [3, 3] with ARI 0.379 after
+``minmax_normalize``.
 """
 
 from __future__ import annotations

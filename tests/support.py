@@ -1,7 +1,10 @@
 """Shared helpers for the test suite: random instances, descent checks, oracles.
 
 The oracles state single block updates and the model invariants on their
-own, apart from the solver loop that fuses them.
+own, apart from the solver loop that fuses them. The block calls
+(``per_view_distances`` through ``objective``) are compositions of the
+solver's private kernels with no arithmetic of their own, so a test that
+calls them exercises exactly what ``fit`` runs.
 """
 
 import math
@@ -11,9 +14,14 @@ import numpy as np
 from mvclust.amvfcm import (
     SEEDING_RESTARTS,
     HyperParams,
+    _centred,
+    _costs_given_distances,
+    _distances_of,
+    _objective_given_costs,
     _softmax_rows,
     _views_of,
-    aggregate_distances,
+    _weighted_sum,
+    _weights_and_distances,
 )
 from mvclust.data import MultiViewDataset
 
@@ -102,13 +110,40 @@ def weighted_distance(views, model, delta, i, k, h) -> float:
 def per_view_distances_exact(views, model, delta):
     """Per-view distance matrices from the (n, c, d) squared-difference tensor.
 
-    Oracle for ``amvfcm.per_view_distances``, which expands the square on
-    centred data instead of materializing every difference.
+    Oracle for the solver's distance kernel ``amvfcm._distances`` (reached
+    through ``per_view_distances``), which expands the square on centred data
+    instead of materializing every difference.
     """
     out = []
     for X, A, w, dlt in zip(_views_of(views), model.centers, model.feature_weights, delta):
         out.append(((X[:, None, :] - A[None, :, :]) ** 2) @ (w * dlt))
     return out
+
+
+def per_view_distances(views, model, delta):
+    """Per-view (n, c) matrices of sum_j w_j delta_j (x_ij - a_kj)^2, as fit builds them."""
+    return _distances_of([_centred(X) for X in _views_of(views)], model, delta)
+
+
+def aggregate_distances(views, model, delta):
+    """View-weighted sum of the per-view distance matrices, shape (n, c)."""
+    return _weighted_sum(per_view_distances(views, model, delta), model.view_weights)
+
+
+def update_feature_weights(views, model, delta, eta):
+    """Exact W-block minimizer: weights proportional to (1/delta_j) exp(-v_h E_j / eta)."""
+    cviews = [_centred(X) for X in _views_of(views)]
+    return _weights_and_distances(cviews, model, delta, eta)[0]
+
+
+def view_costs(views, model, delta):
+    """Membership-weighted total distortion per view, shape (s,)."""
+    return _costs_given_distances(per_view_distances(views, model, delta), model.membership)
+
+
+def objective(views, model, delta, beta, eta) -> float:
+    """Joint objective; beta = eta = 0 gives distortion plus membership entropy."""
+    return _objective_given_costs(view_costs(views, model, delta), model, delta, beta, eta)
 
 
 def update_membership(views, model, delta):

@@ -9,7 +9,6 @@ from mvclust import amvfcm
 from mvclust.aamvfcm import (
     ActiveMask,
     PruningFitResult,
-    compute_threshold,
     fit,
     prune_features,
     prune_views,
@@ -25,22 +24,6 @@ def noisy_benchmark(n=1500, seed=7):
     return append_noise(
         generate(default_benchmark_spec(n, seed=seed)), NoiseSpec(), seed=seed
     )
-
-
-# ---------------------------------------------------------------- threshold
-
-
-def test_threshold_examples():
-    assert compute_threshold(3, 15000) == pytest.approx(0.0002)
-    assert compute_threshold(700, 700) == 1.0
-    assert compute_threshold(1, 400) == pytest.approx(1 / 400)
-
-
-def test_threshold_rejects_degenerate_counts():
-    with pytest.raises(ValueError):
-        compute_threshold(0, 100)
-    with pytest.raises(ValueError):
-        compute_threshold(3, 0)
 
 
 # ----------------------------------------------------------------- mask type

@@ -24,10 +24,14 @@ import numpy as np
 import pytest
 
 from support import (
+    aggregate_distances,
     assert_trace_non_increasing,
+    objective,
     perturb_simplex,
     random_instance,
     trace_segments,
+    update_feature_weights,
+    view_costs,
 )
 from test_metrics import brute_pair_counts, direct_ari, direct_nmi, random_label_pair
 
@@ -39,13 +43,9 @@ from mvclust.amvfcm import (
     _centers_with_reseed,
     _softmax_rows,
     _views_of,
-    aggregate_distances,
     entropic_simplex_argmin,
     init_centers,
-    objective,
     resolve_regularization,
-    update_feature_weights,
-    view_costs,
 )
 from mvclust.cli import EXIT_OK, main
 from mvclust.harness import (

@@ -10,23 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from support import update_centers, update_membership, validate_model, weighted_distance
+from support import (
+    aggregate_distances,
+    objective,
+    per_view_distances,
+    update_centers,
+    update_feature_weights,
+    update_membership,
+    validate_model,
+    view_costs,
+    weighted_distance,
+)
 from mvclust import amvfcm, fit_full
 from mvclust.amvfcm import (
     ClusterModel,
     HyperParams,
     _centers_with_reseed,
     _softmax_rows,
-    aggregate_distances,
-    beta_vector,
     entropic_simplex_argmin,
     fit,
     init_centers,
-    objective,
-    per_view_distances,
     resolve_regularization,
-    update_feature_weights,
-    view_costs,
 )
 from mvclust.data import MultiViewDataset
 from mvclust.metrics import score_all
@@ -346,8 +350,14 @@ def test_objective_handles_exact_zeros():
 
 
 def test_beta_vector_auto_and_fixed():
-    np.testing.assert_allclose(beta_vector(None, [3, 2], 100), [0.03, 0.02])
-    np.testing.assert_allclose(beta_vector(0.05, [3, 2], 100), [0.05, 0.05])
+    # one beta per view before scaling: d_h / n when auto, the fixed value otherwise
+    from mvclust.amvfcm import TEMP_CALIBRATION
+
+    scale = TEMP_CALIBRATION * 100
+    auto, _ = resolve_regularization(HyperParams(c=2, beta=None), [3, 2], 100)
+    fixed, _ = resolve_regularization(HyperParams(c=2, beta=0.05), [3, 2], 100)
+    np.testing.assert_allclose(auto / scale, [0.03, 0.02])
+    np.testing.assert_allclose(fixed / scale, [0.05, 0.05])
 
 
 def test_resolve_regularization_scales_with_n():
@@ -504,7 +514,7 @@ def test_fit_trace_monotone_on_random_instances():
 
 
 def replay_fit(dataset, params):
-    """The full solver written out block by block, each block a public call."""
+    """The full solver written out block by block, each block its own call."""
     views = list(dataset.views)
     n, dims = dataset.n_samples, dataset.dims
     delta = compute_delta(dataset, params.delta_clamp)

@@ -10,6 +10,8 @@ import json
 import numpy as np
 import pytest
 
+from mvclust import harness
+from mvclust.amvfcm import HyperParams
 from mvclust.cli import EXIT_DATA, EXIT_OK, EXIT_TRIAL, EXIT_USAGE, main
 from mvclust.data import load_dataset, save_dataset
 from mvclust.harness import METRIC_KEYS
@@ -115,6 +117,29 @@ def test_synth_noise_flags_extend_the_views(tmp_path, capsys):
     for view in loaded.views:
         noise = view[:, 2]
         assert noise.min() >= 0.02 and noise.max() < 0.05
+
+
+def test_synth_files_match_the_harness_source(tmp_path, capsys, monkeypatch):
+    # the command builds its data through the harness, the same path as a run
+    built = []
+    real = harness.generate
+
+    def counting(spec):
+        built.append(spec.n)
+        return real(spec)
+
+    monkeypatch.setattr(harness, "generate", counting)
+    out = tmp_path / "noisy"
+    assert main(["synth", "--n", "300", "--noise-features", "2", "--seed", "4",
+                 "--out-dir", str(out)]) == EXIT_OK
+    assert built == [300]
+    loaded = load_dataset(out / "manifest.cfg")
+    source = harness.SynthSource(n=300, seed=4, noise_features=2)
+    config = harness.ExperimentConfig("amvfcm", HyperParams(c=5), synth=source)
+    direct = harness.build_dataset(config)
+    np.testing.assert_array_equal(loaded.labels, direct.labels)
+    for a, b in zip(loaded.views, direct.views, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

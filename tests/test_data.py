@@ -1,5 +1,7 @@
 """Dataset container, validation, normalization, and manifest I/O tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,17 @@ def test_validate_rejects_sparse_label_alphabet():
         validate(MultiViewDataset([np.ones((3, 2))], labels=[0, 2, 0]))
     with pytest.raises(LabelValueError):
         validate(MultiViewDataset([np.ones((3, 2))], labels=[-1, 0, 1]))
+
+
+def test_validate_names_missing_class_in_linear_time():
+    # 20,000 classes present, class 19,999 empty; a check that rescans the
+    # present classes per candidate takes tens of seconds here
+    labels = np.r_[np.arange(19_999), 20_000]
+    dataset = MultiViewDataset([np.ones((labels.size, 1))], labels=labels)
+    tic = time.perf_counter()
+    with pytest.raises(LabelValueError, match=r"class 19999 is empty"):
+        validate(dataset)
+    assert time.perf_counter() - tic < 1.0
 
 
 # -------------------------------------------------------------- normalization

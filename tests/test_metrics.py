@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvclust import metrics
 from mvclust.metrics import (
     PairCounts,
     adjusted_rand,
@@ -294,3 +295,22 @@ def test_score_all_keys_and_types():
     scores = score_all([0, 0, 1], [0, 1, 1])
     assert set(scores) == {"ri", "ari", "ji", "fmi", "nmi"}
     assert all(isinstance(v, float) for v in scores.values())
+
+
+def test_score_all_builds_one_contingency_table(monkeypatch):
+    calls = []
+    real = metrics.contingency_table
+
+    def counting(truth, pred):
+        calls.append(len(truth))
+        return real(truth, pred)
+
+    monkeypatch.setattr(metrics, "contingency_table", counting)
+    truth, pred = [0, 0, 1, 1, 2, 2], [0, 0, 1, 2, 2, 2]
+    scores = score_all(truth, pred)
+    assert calls == [6]
+    assert scores["ri"] == rand_index(brute_pair_counts(truth, pred))
+    with pytest.raises(ValueError, match="differ in length"):
+        score_all([0], [0, 1])
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        score_all([0], [0])
