@@ -13,12 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .aamvfcm import PruningFitResult
 from .amvfcm import HyperParams
-from .data import DatasetError, save_dataset
+from .data import DatasetError, _read_labels, _write_labels, save_dataset
 from .harness import (
     ExperimentConfig,
     SynthSource,
@@ -186,7 +184,7 @@ def _run(args, trials, seed_base, jobs=1, synth=None):
 def _cmd_fit(args):
     result = _run(args, trials=1, seed_base=args.seed).fit_results[0]
     if args.out_dir is not None:  # created by the report write
-        np.savetxt(args.out_dir / "predicted_labels.txt", result.hard_labels, fmt="%d")
+        _write_labels(args.out_dir / "predicted_labels.txt", result.hard_labels)
         if isinstance(result, PruningFitResult):
             _write_filtered(result, args.out_dir / "filtered")
     return EXIT_OK
@@ -210,9 +208,9 @@ def _write_filtered(result: PruningFitResult, out_dir):
 
 
 def _cmd_score(args):
-    truth = np.loadtxt(args.truth, dtype=int, ndmin=1)
-    pred = np.loadtxt(args.pred, dtype=int, ndmin=1)
-    scores = score_all(truth, pred)
+    # the dataset reader: errors name file and line, and the 1-based shift
+    # cannot move a score, since every metric ignores how classes are named
+    scores = score_all(_read_labels(args.truth), _read_labels(args.pred))
     for key, value in scores.items():
         print(f"{key}={value:.12g}")
     print(json.dumps(scores, separators=(", ", ": ")))

@@ -11,7 +11,10 @@ truth labels are optional. On disk a dataset is described by a small manifest:
 
 ``view`` lines are repeatable and their order defines the view index. Paths are
 resolved relative to the manifest's directory. View files are plain CSV (one
-sample per line, no header); label files hold one integer per line.
+sample per line, no header); label files hold one integer per line. Reads go
+through numpy's vectorized parser and fall back to a line scan for what it
+refuses, so errors still name the file and line; writes print %.17g, byte for
+byte what ``np.savetxt`` prints, a chunk of rows per call.
 """
 
 from __future__ import annotations
@@ -204,9 +207,36 @@ def minmax_normalize(dataset: MultiViewDataset):
 # file I/O
 # ---------------------------------------------------------------------------
 
+# cells formatted per write call: bounds the text and Python floats held at once
+_WRITE_CHUNK_CELLS = 1 << 14
+
+
+def _loadtxt(path: Path, dtype):
+    # numpy's C parser, or None when it refuses the file or the file has no
+    # content; the line scan then decides, and names the line of any error
+    with open(path, "rb") as fh:
+        # loadtxt only warns about a file of blank lines
+        if not any(chunk.strip() for chunk in iter(lambda: fh.read(1 << 16), b"")):
+            return None
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype, comments=None,
+                          quotechar=None, encoding="utf-8")
+    except ValueError:
+        return None
+
+
 def _read_matrix(path: Path) -> np.ndarray:
     if not path.is_file():
         raise ManifestError(f"view file not found: {path}")
+    X = _loadtxt(path, float)
+    if X is None:
+        X = _scan_matrix(path)
+    # owned, contiguous and read-only, so the dataset keeps it without a copy
+    X.flags.writeable = False
+    return X
+
+
+def _scan_matrix(path: Path) -> np.ndarray:
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -242,6 +272,16 @@ def _is_number(token):
 def _read_labels(path: Path) -> np.ndarray:
     if not path.is_file():
         raise ManifestError(f"label file not found: {path}")
+    lab = _loadtxt(path, int)
+    # loadtxt splits "1,2" into two labels; the line scan rejects that line
+    lab = _scan_labels(path) if lab is None or lab.shape[1] != 1 else lab[:, 0]
+    # 1-based files are accepted and shifted down
+    if lab.min() == 1:
+        lab = lab - 1
+    return lab
+
+
+def _scan_labels(path: Path) -> np.ndarray:
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -254,11 +294,7 @@ def _read_labels(path: Path) -> np.ndarray:
                 raise MatrixFormatError(path, line_no, f"non-integer label {line!r}") from None
     if not values:
         raise EmptyDatasetError(f"label file is empty: {path}")
-    lab = np.asarray(values, dtype=int)
-    # 1-based files are accepted and shifted down
-    if lab.min() == 1:
-        lab = lab - 1
-    return lab
+    return np.asarray(values, dtype=int)
 
 
 def parse_manifest(path) -> dict:
@@ -327,10 +363,10 @@ def save_dataset(dataset: MultiViewDataset, out_dir, stem="view") -> Path:
     lines = ["# mvclust dataset manifest"]
     for h, X in enumerate(dataset.views, start=1):
         fname = f"{stem}_{h}.csv"
-        np.savetxt(out_dir / fname, X, fmt="%.17g", delimiter=",")
+        _write_matrix(out_dir / fname, X)
         lines.append(f"view = {fname}")
     if dataset.labels is not None:
-        np.savetxt(out_dir / "labels.txt", dataset.labels, fmt="%d")
+        _write_labels(out_dir / "labels.txt", dataset.labels)
         lines.append("labels = labels.txt")
     if dataset.view_names is not None:
         for h, name in enumerate(dataset.view_names, start=1):
@@ -338,6 +374,24 @@ def save_dataset(dataset: MultiViewDataset, out_dir, stem="view") -> Path:
     manifest = out_dir / "manifest.cfg"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
+
+
+def _write_matrix(path: Path, X) -> None:
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted one
+    # chunk of rows per call instead of one row per call
+    n, d = X.shape
+    row_fmt = ",".join(["%.17g"] * d) + "\n"
+    step = max(1, _WRITE_CHUNK_CELLS // max(d, 1))
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, n, step):
+            block = X[start:start + step]
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _write_labels(path: Path, labels) -> None:
+    # the bytes of np.savetxt(fmt="%d") for an integer vector
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{v}\n" for v in labels.tolist()))
 
 
 def restrict(dataset: MultiViewDataset, view_indices, column_indices) -> MultiViewDataset:

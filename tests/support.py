@@ -23,7 +23,13 @@ from mvclust.amvfcm import (
     _weighted_sum,
     _weights_and_distances,
 )
-from mvclust.data import MultiViewDataset
+from mvclust.data import (
+    EmptyDatasetError,
+    MatrixFormatError,
+    MultiViewDataset,
+    parse_manifest,
+    validate,
+)
 
 
 def random_instance(rng, n_max=200):
@@ -224,3 +230,60 @@ def init_centers_exact(data, c, seed):
         if pot < best_pot:
             best, best_pot = chosen, pot
     return [X[best].copy() for X in views]
+
+
+def scan_matrix(path):
+    """Line-by-line CSV parse; oracle for the dataset reader of view files.
+
+    Blank lines are skipped, cells are split on commas and stripped, and
+    each cell goes through ``float``. Errors name the file and 1-based line.
+    """
+    rows, width = [], None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = [c.strip() for c in line.split(",")]
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise MatrixFormatError(
+                    path, line_no, f"expected {width} columns, found {len(cells)}"
+                )
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                raise MatrixFormatError(path, line_no, "non-numeric cell") from None
+    if not rows:
+        raise EmptyDatasetError(f"view file is empty: {path}")
+    return np.asarray(rows, dtype=float)
+
+
+def scan_labels(path):
+    """One ``int`` per non-blank line, 1-based files shifted down; label oracle."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise MatrixFormatError(path, line_no, "non-integer label") from None
+    if not values:
+        raise EmptyDatasetError(f"label file is empty: {path}")
+    lab = np.asarray(values, dtype=int)
+    return lab - 1 if lab.min() == 1 else lab
+
+
+def load_dataset_by_scan(manifest_path):
+    """``load_dataset`` with every file parsed by the line scans above."""
+    spec = parse_manifest(manifest_path)
+    base = manifest_path.parent
+    views = [scan_matrix(base / rel) for rel in spec["views"]]
+    labels = scan_labels(base / spec["labels"]) if spec["labels"] else None
+    dataset = MultiViewDataset(views, labels)
+    validate(dataset)
+    return dataset

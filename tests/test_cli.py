@@ -161,6 +161,15 @@ def test_score_prints_metrics_and_json(tmp_path, capsys):
         assert any(line.startswith(f"{key}=") for line in out[:-1])
 
 
+def test_score_names_file_and_line_of_bad_label(tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    pred = tmp_path / "pred.txt"
+    truth.write_text("0\n1\n1\n")
+    pred.write_text("0\n3.0\n1\n")
+    assert main(["score", "--truth", str(truth), "--pred", str(pred)]) == EXIT_DATA
+    assert f"{pred}:2: non-integer label" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -176,6 +185,8 @@ def test_fit_writes_labels_and_reports(tmp_path, capsys):
     assert "report.jsonl" in captured.err
     labels = np.loadtxt(out / "predicted_labels.txt", dtype=int)
     assert labels.shape == (dataset.n_samples,)
+    np.savetxt(tmp_path / "savetxt.txt", labels, fmt="%d")
+    assert (out / "predicted_labels.txt").read_bytes() == (tmp_path / "savetxt.txt").read_bytes()
     assert set(np.unique(labels)) <= set(range(5))
     assert (out / "report.txt").exists()
     assert (out / "report.jsonl").exists()

@@ -1,10 +1,13 @@
 """Dataset container, validation, normalization, and manifest I/O tests."""
 
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from mvclust import data
 from mvclust.data import (
     EmptyDatasetError,
     LabelValueError,
@@ -20,6 +23,7 @@ from mvclust.data import (
     save_dataset,
     validate,
 )
+from support import load_dataset_by_scan
 
 
 def two_view_dataset(n=4, labels=True):
@@ -63,6 +67,20 @@ def test_dataset_keeps_owned_read_only_arrays():
     X = np.ones((3, 2))
     X.flags.writeable = False
     assert MultiViewDataset([X]).views[0] is X
+
+
+def test_loaded_views_are_kept_without_a_copy(tmp_path, monkeypatch):
+    # both reader paths hand over an owned read-only array; the dataset keeps it
+    (tmp_path / "fast.csv").write_text("1,2\n3,4\n")
+    (tmp_path / "scan.csv").write_text("1_0\n2\n")
+    (tmp_path / "m.cfg").write_text("view = fast.csv\nview = scan.csv\n")
+    parsed = []
+    read = data._read_matrix
+    monkeypatch.setattr(data, "_read_matrix", lambda path: parsed.append(read(path)) or parsed[-1])
+    ds = load_dataset(tmp_path / "m.cfg")
+    assert len(parsed) == 2
+    for X, Y in zip(ds.views, parsed, strict=True):
+        assert X is Y and X.base is None and not X.flags.writeable
 
 
 # ----------------------------------------------------------------- validation
@@ -241,6 +259,106 @@ def test_load_reports_non_numeric_cell(tmp_path):
     with pytest.raises(MatrixFormatError) as err:
         load_dataset(tmp_path / "m.cfg")
     assert "oops" in str(err.value) and err.value.line_no == 2
+
+
+# (view text, label text or None, expected exception or None for accepted)
+PARSE_CASES = {
+    "crlf": ("1,2\r\n3,4\r\n", None, None),
+    "blank_lines": ("\n1,2\n\n\n3,4\n\n", None, None),
+    "spaces_around_cells": (" 1 ,\t2 \n3 , 4\n", None, None),
+    "single_row": ("1.5,-2,3e-5\n", None, None),
+    "single_column": ("1\n2\n3\n", None, None),
+    "nan": ("1,nan\n3,4\n", None, NonFiniteValueError),
+    "inf": ("1,2\n-inf,4\n", None, NonFiniteValueError),
+    "underscore_digits": ("1_0,2\n3,4\n", None, None),
+    "whitespace_only_line": ("1,2\n   \n3,4\n", None, None),
+    "empty": ("", None, EmptyDatasetError),
+    "only_newlines": ("\n\n\n", None, EmptyDatasetError),
+    "trailing_comma": ("1,2,\n3,4,\n", None, MatrixFormatError),
+    "comment_line": ("1,2\n# note\n3,4\n", None, MatrixFormatError),
+    "label_float": ("1\n2\n", "0\n3.0\n", MatrixFormatError),
+    "label_underscore": ("1\n" * 11, "".join(f"{k}\n" for k in range(10)) + "1_0\n", None),
+    "label_plus_sign": ("1\n" * 4, "0\n1\n2\n+3\n", None),
+    "label_two_per_line": ("1\n", "0,1\n", MatrixFormatError),
+    "label_int64_overflow": ("1\n2\n", "0\n99999999999999999999\n", OverflowError),
+}
+
+
+def _outcome(load, manifest):
+    # what a reader makes of a manifest: the arrays' bits, or the error and line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ds = load(manifest)
+        except Exception as exc:
+            return type(exc), getattr(exc, "line_no", None)
+    labels = None if ds.labels is None else (ds.labels.dtype, ds.labels.tobytes())
+    return [(X.shape, X.tobytes()) for X in ds.views], labels
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_reader_matches_line_scan(tmp_path, case):
+    view, labels, expected = PARSE_CASES[case]
+    (tmp_path / "a.csv").write_bytes(view.encode())
+    manifest = "view = a.csv\n"
+    if labels is not None:
+        (tmp_path / "y.txt").write_bytes(labels.encode())
+        manifest += "labels = y.txt\n"
+    (tmp_path / "m.cfg").write_text(manifest)
+    got = _outcome(load_dataset, tmp_path / "m.cfg")
+    assert got == _outcome(load_dataset_by_scan, tmp_path / "m.cfg")
+    assert got[0] is expected if expected is not None else isinstance(got[0], list)
+
+
+def test_reader_scans_lines_only_when_loadtxt_refuses(tmp_path, monkeypatch):
+    scanned = []
+    for name in ("_scan_matrix", "_scan_labels"):
+        scan = getattr(data, name)
+        monkeypatch.setattr(data, name, lambda path, scan=scan: scanned.append(path.name) or scan(path))
+    files = {"plain.csv": "1,2\n3,4\n", "odd.csv": "1_0,2\n3,4\n",
+             "plain.txt": "1\n2\n", "odd.txt": "1\n\t\n2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for name in files:
+        reader = data._read_matrix if name.endswith(".csv") else data._read_labels
+        reader(tmp_path / name)
+    assert scanned == ["odd.csv", "odd.txt"]
+
+
+def _values_with_edge_cases(n, d, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.lognormal(0.0, 20.0, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, 1e-300]
+    k = min(X.size, len(edge))
+    X.flat[:k] = edge[:k]
+    return X
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (9, 1), (2 * (data._WRITE_CHUNK_CELLS // 5) + 3, 5)])
+def test_save_writes_savetxt_bytes_and_round_trips(tmp_path, n, d):
+    X = _values_with_edge_cases(n, d)
+    labels = np.arange(n) % 3
+    manifest = save_dataset(MultiViewDataset([X], labels), tmp_path / "out")
+    np.savetxt(tmp_path / "view.csv", X, fmt="%.17g", delimiter=",")
+    np.savetxt(tmp_path / "labels.txt", labels, fmt="%d")
+    out = tmp_path / "out"
+    assert (out / "view_1.csv").read_bytes() == (tmp_path / "view.csv").read_bytes()
+    assert (out / "labels.txt").read_bytes() == (tmp_path / "labels.txt").read_bytes()
+    back = load_dataset(manifest)
+    assert back.views[0].tobytes() == X.tobytes()
+    assert back.labels.tolist() == labels.tolist()
+
+
+def test_save_formats_views_in_bounded_chunks(tmp_path):
+    # formatting the whole view at once would hold its text and more
+    ds = MultiViewDataset([np.random.default_rng(0).normal(size=(40_000, 12))])
+    tracemalloc.start()
+    try:
+        save_dataset(ds, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "view_1.csv").stat().st_size / 4
 
 
 def test_manifest_rejects_unknown_key(tmp_path):
