@@ -3,11 +3,12 @@
 Runs the block descent of :mod:`mvclust.amvfcm` with one extra step in each
 iteration, right after the feature-weight update. Features whose weight falls
 strictly below an adaptive threshold (current view width divided by the sample
-count) are zeroed and never come back; surviving weights are renormalized. A
-view that loses all of its features is eliminated the same way, and the
-remaining view weights are renormalized. The working matrices are physically
-compacted after every elimination, so later iterations get cheaper as columns
-disappear.
+count) are removed and never come back; the surviving weights of a view are
+renormalized. A view that loses all of its features is eliminated the same
+way; the view weights are not renormalized but recomputed for the surviving
+views by the view-weight update that follows. The working matrices are
+physically compacted after every elimination, so later iterations get
+cheaper as columns disappear.
 
 The objective is only comparable between eliminations: each pruning event
 changes the domain (and the automatic per-view beta), so the trace is
@@ -76,68 +77,55 @@ class ActiveMask:
         return 1.0 - sum(self.active_dims) / total
 
 
-def prune_features(feature_weights, mask: ActiveMask, n, *, theta_scale=1.0, iteration=0):
-    """Zero out feature weights strictly below theta_scale * (view width / n).
+def prune_features(model, views, delta, mask: ActiveMask, n, *, theta_scale, iteration):
+    """Remove features weighted strictly below theta_scale * width / n, then emptied views.
 
-    ``feature_weights`` is aligned with the mask's active views. Survivors in
-    each view are renormalized to sum to 1; zeroed positions stay in place
-    until the caller compacts. If a view would lose its last feature while no
-    other view has any left, its single largest weight is retained instead
-    (with a warning), so at least one feature always survives globally.
-    Returns the new weight list and mutates the mask and its history.
+    ``model``, ``views`` and ``delta`` are aligned with the mask's active
+    views. One selection of low weights decides the removal events (features
+    first, then the views left without any), the mask, and the compaction. If
+    every active feature is low, the largest weight of the last active view
+    is retained instead (with a warning), so at least one feature survives.
+    Returns None when nothing was removed. Otherwise the model's centers and
+    feature weights are compacted in place, the surviving weights of each view
+    that lost a column are renormalized to sum to 1, and the compacted views
+    and dispersion ratios are returned. View weights are left to the next
+    view-weight update.
     """
     active = mask.active_views()
-    remaining = [int(mask.feature_masks[h].sum()) for h in active]
-    out = []
-    for pos, h in enumerate(active):
-        w = feature_weights[pos]
-        theta = theta_scale * (w.size / n)
-        low = w < theta
-        if not low.any():
-            out.append(w)
-            continue
-        if low.all() and not any(r > 0 for p, r in enumerate(remaining) if p != pos):
-            keep = int(np.argmax(w))
-            low[keep] = False
-            warnings.warn(
-                f"pruning would remove the last active feature; retaining "
-                f"feature {keep} of view {h}",
-                stacklevel=2,
-            )
-        cols = mask.active_columns(h)
-        for j in cols[low]:
-            mask.removals.append(RemovalEvent(iteration, "feature", h, int(j)))
-        mask.feature_masks[h][cols[low]] = False
-        remaining[pos] = int((~low).sum())
-        new_w = np.where(low, 0.0, w)
-        if remaining[pos] > 0:
-            new_w = new_w / new_w.sum()
-        out.append(new_w)
-    return out
-
-
-def prune_views(view_weights, mask: ActiveMask, *, iteration=0):
-    """Eliminate views whose feature set emptied; renormalize the survivors.
-
-    Returns ``(new_view_weights, keep_positions)`` where positions index the
-    previously active views. Mutates the mask and its history.
-    """
-    active = mask.active_views()
-    keep = []
-    for pos, h in enumerate(active):
-        if mask.feature_masks[h].sum() == 0:
+    low = [w < theta_scale * (w.size / n) for w in model.feature_weights]
+    if all(lo.all() for lo in low):
+        keep = int(np.argmax(model.feature_weights[-1]))
+        low[-1][keep] = False
+        warnings.warn(
+            f"pruning would remove the last active feature; retaining "
+            f"feature {mask.active_columns(active[-1])[keep]} of view {active[-1]}",
+            stacklevel=5,  # the caller of aamvfcm.fit
+        )
+    if not any(lo.any() for lo in low):
+        return None
+    for h, lo in zip(active, low):
+        cols = mask.active_columns(h)[lo]
+        mask.feature_masks[h][cols] = False
+        mask.removals.extend(RemovalEvent(iteration, "feature", h, int(j)) for j in cols)
+    kept_views, kept_delta, centers, weights = [], [], [], []
+    for h, X, dlt, A, w, lo in zip(active, views, delta, model.centers,
+                                   model.feature_weights, low):
+        if lo.all():
             mask.view_mask[h] = False
             mask.removals.append(RemovalEvent(iteration, "view", h, None))
-        else:
-            keep.append(pos)
-    keep = np.asarray(keep, dtype=int)
-    v = np.asarray(view_weights, dtype=float)[keep]
-    total = v.sum()
-    if total > 0:
-        v = v / total
-    else:
-        v = np.full(keep.size, 1.0 / keep.size)
-    return v, keep
+            continue
+        if lo.any():
+            # sum the zero-filled full vector: numpy's pairwise summation
+            # order, and so the rounding, depends on the length
+            w = np.where(lo, 0.0, w)
+            w = w / w.sum()
+        cols = np.flatnonzero(~lo)
+        kept_views.append(X[:, cols])
+        kept_delta.append(dlt[cols])
+        centers.append(A[:, cols])
+        weights.append(w[cols])
+    model.centers, model.feature_weights = centers, weights
+    return kept_views, kept_delta
 
 
 @dataclass
@@ -159,10 +147,10 @@ def fit(dataset: MultiViewDataset, params: HyperParams, *,
     """Block descent with per-iteration elimination of weak features and views.
 
     This is :func:`mvclust.amvfcm.fit` plus a pruning step. Iteration order:
-    memberships, centers, feature weights, feature pruning, view pruning,
-    compaction, view weights, objective. Pruning is skipped for the first
-    ``prune_warmup`` iterations; ``theta_scale`` multiplies the adaptive
-    threshold (0 disables pruning entirely, recovering the plain solver's
+    memberships, centers, feature weights, pruning (features, then emptied
+    views, then compaction), view weights, objective. Pruning is skipped for
+    the first ``prune_warmup`` iterations; ``theta_scale`` multiplies the
+    adaptive threshold (0 removes nothing, recovering the plain solver's
     trajectory). The dispersion ratios are computed once up front and
     restricted to the surviving columns after each elimination. Stopping and
     determinism behave as in :func:`mvclust.amvfcm.fit`.
@@ -173,28 +161,15 @@ def fit(dataset: MultiViewDataset, params: HyperParams, *,
         raise ValueError("theta_scale must be >= 0")
     n = dataset.n_samples
     mask = None  # sized from the validated views on the first call
-    pruning_iterations = []
 
     def prune(t, views, delta, model):
         nonlocal mask
         if mask is None:
             mask = ActiveMask.full([X.shape[1] for X in views])
-        if t <= prune_warmup or not theta_scale > 0:
-            return views, delta
-        before = len(mask.removals)
-        model.feature_weights = prune_features(
-            model.feature_weights, mask, n, theta_scale=theta_scale, iteration=t,
-        )
-        new_v, keep = prune_views(model.view_weights, mask, iteration=t)
-        if len(mask.removals) == before:
-            return views, delta
-        pruning_iterations.append(t)
-        # compact every per-view structure to the surviving columns
-        cols = [np.flatnonzero(w > 0) for w in model.feature_weights]
-        model.centers = [model.centers[p][:, cols[p]] for p in keep]
-        model.feature_weights = [model.feature_weights[p][cols[p]] for p in keep]
-        model.view_weights = new_v
-        return [views[p][:, cols[p]] for p in keep], [delta[p][cols[p]] for p in keep]
+        if t <= prune_warmup:
+            return None
+        return prune_features(model, views, delta, mask, n,
+                              theta_scale=theta_scale, iteration=t)
 
     result = _descend(dataset, params, prune)
     active = mask.active_views()
@@ -203,5 +178,5 @@ def fit(dataset: MultiViewDataset, params: HyperParams, *,
         **vars(result),
         mask=mask,
         reduced_dataset=reduced,
-        pruning_iterations=pruning_iterations,
+        pruning_iterations=sorted({ev.iteration for ev in mask.removals}),
     )

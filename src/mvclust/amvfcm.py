@@ -426,11 +426,12 @@ def _descend(dataset, params, step=None) -> FitResult:
     weights, the aggregate distances that open the next one.
 
     ``step(t, views, delta, model)`` runs in iteration t right after the
-    feature-weight update. It returns the very ``views`` list it was given
-    when it changed nothing. Otherwise it has shrunk the model in place and
-    returns new compacted views and dispersion ratios; beta and eta are then
-    re-resolved for the surviving widths, and the compacted views are
-    centred again and their distances rebuilt.
+    feature-weight update. It returns None when it changed nothing.
+    Otherwise it has shrunk the model's centers and feature weights in place
+    and returns the compacted views and dispersion ratios; beta and eta are
+    then re-resolved for the surviving widths, the compacted views are
+    centred again and their distances rebuilt, and the view-weight update
+    sizes the view weights to the surviving views.
     """
     validate(dataset)
     views = _views_of(dataset)
@@ -466,13 +467,12 @@ def _descend(dataset, params, step=None) -> FitResult:
         model.membership = _softmax_rows(-agg)
         model.centers = _centers_with_reseed(views, model.membership, agg)
         model.feature_weights, D = _weights_and_distances(cviews, model, delta, eta)
-        if step is not None:
-            kept, delta = step(t, views, delta, model)
-            if kept is not views:
-                views = kept
-                beta, eta = resolve_regularization(params, [X.shape[1] for X in views], n)
-                cviews = [_centred(X) for X in views]
-                D = _distances_of(cviews, model, delta)
+        pruned = None if step is None else step(t, views, delta, model)
+        if pruned is not None:
+            views, delta = pruned
+            beta, eta = resolve_regularization(params, [X.shape[1] for X in views], n)
+            cviews = [_centred(X) for X in views]
+            D = _distances_of(cviews, model, delta)
         costs = _costs_given_distances(D, model.membership)
         model.view_weights = entropic_simplex_argmin(costs, beta)
         J = _objective_given_costs(costs, model, delta, beta, eta)

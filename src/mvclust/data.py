@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,8 @@ def minmax_normalize(dataset: MultiViewDataset):
 
 # cells formatted per write call: bounds the text and Python floats held at once
 _WRITE_CHUNK_CELLS = 1 << 14
+# labels are read into numpy's default integer type
+_LABEL_RANGE = np.iinfo(int)
 
 
 def _loadtxt(path: Path, dtype):
@@ -236,26 +239,37 @@ def _read_matrix(path: Path) -> np.ndarray:
     return X
 
 
+def _numbered_lines(path: Path, error):
+    # (line number, stripped line); a byte that is not UTF-8 is reported as
+    # error(line number, message) for the line that holds it
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise error(line_no, f"byte 0x{byte:02x} is not valid UTF-8") from None
+            yield line_no, line.strip()
+
+
 def _scan_matrix(path: Path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise MatrixFormatError(
-                    path, line_no, f"expected {width} columns, found {len(cells)}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad = next(c for c in cells if not _is_number(c))
-                raise MatrixFormatError(path, line_no, f"non-numeric cell {bad!r}") from None
+    for line_no, line in _numbered_lines(path, partial(MatrixFormatError, path)):
+        if not line:
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise MatrixFormatError(
+                path, line_no, f"expected {width} columns, found {len(cells)}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            bad = next(c for c in cells if not _is_number(c))
+            raise MatrixFormatError(path, line_no, f"non-numeric cell {bad!r}") from None
     if not rows:
         raise EmptyDatasetError(f"view file is empty: {path}")
     return np.asarray(rows, dtype=float)
@@ -283,15 +297,16 @@ def _read_labels(path: Path) -> np.ndarray:
 
 def _scan_labels(path: Path) -> np.ndarray:
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise MatrixFormatError(path, line_no, f"non-integer label {line!r}") from None
+    for line_no, line in _numbered_lines(path, partial(MatrixFormatError, path)):
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise MatrixFormatError(path, line_no, f"non-integer label {line!r}") from None
+        if not _LABEL_RANGE.min <= values[-1] <= _LABEL_RANGE.max:
+            raise MatrixFormatError(path, line_no,
+                                    f"label {line!r} is out of range for {_LABEL_RANGE.dtype}")
     if not values:
         raise EmptyDatasetError(f"label file is empty: {path}")
     return np.asarray(values, dtype=int)
@@ -307,26 +322,28 @@ def parse_manifest(path) -> dict:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     views, names, labels = [], {}, None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ManifestError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "view":
-                views.append(value)
-            elif key == "labels":
-                labels = value
-            elif key.startswith("name."):
-                try:
-                    idx = int(key[5:])
-                except ValueError:
-                    raise ManifestError(f"{path}:{line_no}: bad view index in {key!r}") from None
-                names[idx] = value
-            else:
-                raise ManifestError(f"{path}:{line_no}: unknown key {key!r}")
+
+    def error(line_no, message):
+        return ManifestError(f"{path}:{line_no}: {message}")
+
+    for line_no, line in _numbered_lines(path, error):
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(line_no, "expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "view":
+            views.append(value)
+        elif key == "labels":
+            labels = value
+        elif key.startswith("name."):
+            try:
+                idx = int(key[5:])
+            except ValueError:
+                raise error(line_no, f"bad view index in {key!r}") from None
+            names[idx] = value
+        else:
+            raise error(line_no, f"unknown key {key!r}")
     if not views:
         raise ManifestError(f"{path}: manifest lists no views")
     return {"views": views, "labels": labels, "names": names}

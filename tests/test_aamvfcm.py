@@ -6,13 +6,7 @@ import pytest
 import support
 from support import validate_model
 from mvclust import amvfcm
-from mvclust.aamvfcm import (
-    ActiveMask,
-    PruningFitResult,
-    fit,
-    prune_features,
-    prune_views,
-)
+from mvclust.aamvfcm import ActiveMask, PruningFitResult, fit, prune_features
 from mvclust.amvfcm import HyperParams
 from mvclust.data import MultiViewDataset
 from mvclust.metrics import score_all
@@ -45,58 +39,90 @@ def test_active_mask_bookkeeping():
     assert mask.active_views() == [0]
 
 
-# ------------------------------------------------------------ prune features
+# ------------------------------------------------------------ pruning pass
+
+
+def tagged_problem(weights, rows=4, c=2):
+    """Model, views and delta for one pruning pass; entries name view and column.
+
+    Column j of view p holds 100 * p + j in the views and the centers and
+    100 * p + j + 1 in delta, so compaction can be read off the values.
+    """
+    tags = [100.0 * p + np.arange(len(w)) for p, w in enumerate(weights)]
+    model = amvfcm.ClusterModel(
+        membership=np.full((rows, c), 1.0 / c),
+        centers=[np.tile(tag, (c, 1)) for tag in tags],
+        feature_weights=[np.asarray(w, dtype=float) for w in weights],
+        view_weights=np.full(len(weights), 1.0 / len(weights)),
+    )
+    return model, [np.tile(tag, (rows, 1)) for tag in tags], [tag + 1.0 for tag in tags]
+
+
+def run_pass(weights, n, mask=None, iteration=0):
+    model, views, delta = tagged_problem(weights)
+    mask = ActiveMask.full([len(w) for w in weights]) if mask is None else mask
+    out = prune_features(model, views, delta, mask, n, theta_scale=1.0, iteration=iteration)
+    return model, mask, out
+
+
+def events(mask):
+    return [(ev.iteration, ev.kind, ev.view, ev.feature) for ev in mask.removals]
 
 
 def test_prune_features_renormalization_example():
     # d=3, n=12 puts the threshold at 0.25; only the 0.2 weight dies
-    mask = ActiveMask.full([3])
-    out = prune_features([np.array([0.5, 0.3, 0.2])], mask, n=12, iteration=4)
-    np.testing.assert_allclose(out[0], [0.625, 0.375, 0.0])
+    model, mask, out = run_pass([[0.5, 0.3, 0.2]], n=12, iteration=4)
+    np.testing.assert_allclose(model.feature_weights[0], [0.625, 0.375])
     assert mask.active_dims == [2]
-    assert len(mask.removals) == 1
-    ev = mask.removals[0]
-    assert (ev.iteration, ev.kind, ev.view, ev.feature) == (4, "feature", 0, 2)
+    assert events(mask) == [(4, "feature", 0, 2)]
+    assert out is not None
 
 
 def test_prune_features_no_change_when_all_survive():
-    mask = ActiveMask.full([3])
-    w = np.array([0.5, 0.3, 0.2])
-    out = prune_features([w], mask, n=100)
-    np.testing.assert_array_equal(out[0], w)
+    model, mask, out = run_pass([[0.5, 0.3, 0.2]], n=100)
+    assert out is None
+    np.testing.assert_array_equal(model.feature_weights[0], [0.5, 0.3, 0.2])
     assert mask.removals == []
 
 
 def test_prune_features_tie_at_threshold_survives():
     # theta = 2/8 = 0.25; strict inequality keeps the 0.25 weight
-    mask = ActiveMask.full([2])
-    out = prune_features([np.array([0.75, 0.25])], mask, n=8)
-    np.testing.assert_array_equal(out[0], [0.75, 0.25])
+    model, mask, out = run_pass([[0.75, 0.25]], n=8)
+    assert out is None
+    np.testing.assert_array_equal(model.feature_weights[0], [0.75, 0.25])
     assert mask.active_dims == [2]
 
 
 def test_prune_features_guard_keeps_last_feature():
     # d=2, n=3: theta = 2/3 exceeds both weights; the larger one is retained
-    mask = ActiveMask.full([2])
-    with pytest.warns(UserWarning, match="last active feature"):
-        out = prune_features([np.array([0.6, 0.4])], mask, n=3)
-    np.testing.assert_allclose(out[0], [1.0, 0.0])
+    with pytest.warns(UserWarning, match="retaining feature 0 of view 0"):
+        model, mask, _ = run_pass([[0.6, 0.4]], n=3)
+    np.testing.assert_allclose(model.feature_weights[0], [1.0])
     assert mask.active_dims == [1]
+
+
+def test_prune_features_guard_names_original_column():
+    # original column 0 already gone: the retained weight 0.6 is column 2
+    mask = ActiveMask.full([3])
+    mask.feature_masks[0][0] = False
+    with pytest.warns(UserWarning, match="retaining feature 2 of view 0"):
+        model, mask, _ = run_pass([[0.4, 0.6]], n=3, mask=mask)
+    assert mask.active_columns(0).tolist() == [2]
+    assert events(mask) == [(0, "feature", 0, 1)]
 
 
 def test_prune_features_no_guard_when_other_view_survives():
     # threshold 2/3 for both views: view 0 empties completely with no guard
     # because view 1 keeps its dominant feature
-    mask = ActiveMask.full([2, 2])
-    weights = [np.array([0.5, 0.5]), np.array([0.9, 0.1])]
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = prune_features(weights, mask, n=3)
-    np.testing.assert_array_equal(out[0], [0.0, 0.0])
+        model, mask, (views, delta) = run_pass([[0.5, 0.5], [0.9, 0.1]], n=3)
     assert mask.active_dims == [0, 1]
-    np.testing.assert_allclose(out[1], [1.0, 0.0])
+    np.testing.assert_allclose(model.feature_weights, [[1.0]])
+    assert events(mask)[-1] == (0, "view", 0, None)
+    np.testing.assert_array_equal(views[0], [[100.0]] * 4)
 
 
 def test_prune_features_respects_pruned_columns():
@@ -104,39 +130,45 @@ def test_prune_features_respects_pruned_columns():
     # and a new removal must be recorded against original index 2
     mask = ActiveMask.full([3])
     mask.feature_masks[0][1] = False
-    out = prune_features([np.array([0.8, 0.2])], mask, n=8)
+    model, mask, _ = run_pass([[0.8, 0.2]], n=8, mask=mask)
     assert mask.active_columns(0).tolist() == [0]
     assert mask.removals[-1].feature == 2
-    np.testing.assert_allclose(out[0], [1.0, 0.0])
+    np.testing.assert_allclose(model.feature_weights[0], [1.0])
 
 
-# --------------------------------------------------------------- prune views
+def test_prune_features_compacts_survivors_only():
+    # view 0 loses column 2 (theta 3/12), view 1 (theta 2/12) keeps both
+    weights = [[0.5, 0.3, 0.2], [0.4, 0.6]]
+    model, _, (views, delta) = run_pass(weights, n=12)
+    vw = model.view_weights
+    np.testing.assert_array_equal(views[0], np.tile([0.0, 1.0], (4, 1)))
+    np.testing.assert_array_equal(views[1], np.tile([100.0, 101.0], (4, 1)))
+    np.testing.assert_array_equal(delta[0], [1.0, 2.0])
+    np.testing.assert_array_equal(delta[1], [101.0, 102.0])
+    np.testing.assert_array_equal(model.centers[0], [[0.0, 1.0]] * 2)
+    np.testing.assert_array_equal(model.centers[1], [[100.0, 101.0]] * 2)
+    np.testing.assert_array_equal(model.feature_weights[1], [0.4, 0.6])
+    assert model.view_weights is vw
+    np.testing.assert_array_equal(vw, [0.5, 0.5])
 
 
 def test_prune_views_removes_emptied_view():
-    mask = ActiveMask.full([2, 3, 2])
-    mask.feature_masks[1][:] = False
-    v, keep = prune_views(np.array([0.2, 0.3, 0.5]), mask, iteration=6)
-    np.testing.assert_allclose(v, [0.2 / 0.7, 0.5 / 0.7])
-    assert keep.tolist() == [0, 2]
+    # n=4: theta 0.5 keeps the tied views 0 and 2, theta 0.75 empties view 1
+    weights = [[0.5, 0.5], [0.2, 0.3, 0.5], [0.5, 0.5]]
+    model, mask, (views, delta) = run_pass(weights, n=4, iteration=6)
     assert mask.active_views() == [0, 2]
-    ev = mask.removals[-1]
-    assert (ev.iteration, ev.kind, ev.view, ev.feature) == (6, "view", 1, None)
-
-
-def test_prune_views_unit_denominator_case():
-    mask = ActiveMask.full([2, 3, 2])
-    mask.feature_masks[1][:] = False
-    v, _ = prune_views(np.array([0.4, 0.0, 0.6]), mask)
-    np.testing.assert_allclose(v, [0.4, 0.6])
+    assert events(mask) == [(6, "feature", 1, j) for j in range(3)] + [(6, "view", 1, None)]
+    assert [X[0].tolist() for X in views] == [[0.0, 1.0], [200.0, 201.0]]
+    assert [d.tolist() for d in delta] == [[1.0, 2.0], [201.0, 202.0]]
+    assert len(model.centers) == len(model.feature_weights) == 2
 
 
 def test_prune_views_noop_when_all_alive():
-    mask = ActiveMask.full([2, 2])
-    v, keep = prune_views(np.array([0.3, 0.7]), mask)
-    np.testing.assert_allclose(v, [0.3, 0.7])
-    assert keep.tolist() == [0, 1]
-    assert mask.removals == []
+    # a feature goes, but both views keep columns: no view event
+    model, mask, (views, _) = run_pass([[0.5, 0.3, 0.2], [0.6, 0.4]], n=12)
+    assert mask.active_views() == [0, 1]
+    assert [ev.kind for ev in mask.removals] == ["feature"]
+    assert len(views) == 2
 
 
 # ----------------------------------------------------------------------- fit
@@ -203,8 +235,10 @@ def test_fit_guard_survives_total_annihilation_pressure():
     rng = np.random.default_rng(9)
     X = rng.uniform(0.5, 2.0, size=(20, 10))
     ds = MultiViewDataset([X])
-    with pytest.warns(UserWarning, match="last active feature"):
+    with pytest.warns(UserWarning, match="last active feature") as record:
         res = fit(ds, HyperParams(c=2, seed=0, t_max=5))
+    # the warning points at the caller of fit, not into the solver
+    assert record[0].filename == __file__
     assert sum(res.mask.active_dims) >= 1
     assert res.mask.active_views() != []
 
@@ -226,6 +260,7 @@ def test_fit_deterministic():
     np.testing.assert_array_equal(a.hard_labels, b.hard_labels)
     assert a.mask.active_dims == b.mask.active_dims
     assert a.pruning_iterations == b.pruning_iterations
+    assert a.pruning_iterations == sorted({ev.iteration for ev in a.mask.removals})
 
 
 def test_fit_model_sized_to_survivors():

@@ -170,6 +170,15 @@ def test_score_names_file_and_line_of_bad_label(tmp_path, capsys):
     assert f"{pred}:2: non-integer label" in capsys.readouterr().err
 
 
+def test_score_names_file_and_line_of_label_beyond_int64(tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    pred = tmp_path / "pred.txt"
+    truth.write_text("0\n1\n")
+    pred.write_text("0\n99999999999999999999\n")
+    assert main(["score", "--truth", str(truth), "--pred", str(pred)]) == EXIT_DATA
+    assert f"{pred}:2: label" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------

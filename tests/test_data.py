@@ -280,7 +280,6 @@ PARSE_CASES = {
     "label_underscore": ("1\n" * 11, "".join(f"{k}\n" for k in range(10)) + "1_0\n", None),
     "label_plus_sign": ("1\n" * 4, "0\n1\n2\n+3\n", None),
     "label_two_per_line": ("1\n", "0,1\n", MatrixFormatError),
-    "label_int64_overflow": ("1\n2\n", "0\n99999999999999999999\n", OverflowError),
 }
 
 
@@ -308,6 +307,27 @@ def test_reader_matches_line_scan(tmp_path, case):
     got = _outcome(load_dataset, tmp_path / "m.cfg")
     assert got == _outcome(load_dataset_by_scan, tmp_path / "m.cfg")
     assert got[0] is expected if expected is not None else isinstance(got[0], list)
+
+
+def test_reader_rejects_label_beyond_int64_with_file_and_line(tmp_path):
+    # the line scan oracle lets numpy's OverflowError escape; the reader names the line
+    (tmp_path / "y.txt").write_text("0\n99999999999999999999\n")
+    with pytest.raises(MatrixFormatError, match="out of range") as err:
+        data._read_labels(tmp_path / "y.txt")
+    assert (err.value.path, err.value.line_no) == (str(tmp_path / "y.txt"), 2)
+
+
+@pytest.mark.parametrize("name", ["a.csv", "y.txt", "m.cfg"])
+def test_reader_names_file_and_line_of_byte_not_utf8(tmp_path, name):
+    files = {"a.csv": b"1,2\n3,4\n", "y.txt": b"0\n1\n",
+             "m.cfg": b"view = a.csv\nlabels = y.txt\n"}
+    files[name] = files[name].replace(b"\n", b"\xff\n").replace(b"\xff\n", b"\n", 1)
+    for file_name, raw in files.items():
+        (tmp_path / file_name).write_bytes(raw)
+    error = ManifestError if name == "m.cfg" else MatrixFormatError
+    with pytest.raises(error, match=r"byte 0xff is not valid UTF-8") as err:
+        load_dataset(tmp_path / "m.cfg")
+    assert f"{tmp_path / name}:2: " in str(err.value)
 
 
 def test_reader_scans_lines_only_when_loadtxt_refuses(tmp_path, monkeypatch):
