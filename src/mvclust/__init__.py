@@ -9,9 +9,8 @@ and a seeded multi-trial experiment harness.
 
 __version__ = "0.1.0"
 
-from .aamvfcm import ActiveMask, PruningFitResult, RemovalEvent
 from .aamvfcm import fit as fit_pruning
-from .amvfcm import ClusterModel, FitResult, HyperParams
+from .amvfcm import ActiveMask, ClusterModel, FitResult, HyperParams, RemovalEvent
 from .amvfcm import fit as fit_full
 from .data import (
     DatasetError,
@@ -39,7 +38,6 @@ __all__ = [
     "NoiseSpec",
     "NormalizationRecord",
     "PairCounts",
-    "PruningFitResult",
     "RemovalEvent",
     "RunReport",
     "SynthSource",

@@ -12,69 +12,19 @@ cheaper as columns disappear.
 
 The objective is only comparable between eliminations: each pruning event
 changes the domain (and the automatic per-view beta), so the trace is
-non-increasing within stretches where nothing was pruned.
+non-increasing within stretches where nothing was pruned. The result is the
+plain solver's :class:`~mvclust.amvfcm.FitResult`; its mask and reduced
+dataset say what was eliminated and what survived.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amvfcm import FitResult, HyperParams, _descend
-from .data import MultiViewDataset, restrict
-
-
-@dataclass(frozen=True)
-class RemovalEvent:
-    """One elimination, stamped with the iteration it happened in."""
-
-    iteration: int
-    kind: str            # "feature" or "view"
-    view: int            # original view index
-    feature: int | None  # original column index, None for view removals
-
-
-@dataclass
-class ActiveMask:
-    """Which original columns and views are still alive, plus removal history.
-
-    Masks are indexed by original positions and only ever flip True -> False.
-    """
-
-    feature_masks: list
-    view_mask: np.ndarray
-    removals: list = field(default_factory=list)
-
-    @classmethod
-    def full(cls, dims):
-        return cls(
-            feature_masks=[np.ones(d, dtype=bool) for d in dims],
-            view_mask=np.ones(len(dims), dtype=bool),
-        )
-
-    @property
-    def original_dims(self):
-        return [m.size for m in self.feature_masks]
-
-    @property
-    def active_dims(self):
-        """Surviving column count per original view (0 for dead views)."""
-        return [int(m.sum()) if alive else 0
-                for m, alive in zip(self.feature_masks, self.view_mask)]
-
-    def active_views(self):
-        return [int(h) for h in np.flatnonzero(self.view_mask)]
-
-    def active_columns(self, view):
-        return np.flatnonzero(self.feature_masks[view])
-
-    @property
-    def reduction_pct(self):
-        """Fraction of original columns eliminated, in [0, 1]."""
-        total = sum(self.original_dims)
-        return 1.0 - sum(self.active_dims) / total
+from .amvfcm import ActiveMask, FitResult, HyperParams, RemovalEvent, _descend
+from .data import MultiViewDataset
 
 
 def prune_features(model, views, delta, mask: ActiveMask, n, *, theta_scale, iteration):
@@ -128,22 +78,8 @@ def prune_features(model, views, delta, mask: ActiveMask, n, *, theta_scale, ite
     return kept_views, kept_delta
 
 
-@dataclass
-class PruningFitResult(FitResult):
-    """Fit outcome plus what was eliminated and what survived.
-
-    ``model`` is sized to the surviving views and columns. ``reduced_dataset``
-    is the input restricted to those survivors; pair it with
-    ``mask.active_columns`` to map back to original column positions.
-    """
-
-    mask: ActiveMask = None
-    reduced_dataset: MultiViewDataset = None
-    pruning_iterations: list = field(default_factory=list)
-
-
 def fit(dataset: MultiViewDataset, params: HyperParams, *,
-        prune_warmup=0, theta_scale=1.0) -> PruningFitResult:
+        prune_warmup=0, theta_scale=1.0) -> FitResult:
     """Block descent with per-iteration elimination of weak features and views.
 
     This is :func:`mvclust.amvfcm.fit` plus a pruning step. Iteration order:
@@ -153,30 +89,19 @@ def fit(dataset: MultiViewDataset, params: HyperParams, *,
     adaptive threshold (0 removes nothing, recovering the plain solver's
     trajectory). The dispersion ratios are computed once up front and
     restricted to the surviving columns after each elimination. Stopping and
-    determinism behave as in :func:`mvclust.amvfcm.fit`.
+    determinism behave as in :func:`mvclust.amvfcm.fit`. The result's
+    ``model`` is sized to the surviving views and columns.
     """
     if prune_warmup < 0:
         raise ValueError("prune_warmup must be >= 0")
     if theta_scale < 0:
         raise ValueError("theta_scale must be >= 0")
     n = dataset.n_samples
-    mask = None  # sized from the validated views on the first call
 
-    def prune(t, views, delta, model):
-        nonlocal mask
-        if mask is None:
-            mask = ActiveMask.full([X.shape[1] for X in views])
+    def prune(t, views, delta, model, mask):
         if t <= prune_warmup:
             return None
         return prune_features(model, views, delta, mask, n,
                               theta_scale=theta_scale, iteration=t)
 
-    result = _descend(dataset, params, prune)
-    active = mask.active_views()
-    reduced = restrict(dataset, active, [mask.active_columns(h) for h in active])
-    return PruningFitResult(
-        **vars(result),
-        mask=mask,
-        reduced_dataset=reduced,
-        pruning_iterations=sorted({ev.iteration for ev in mask.removals}),
-    )
+    return _descend(dataset, params, prune)

@@ -104,15 +104,72 @@ class ClusterModel:
     view_weights: np.ndarray      # (s,), on the simplex
 
 
+@dataclass(frozen=True)
+class RemovalEvent:
+    """One elimination, stamped with the iteration it happened in."""
+
+    iteration: int
+    kind: str            # "feature" or "view"
+    view: int            # original view index
+    feature: int | None  # original column index, None for view removals
+
+
+@dataclass
+class ActiveMask:
+    """Which original columns and views are still alive, plus removal history.
+
+    Masks are indexed by original positions and only ever flip True -> False.
+    """
+
+    feature_masks: list
+    view_mask: np.ndarray
+    removals: list = field(default_factory=list)
+
+    @classmethod
+    def full(cls, dims):
+        return cls(
+            feature_masks=[np.ones(d, dtype=bool) for d in dims],
+            view_mask=np.ones(len(dims), dtype=bool),
+        )
+
+    @property
+    def original_dims(self):
+        return [m.size for m in self.feature_masks]
+
+    @property
+    def active_dims(self):
+        """Surviving column count per original view (0 for dead views)."""
+        return [int(m.sum()) if alive else 0
+                for m, alive in zip(self.feature_masks, self.view_mask)]
+
+    def active_views(self):
+        return [int(h) for h in np.flatnonzero(self.view_mask)]
+
+    def active_columns(self, view):
+        return np.flatnonzero(self.feature_masks[view])
+
+    @property
+    def reduction_pct(self):
+        """Fraction of original columns eliminated, in [0, 1]."""
+        total = sum(self.original_dims)
+        return 1.0 - sum(self.active_dims) / total
+
+
 @dataclass
 class FitResult:
-    """Outcome of one fit.
+    """Outcome of one fit, by either solver.
 
     ``objective_trace[0]`` is the objective of the freshly initialized model;
     each iteration appends one more value, so the trace has ``iterations + 1``
     entries. ``iter_seconds`` holds per-iteration wall times and
     ``seed_seconds`` the wall time of center seeding; these two are the only
     nondeterministic fields.
+
+    ``mask`` records which original views and columns survived and every
+    removal event; ``model`` and ``delta`` are sized to the survivors.
+    ``reduced_dataset`` holds the surviving views, names and the labels; pair
+    it with ``mask.active_columns`` to map back to original column positions.
+    A fit that removed nothing has a full mask and the input's own views.
     """
 
     model: ClusterModel
@@ -122,7 +179,14 @@ class FitResult:
     hard_labels: np.ndarray
     delta: list
     seed_seconds: float
+    mask: ActiveMask
+    reduced_dataset: MultiViewDataset
     iter_seconds: list = field(default_factory=list)
+
+    @property
+    def pruning_iterations(self):
+        """Iterations in which something was removed, ascending."""
+        return sorted({ev.iteration for ev in self.mask.removals})
 
 
 def _views_of(data):
@@ -194,22 +258,20 @@ def _weighted_sum(D, view_weights):
     return T
 
 
-def _weights_and_distances(cviews, model, delta, eta):
+def _feature_weights(cviews, model, delta, eta):
     # E_j = delta_j * sum_ik mu_ik (xc_ij - ac_kj)^2 from (c, d) sums:
     # r.Xc^2 - 2 sum_k ac_k (mu^T Xc)_k + colsum.ac^2, with r and colsum the
     # row and column sums of mu. Feature j gets weight proportional to
-    # (1/delta_j) exp(-v_h E_j / eta); then the distances at the new weights
+    # (1/delta_j) exp(-v_h E_j / eta)
     U = model.membership
     rows, cols = _row_sums(U), _column_sums(U)
-    weights, D = [], []
+    weights = []
     for (m, Xc, Xc2), A, dlt, v in zip(cviews, model.centers, delta, model.view_weights):
         Ac = A - m
         cross = np.sum(Ac * (U.T @ Xc), axis=0)
         E = dlt * (rows @ Xc2 - 2.0 * cross + cols @ (Ac * Ac))
-        w = _softmax(-np.log(dlt) - v * E / eta)
-        weights.append(w)
-        D.append(_distances(Xc, Xc2, Ac, w * dlt))
-    return weights, D
+        weights.append(_softmax(-np.log(dlt) - v * E / eta))
+    return weights
 
 
 def _costs_given_distances(D, membership):
@@ -419,24 +481,29 @@ def _descend(dataset, params, step=None) -> FitResult:
 
     Each view is column-centred once, before the first iteration. Each
     iteration then takes, per view, the feature costs from (c, d) sums of
-    the centred view, hence the new feature weights, and then the view's
-    (n, c) distance matrix at those weights from one matrix product (the
-    centred expansion; see the module notes). The distances give the view
-    costs and the objective of this iteration and, with the new view
-    weights, the aggregate distances that open the next one.
+    the centred view, hence the new feature weights, runs the pruning hook,
+    and then builds each surviving view's (n, c) distance matrix at the new
+    weights from one matrix product (the centred expansion; see the module
+    notes). The distances give the view costs and the objective of this
+    iteration and, with the new view weights, the aggregate distances that
+    open the next one.
 
-    ``step(t, views, delta, model)`` runs in iteration t right after the
-    feature-weight update. It returns None when it changed nothing.
-    Otherwise it has shrunk the model's centers and feature weights in place
-    and returns the compacted views and dispersion ratios; beta and eta are
-    then re-resolved for the surviving widths, the compacted views are
-    centred again and their distances rebuilt, and the view-weight update
-    sizes the view weights to the surviving views.
+    The descent owns an :class:`ActiveMask` sized to the input, full at the
+    start. ``step(t, views, delta, model, mask)`` runs in iteration t right
+    after the feature-weight update. It returns None when it changed
+    nothing. Otherwise it has recorded its removals in the mask, shrunk the
+    model's centers and feature weights in place, and returns the compacted
+    views and dispersion ratios; beta and eta are then re-resolved for the
+    surviving widths, the compacted views are centred again, and the
+    view-weight update sizes the view weights to the surviving views. The
+    result's ``reduced_dataset`` is built from the final views, so a fit
+    that removed nothing hands back the input's arrays uncopied.
     """
     validate(dataset)
     views = _views_of(dataset)
     n, s = views[0].shape[0], len(views)
     dims = [X.shape[1] for X in views]
+    mask = ActiveMask.full(dims)
     if n < params.c:
         raise ValueError(f"need at least c={params.c} samples, got {n}")
     _warn_out_of_range(params, dims, n)
@@ -466,13 +533,13 @@ def _descend(dataset, params, step=None) -> FitResult:
         agg = _weighted_sum(D, model.view_weights)
         model.membership = _softmax_rows(-agg)
         model.centers = _centers_with_reseed(views, model.membership, agg)
-        model.feature_weights, D = _weights_and_distances(cviews, model, delta, eta)
-        pruned = None if step is None else step(t, views, delta, model)
+        model.feature_weights = _feature_weights(cviews, model, delta, eta)
+        pruned = None if step is None else step(t, views, delta, model, mask)
         if pruned is not None:
             views, delta = pruned
             beta, eta = resolve_regularization(params, [X.shape[1] for X in views], n)
             cviews = [_centred(X) for X in views]
-            D = _distances_of(cviews, model, delta)
+        D = _distances_of(cviews, model, delta)
         costs = _costs_given_distances(D, model.membership)
         model.view_weights = entropic_simplex_argmin(costs, beta)
         J = _objective_given_costs(costs, model, delta, beta, eta)
@@ -482,6 +549,9 @@ def _descend(dataset, params, step=None) -> FitResult:
             converged = True
             break
         prev = J
+    names = dataset.view_names
+    if names is not None:
+        names = [names[h] for h in mask.active_views()]
     return FitResult(
         model=model,
         objective_trace=np.asarray(trace),
@@ -490,6 +560,8 @@ def _descend(dataset, params, step=None) -> FitResult:
         hard_labels=np.argmax(model.membership, axis=1),
         delta=delta,
         seed_seconds=seed_seconds,
+        mask=mask,
+        reduced_dataset=MultiViewDataset(views, dataset.labels, names),
         iter_seconds=iter_seconds,
     )
 
@@ -504,7 +576,9 @@ def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
     appends the new objective. The first convergence comparison uses an
     infinite sentinel, so at least one iteration always runs. The pruning
     solver :func:`mvclust.aamvfcm.fit` runs this same loop with an
-    elimination step after the feature weights.
+    elimination step after the feature weights; here nothing is removed, so
+    the result's mask stays full and its ``reduced_dataset`` holds the
+    input's views.
 
     Deterministic: identical (dataset, params) give identical results; the
     recorded seeding and per-iteration times are the only exception.

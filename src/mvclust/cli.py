@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .aamvfcm import PruningFitResult
 from .amvfcm import HyperParams
 from .data import DatasetError, _read_labels, _write_labels, save_dataset
 from .harness import (
@@ -100,8 +99,8 @@ def build_parser():
     p_synth.add_argument("--n", required=True, type=int)
     p_synth.add_argument("--seed", type=int, default=0)
     _noise_flags(p_synth)
-    p_synth.add_argument("--out-dir", type=Path, default=None,
-                         help="directory for report and dataset files")
+    p_synth.add_argument("--out-dir", type=Path, required=True,
+                         help="directory for the dataset files")
 
     p_fit = sub.add_parser("fit", help="fit one model on a dataset manifest")
     p_fit.add_argument("--algo", choices=("amvfcm", "aamvfcm"), required=True)
@@ -116,10 +115,11 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="multi-trial benchmark run")
     p_bench.add_argument("--algo", choices=("amvfcm", "aamvfcm"), required=True)
-    p_bench.add_argument("--config", type=Path, default=None,
-                         help="dataset manifest path")
-    p_bench.add_argument("--synth-n", type=int, default=None,
-                         help="use the synthetic benchmark with this sample count")
+    source = p_bench.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=Path, default=None,
+                        help="dataset manifest path")
+    source.add_argument("--synth-n", type=int, default=None,
+                        help="use the synthetic benchmark with this sample count")
     p_bench.add_argument("--synth-seed", type=int, default=0)
     _noise_flags(p_bench)
     p_bench.add_argument("--trials", type=int, default=1)
@@ -136,9 +136,6 @@ def _synth_source(args, n, seed):
 
 
 def _cmd_synth(args):
-    if args.out_dir is None:
-        print("synth requires --out-dir", file=sys.stderr)
-        return EXIT_USAGE
     dataset = _synth_dataset(_synth_source(args, args.n, args.seed))
     manifest = save_dataset(dataset, args.out_dir)
     print(f"wrote {dataset.n_samples} samples, {dataset.n_views} views "
@@ -174,7 +171,7 @@ def _run(args, trials, seed_base, jobs=1, synth=None):
         print(render_table(report), end="")
     else:
         for line in report_records(report):
-            print(json.dumps(line, separators=(", ", ": ")))
+            print(json.dumps(line))
     if args.out_dir is not None:
         table_path, records_path = emit_report(report, args.out_dir)
         print(f"wrote {table_path} and {records_path}", file=sys.stderr)
@@ -185,12 +182,12 @@ def _cmd_fit(args):
     result = _run(args, trials=1, seed_base=args.seed).fit_results[0]
     if args.out_dir is not None:  # created by the report write
         _write_labels(args.out_dir / "predicted_labels.txt", result.hard_labels)
-        if isinstance(result, PruningFitResult):
+        if args.algo == "aamvfcm":
             _write_filtered(result, args.out_dir / "filtered")
     return EXIT_OK
 
 
-def _write_filtered(result: PruningFitResult, out_dir):
+def _write_filtered(result, out_dir):
     # surviving data plus a sidecar mapping kept columns to original positions
     save_dataset(result.reduced_dataset, out_dir)
     mapping = {
@@ -213,14 +210,11 @@ def _cmd_score(args):
     scores = score_all(_read_labels(args.truth), _read_labels(args.pred))
     for key, value in scores.items():
         print(f"{key}={value:.12g}")
-    print(json.dumps(scores, separators=(", ", ": ")))
+    print(json.dumps(scores))
     return EXIT_OK
 
 
 def _cmd_bench(args):
-    if (args.config is None) == (args.synth_n is None):
-        print("bench needs exactly one of --config or --synth-n", file=sys.stderr)
-        return EXIT_USAGE
     synth = None
     if args.synth_n is not None:
         synth = _synth_source(args, args.synth_n, args.synth_seed)
@@ -243,7 +237,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except TrialError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}: {exc.__cause__}", file=sys.stderr)
         return EXIT_TRIAL
     except (DatasetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, aamvfcm, amvfcm
 from .amvfcm import HyperParams
 from .data import load_dataset, minmax_normalize
@@ -138,14 +136,6 @@ def _run_trial(dataset, config, seed):
         raise TrialError(seed) from exc
     elapsed = time.perf_counter() - tic
 
-    if isinstance(result, aamvfcm.PruningFitResult):
-        final_dims = result.mask.active_dims
-        active_views = result.mask.active_views()
-        reduction = result.mask.reduction_pct
-    else:
-        final_dims = [A.shape[1] for A in result.model.centers]
-        active_views = list(range(len(result.model.centers)))
-        reduction = 0.0
     metrics = None
     if dataset.labels is not None:
         metrics = score_all(dataset.labels, result.hard_labels)
@@ -161,9 +151,9 @@ def _run_trial(dataset, config, seed):
         iterations=result.iterations,
         converged=result.converged,
         final_objective=float(result.objective_trace[-1]),
-        final_dims=final_dims,
-        active_views=active_views,
-        reduction_pct=reduction,
+        final_dims=result.mask.active_dims,
+        active_views=result.mask.active_views(),
+        reduction_pct=result.mask.reduction_pct,
         metrics=metrics,
         weights=weights,
         fit_seconds=elapsed,
@@ -331,7 +321,7 @@ def emit_report(report: RunReport, out_dir):
     records_path = out_dir / "report.jsonl"
     with open(records_path, "w", encoding="utf-8") as fh:
         for line in report_records(report):
-            fh.write(json.dumps(line, separators=(", ", ": ")) + "\n")
+            fh.write(json.dumps(line) + "\n")
     return table_path, records_path
 
 

@@ -17,11 +17,11 @@ from mvclust.amvfcm import (
     _centred,
     _costs_given_distances,
     _distances_of,
+    _feature_weights,
     _objective_given_costs,
     _softmax_rows,
     _views_of,
     _weighted_sum,
-    _weights_and_distances,
 )
 from mvclust.data import (
     EmptyDatasetError,
@@ -139,7 +139,7 @@ def aggregate_distances(views, model, delta):
 def update_feature_weights(views, model, delta, eta):
     """Exact W-block minimizer: weights proportional to (1/delta_j) exp(-v_h E_j / eta)."""
     cviews = [_centred(X) for X in _views_of(views)]
-    return _weights_and_distances(cviews, model, delta, eta)[0]
+    return _feature_weights(cviews, model, delta, eta)
 
 
 def view_costs(views, model, delta):

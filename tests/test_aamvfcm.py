@@ -6,8 +6,8 @@ import pytest
 import support
 from support import validate_model
 from mvclust import amvfcm
-from mvclust.aamvfcm import ActiveMask, PruningFitResult, fit, prune_features
-from mvclust.amvfcm import HyperParams
+from mvclust.aamvfcm import ActiveMask, fit, prune_features
+from mvclust.amvfcm import FitResult, HyperParams
 from mvclust.data import MultiViewDataset
 from mvclust.metrics import score_all
 from mvclust.snr import compute_delta
@@ -212,16 +212,21 @@ def test_fit_warmup_beyond_t_max_never_prunes():
     np.testing.assert_array_equal(res.objective_trace, plain.objective_trace)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_fit_eliminates_uninformative_view():
-    # junk view: 8 noise columns against n=24 put the threshold (1/3) far
-    # above the near-uniform weights (~1/8), so the whole view dies at once
+def junk_view_problem(view_names=None):
+    """Three clusters in view 0; view 1 holds 8 uniform noise columns, n = 24."""
     rng = np.random.default_rng(8)
     centers = np.array([[2.0, 2.0], [8.0, 2.0], [5.0, 8.0]])
     assign = rng.integers(0, 3, size=24)
     informative = centers[assign] + rng.normal(0, 0.3, size=(24, 2))
     junk = rng.uniform(0.5, 2.0, size=(24, 8))
-    ds = MultiViewDataset([np.abs(informative) + 0.1, junk], labels=assign)
+    return MultiViewDataset([np.abs(informative) + 0.1, junk], assign, view_names)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fit_eliminates_uninformative_view():
+    # junk view: 8 noise columns against n=24 put the threshold (1/3) far
+    # above the near-uniform weights (~1/8), so the whole view dies at once
+    ds = junk_view_problem()
     res = fit(ds, HyperParams(c=3, seed=0))
     assert res.mask.active_views() == [0]
     assert any(ev.kind == "view" and ev.view == 1 for ev in res.mask.removals)
@@ -241,6 +246,26 @@ def test_fit_guard_survives_total_annihilation_pressure():
     assert record[0].filename == __file__
     assert sum(res.mask.active_dims) >= 1
     assert res.mask.active_views() != []
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fit_reduced_dataset_holds_the_surviving_columns():
+    # the junk view dies whole, the noisy benchmark loses one column per view
+    bench = noisy_benchmark(n=300, seed=17)
+    cases = [
+        (junk_view_problem(("signal", "junk")), 3, [0]),
+        (MultiViewDataset(bench.views, bench.labels, ("left", "right")), 5, [0, 1]),
+    ]
+    for ds, c, survivors in cases:
+        res = fit(ds, HyperParams(c=c, seed=0))
+        reduced = res.reduced_dataset
+        assert res.mask.active_views() == survivors
+        assert res.mask.reduction_pct > 0
+        assert reduced.view_names == tuple(ds.view_names[h] for h in survivors)
+        np.testing.assert_array_equal(reduced.labels, ds.labels)
+        assert reduced.n_views == len(survivors)
+        for X, h in zip(reduced.views, survivors, strict=True):
+            np.testing.assert_array_equal(X, ds.views[h][:, res.mask.active_columns(h)])
 
 
 def test_fit_delta_is_restricted_not_recomputed():
@@ -269,7 +294,7 @@ def test_fit_model_sized_to_survivors():
     dims = [w.size for w in res.model.feature_weights]
     assert dims == [d for d in res.mask.active_dims if d > 0]
     validate_model(list(res.reduced_dataset.views), res.model)
-    assert isinstance(res, PruningFitResult)
+    assert isinstance(res, FitResult)
 
 
 def test_fit_pruning_never_reactivates():

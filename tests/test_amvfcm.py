@@ -127,7 +127,8 @@ def test_weight_and_distance_pass_needs_no_tensor():
     cviews = [amvfcm._centred(X) for X in views]
     tracemalloc.start()
     try:
-        amvfcm._weights_and_distances(cviews, model, delta, eta=1.0)
+        model.feature_weights = amvfcm._feature_weights(cviews, model, delta, eta=1.0)
+        amvfcm._distances_of(cviews, model, delta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -495,6 +496,20 @@ def test_fit_model_invariants_and_hard_labels():
         res.hard_labels, np.argmax(res.model.membership, axis=1)
     )
     np.testing.assert_array_equal(res.delta[0], compute_delta(ds)[0])
+
+
+def test_fit_result_has_full_mask_and_the_input_views():
+    base = generate(default_benchmark_spec(120, seed=6))
+    ds = MultiViewDataset(base.views, base.labels, ("left", "right"))
+    res = fit(ds, HyperParams(c=5, seed=6))
+    assert res.mask.original_dims == res.mask.active_dims == ds.dims
+    assert res.mask.active_views() == [0, 1]
+    assert res.mask.reduction_pct == 0.0
+    assert res.mask.removals == [] and res.pruning_iterations == []
+    for h in range(ds.n_views):
+        assert res.reduced_dataset.views[h] is ds.views[h]
+    assert res.reduced_dataset.view_names == ds.view_names
+    np.testing.assert_array_equal(res.reduced_dataset.labels, ds.labels)
 
 
 def test_fit_rejects_fewer_samples_than_clusters():

@@ -82,12 +82,21 @@ def test_invalid_hyperparameter_is_a_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_failing_trial_is_a_trial_error(capsys):
-    # six clusters cannot fit five samples; the failure surfaces mid-run
+def test_failing_trial_is_a_trial_error(tmp_path, capsys):
+    # five benchmark samples leave a class empty, which the fit's validation
+    # rejects mid-run; the message names the seed and the cause
     code = main(["bench", "--algo", "amvfcm", "--synth-n", "5",
                  "--clusters", "6", "--seed-base", "9"])
     assert code == EXIT_TRIAL
-    assert "seed 9" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "seed 9" in err
+    assert "failed: label classes are not dense" in err
+    manifest, _ = make_manifest(tmp_path, n=20)
+    code = main(["fit", "--algo", "amvfcm", "--config", str(manifest),
+                 "--clusters", "25"])
+    assert code == EXIT_TRIAL
+    assert capsys.readouterr().err == (
+        "error: trial with seed 0 failed: need at least c=25 samples, got 20\n")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from mvclust.data import (
     load_dataset,
     minmax_normalize,
     parse_manifest,
-    restrict,
     save_dataset,
     validate,
 )
@@ -354,7 +353,8 @@ def _values_with_edge_cases(n, d, seed=0):
     return X
 
 
-@pytest.mark.parametrize("n, d", [(1, 3), (9, 1), (2 * (data._WRITE_CHUNK_CELLS // 5) + 3, 5)])
+@pytest.mark.parametrize("n, d", [(1, 3), (9, 1), (2 * (data._WRITE_CHUNK_CELLS // 5) + 3, 5),
+                                  (data._WRITE_CHUNK_CELLS + 3, 1)])
 def test_save_writes_savetxt_bytes_and_round_trips(tmp_path, n, d):
     X = _values_with_edge_cases(n, d)
     labels = np.arange(n) % 3
@@ -393,6 +393,25 @@ def test_manifest_requires_views(tmp_path):
         parse_manifest(tmp_path / "m.cfg")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("view = a.csv\nview = b.csv\nname.0 = ghost\n", 3),
+    ("name.3 = ghost\nview = a.csv\nview = b.csv\n", 1),
+], ids=["zero", "past-last"])
+def test_manifest_rejects_name_of_missing_view(tmp_path, text, line):
+    # name indices are 1-based positions among the manifest's views
+    (tmp_path / "m.cfg").write_text(text)
+    with pytest.raises(ManifestError, match=f"m.cfg:{line}: .*outside 1..2"):
+        parse_manifest(tmp_path / "m.cfg")
+
+
+def test_manifest_rejects_repeated_labels(tmp_path):
+    (tmp_path / "m.cfg").write_text(
+        "view = a.csv\nlabels = y.txt\nlabels = missing.txt\n"
+    )
+    with pytest.raises(ManifestError, match="m.cfg:3: repeated 'labels'"):
+        parse_manifest(tmp_path / "m.cfg")
+
+
 def test_loaded_dataset_passes_later_validation(tmp_path):
     # load -> validate -> normalize -> validate is total
     ds = two_view_dataset(n=5)
@@ -400,15 +419,3 @@ def test_loaded_dataset_passes_later_validation(tmp_path):
     validate(back)
     normed, _ = minmax_normalize(back)
     validate(normed)
-
-
-# ------------------------------------------------------------------- restrict
-
-
-def test_restrict_keeps_selected_views_and_columns():
-    ds = two_view_dataset(n=5)
-    out = restrict(ds, [1], [np.array([0, 2])])
-    assert out.n_views == 1 and out.dims == [2]
-    np.testing.assert_array_equal(out.views[0], ds.views[1][:, [0, 2]])
-    assert out.view_names == ("right",)
-    assert (out.labels == ds.labels).all()

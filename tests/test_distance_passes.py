@@ -1,8 +1,9 @@
 """How often the solvers build distance matrices, and what seeding picks.
 
 A fit centres each view once and builds each view's (n, c) distance matrix
-once at initialization and once per iteration; a pruning step that removes
-columns adds one re-centring and one rebuild per surviving view. Seeding
+once at initialization; each iteration then builds one per view still alive
+after its pruning step. A pruning step that removes columns adds one
+re-centring per surviving view. Seeding
 ranks its candidates by a Gram expansion and recomputes only the winner's
 distances exactly, which must not change a single pick.
 """
@@ -52,7 +53,8 @@ def test_full_fit_builds_one_distance_matrix_per_view_per_iteration(
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_pruning_fit_rebuilds_only_after_removals(distance_calls, centring_calls):
+def test_pruning_fit_builds_distances_for_surviving_views_only(
+        distance_calls, centring_calls):
     rng = np.random.default_rng(8)
     pruned = 0
     for i in range(30):
@@ -63,11 +65,10 @@ def test_pruning_fit_rebuilds_only_after_removals(distance_calls, centring_calls
         view_removals = [e.iteration for e in res.mask.removals if e.kind == "view"]
         expected = centred = ds.n_views
         for t in range(1, res.iterations + 1):
-            # views alive when iteration t starts, and after its pruning step
-            expected += ds.n_views - sum(r < t for r in view_removals)
+            # one build per view alive after iteration t's pruning step
+            survivors = ds.n_views - sum(r <= t for r in view_removals)
+            expected += survivors
             if t in res.pruning_iterations:
-                survivors = ds.n_views - sum(r <= t for r in view_removals)
-                expected += survivors
                 centred += survivors
         assert len(distance_calls) == expected
         assert len(centring_calls) == centred

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvclust.data import MultiViewDataset, restrict
+from mvclust.data import MultiViewDataset
 from mvclust.snr import DEFAULT_CLAMP, column_deltas, compute_delta
 
 
@@ -78,7 +78,7 @@ def test_restriction_commutes_with_delta():
     ds = MultiViewDataset([rng.uniform(1, 2, (40, 5)), rng.uniform(1, 2, (40, 3))])
     full = compute_delta(ds)
     keep = [np.array([0, 3, 4]), np.array([1])]
-    sub = compute_delta(restrict(ds, [0, 1], keep))
+    sub = compute_delta(MultiViewDataset([X[:, cols] for X, cols in zip(ds.views, keep)]))
     # reduction order over a restricted copy can differ in the last ulp
     np.testing.assert_allclose(sub[0], full[0][keep[0]], rtol=1e-12)
     np.testing.assert_allclose(sub[1], full[1][keep[1]], rtol=1e-12)

@@ -81,13 +81,13 @@ def _feed(h, *arrays):
         h.update(a.tobytes())
 
 
-def digest(result):
+def digest(result, pruning):
     h = hashlib.sha256()
     model = result.model
     _feed(h, result.objective_trace, result.hard_labels, model.membership,
           *model.centers, *model.feature_weights, model.view_weights, *result.delta)
     h.update(f"{result.iterations} {result.converged}".encode())
-    if isinstance(result, aamvfcm.PruningFitResult):
+    if pruning:
         events = [dataclasses.astuple(ev) for ev in result.mask.removals]
         h.update(repr((events, list(result.pruning_iterations))).encode())
         _feed(h, *result.reduced_dataset.views)
@@ -100,7 +100,7 @@ def main():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    line = digest(solver(ds, params))
+                    line = digest(solver(ds, params), name == "pruning")
                 except Exception as exc:  # an error is an outcome to compare too
                     line = f"error {type(exc).__name__}: {exc}"
             print(f"{case}/{name} {line}", flush=True)
