@@ -46,8 +46,11 @@ after = result.iter_seconds[events[-1]:]
 print(f"\nmean iteration time at full width: {1e3 * np.mean(before):.2f} ms")
 print(f"mean iteration time after pruning:  {1e3 * np.mean(after):.2f} ms")
 
-# theta_scale=0 disables pruning and reproduces the plain solver exactly
-plain = fit_full(dataset, params)
-frozen = fit_pruning(dataset, params, theta_scale=0.0)
-identical = np.array_equal(plain.objective_trace, frozen.objective_trace)
-print(f"\ntheta_scale=0 reproduces the plain solver trace exactly: {identical}")
+# without noise columns every feature stays above the threshold, so the
+# pruning solver removes nothing and walks the plain solver's trajectory
+clean = generate(default_benchmark_spec(n=2000, seed=0))
+plain = fit_full(clean, params)
+pruned = fit_pruning(clean, params)
+identical = np.array_equal(plain.objective_trace, pruned.objective_trace)
+print(f"\nnoise-free data: {len(pruned.mask.removals)} removals, and the plain "
+      f"solver trace is reproduced exactly: {identical}")

@@ -15,9 +15,7 @@ from .amvfcm import fit as fit_full
 from .data import (
     DatasetError,
     MultiViewDataset,
-    NormalizationRecord,
     load_dataset,
-    minmax_normalize,
     save_dataset,
     validate,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "HyperParams",
     "MultiViewDataset",
     "NoiseSpec",
-    "NormalizationRecord",
     "PairCounts",
     "RemovalEvent",
     "RunReport",
@@ -49,7 +46,6 @@ __all__ = [
     "fit_pruning",
     "generate",
     "load_dataset",
-    "minmax_normalize",
     "pair_counts",
     "run_experiment",
     "save_dataset",

@@ -27,29 +27,32 @@ from .amvfcm import ActiveMask, FitResult, HyperParams, RemovalEvent, _descend
 from .data import MultiViewDataset
 
 
-def prune_features(model, views, delta, mask: ActiveMask, n, *, theta_scale, iteration):
-    """Remove features weighted strictly below theta_scale * width / n, then emptied views.
+def prune_features(iteration, views, delta, model, mask: ActiveMask):
+    """Remove features weighted strictly below width / n, then emptied views.
 
-    ``model``, ``views`` and ``delta`` are aligned with the mask's active
-    views. One selection of low weights decides the removal events (features
-    first, then the views left without any), the mask, and the compaction. If
-    every active feature is low, the largest weight of the last active view
-    is retained instead (with a warning), so at least one feature survives.
-    Returns None when nothing was removed. Otherwise the model's centers and
-    feature weights are compacted in place, the surviving weights of each view
-    that lost a column are renormalized to sum to 1, and the compacted views
-    and dispersion ratios are returned. View weights are left to the next
-    view-weight update.
+    The descent's pruning hook (see :func:`mvclust.amvfcm._descend`), run in
+    iteration ``iteration`` right after the feature-weight update; n is the
+    row count of the views. ``model``, ``views`` and ``delta`` are aligned
+    with the mask's active views. One selection of low weights decides the
+    removal events (features first, then the views left without any), the
+    mask, and the compaction. If every active feature is low, the largest
+    weight of the last active view is retained instead (with a warning), so
+    at least one feature survives. Returns None when nothing was removed.
+    Otherwise the model's centers and feature weights are compacted in place,
+    the surviving weights of each view that lost a column are renormalized to
+    sum to 1, and the compacted views and dispersion ratios are returned.
+    View weights are left to the next view-weight update.
     """
     active = mask.active_views()
-    low = [w < theta_scale * (w.size / n) for w in model.feature_weights]
+    n = views[0].shape[0]
+    low = [w < w.size / n for w in model.feature_weights]
     if all(lo.all() for lo in low):
         keep = int(np.argmax(model.feature_weights[-1]))
         low[-1][keep] = False
         warnings.warn(
             f"pruning would remove the last active feature; retaining "
             f"feature {mask.active_columns(active[-1])[keep]} of view {active[-1]}",
-            stacklevel=5,  # the caller of aamvfcm.fit
+            stacklevel=4,  # the caller of aamvfcm.fit
         )
     if not any(lo.any() for lo in low):
         return None
@@ -78,30 +81,16 @@ def prune_features(model, views, delta, mask: ActiveMask, n, *, theta_scale, ite
     return kept_views, kept_delta
 
 
-def fit(dataset: MultiViewDataset, params: HyperParams, *,
-        prune_warmup=0, theta_scale=1.0) -> FitResult:
+def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
     """Block descent with per-iteration elimination of weak features and views.
 
-    This is :func:`mvclust.amvfcm.fit` plus a pruning step. Iteration order:
-    memberships, centers, feature weights, pruning (features, then emptied
-    views, then compaction), view weights, objective. Pruning is skipped for
-    the first ``prune_warmup`` iterations; ``theta_scale`` multiplies the
-    adaptive threshold (0 removes nothing, recovering the plain solver's
-    trajectory). The dispersion ratios are computed once up front and
+    This is :func:`mvclust.amvfcm.fit` with :func:`prune_features` as its
+    pruning step. Iteration order: memberships, centers, feature weights,
+    pruning (features, then emptied views, then compaction), view weights,
+    objective. Pruning runs from the first iteration on and has no setting
+    of its own. The dispersion ratios are computed once up front and
     restricted to the surviving columns after each elimination. Stopping and
     determinism behave as in :func:`mvclust.amvfcm.fit`. The result's
     ``model`` is sized to the surviving views and columns.
     """
-    if prune_warmup < 0:
-        raise ValueError("prune_warmup must be >= 0")
-    if theta_scale < 0:
-        raise ValueError("theta_scale must be >= 0")
-    n = dataset.n_samples
-
-    def prune(t, views, delta, model, mask):
-        if t <= prune_warmup:
-            return None
-        return prune_features(model, views, delta, mask, n,
-                              theta_scale=theta_scale, iteration=t)
-
-    return _descend(dataset, params, prune)
+    return _descend(dataset, params, prune_features)

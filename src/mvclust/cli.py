@@ -57,12 +57,6 @@ def _parse_beta(text):
         ) from None
 
 
-def _noise_flags(parser):
-    parser.add_argument("--noise-features", type=int, default=0)
-    parser.add_argument("--noise-low", type=float, default=0.02)
-    parser.add_argument("--noise-high", type=float, default=0.05)
-
-
 def _model_flags(parser):
     # hyperparameter and output flags shared by ``fit`` and ``bench``
     parser.add_argument("--clusters", required=True, type=int)
@@ -73,14 +67,8 @@ def _model_flags(parser):
     parser.add_argument("--epsilon", type=float, default=1e-6)
     parser.add_argument("--delta-clamp", type=_parse_clamp, default=DEFAULT_CLAMP,
                         metavar="LO,HI")
-    parser.add_argument("--normalize", action=argparse.BooleanOptionalAction,
-                        default=False, help="min-max normalize views (default off)")
     parser.add_argument("--dump-weights", action="store_true",
                         help="include dispersion ratios and learned weights in the report")
-    parser.add_argument("--prune-warmup", type=int, default=0,
-                        help="iterations before pruning may start (aamvfcm only)")
-    parser.add_argument("--theta-scale", type=float, default=1.0,
-                        help="multiplier on the adaptive pruning threshold (aamvfcm only)")
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="directory for report and dataset files")
     parser.add_argument("--format", choices=("table", "records"), default="table",
@@ -98,7 +86,7 @@ def build_parser():
     p_synth = sub.add_parser("synth", help="generate the synthetic benchmark")
     p_synth.add_argument("--n", required=True, type=int)
     p_synth.add_argument("--seed", type=int, default=0)
-    _noise_flags(p_synth)
+    p_synth.add_argument("--noise-features", type=int, default=0)
     p_synth.add_argument("--out-dir", type=Path, required=True,
                          help="directory for the dataset files")
 
@@ -121,7 +109,7 @@ def build_parser():
     source.add_argument("--synth-n", type=int, default=None,
                         help="use the synthetic benchmark with this sample count")
     p_bench.add_argument("--synth-seed", type=int, default=0)
-    _noise_flags(p_bench)
+    p_bench.add_argument("--noise-features", type=int, default=0)
     p_bench.add_argument("--trials", type=int, default=1)
     p_bench.add_argument("--seed-base", type=int, default=0)
     _model_flags(p_bench)
@@ -130,13 +118,9 @@ def build_parser():
     return parser
 
 
-def _synth_source(args, n, seed):
-    return SynthSource(n=n, seed=seed, noise_features=args.noise_features,
-                       noise_low=args.noise_low, noise_high=args.noise_high)
-
-
 def _cmd_synth(args):
-    dataset = _synth_dataset(_synth_source(args, args.n, args.seed))
+    source = SynthSource(n=args.n, seed=args.seed, noise_features=args.noise_features)
+    dataset = _synth_dataset(source)
     manifest = save_dataset(dataset, args.out_dir)
     print(f"wrote {dataset.n_samples} samples, {dataset.n_views} views "
           f"({'x'.join(str(d) for d in dataset.dims)} columns) to {manifest}")
@@ -158,11 +142,8 @@ def _run(args, trials, seed_base, jobs=1, synth=None):
         ),
         trials=trials,
         seed_base=seed_base,
-        normalize=args.normalize,
         manifest=str(args.config) if args.config is not None else None,
         synth=synth,
-        prune_warmup=args.prune_warmup,
-        theta_scale=args.theta_scale,
         jobs=jobs,
         dump_weights=args.dump_weights,
     )
@@ -217,7 +198,8 @@ def _cmd_score(args):
 def _cmd_bench(args):
     synth = None
     if args.synth_n is not None:
-        synth = _synth_source(args, args.synth_n, args.synth_seed)
+        synth = SynthSource(n=args.synth_n, seed=args.synth_seed,
+                            noise_features=args.noise_features)
     _run(args, args.trials, args.seed_base, args.jobs, synth)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Multi-view dataset container, validation, min-max normalization, and file I/O.
+"""Multi-view dataset container, validation, and file I/O.
 
 A dataset is an ordered list of views. Every view is a dense float matrix with
 one row per sample; all views share the same row count and row order. Ground
@@ -117,36 +117,6 @@ class MultiViewDataset:
         return [v.shape[1] for v in self.views]
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """Per-feature (min, max) pairs remembered by ``minmax_normalize``.
-
-    ``apply`` replays the recorded affine map onto raw data. Columns recorded
-    with min == max are constant and map to 0.5.
-    """
-
-    mins: tuple
-    maxs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "mins", tuple(_freeze(m) for m in self.mins))
-        object.__setattr__(self, "maxs", tuple(_freeze(m) for m in self.maxs))
-
-    def apply(self, dataset: MultiViewDataset) -> MultiViewDataset:
-        if len(self.mins) != dataset.n_views:
-            raise ValueError("record view count does not match dataset")
-        scaled = []
-        for X, lo, hi in zip(dataset.views, self.mins, self.maxs):
-            if X.shape[1] != lo.shape[0]:
-                raise ValueError("record column count does not match view")
-            span = hi - lo
-            with np.errstate(divide="ignore", invalid="ignore"):
-                Y = (X - lo) / span
-            Y[:, span == 0] = 0.5
-            scaled.append(Y)
-        return MultiViewDataset(scaled, dataset.labels, dataset.view_names)
-
-
 def validate(dataset: MultiViewDataset) -> None:
     """Check structural invariants; raise a specific DatasetError variant.
 
@@ -187,20 +157,6 @@ def _check_dense_labels(lab):
     if present[-1] + 1 != present.size:
         missing = int(np.flatnonzero(present != np.arange(present.size))[0])
         raise LabelValueError(f"label classes are not dense: class {missing} is empty")
-
-
-def minmax_normalize(dataset: MultiViewDataset):
-    """Rescale every feature column into [0, 1] independently.
-
-    Constant columns become 0.5. Returns ``(normalized, record)`` where the
-    record stores the per-column (min, max) used, so the same map can be
-    replayed on other data. Idempotent: normalizing the output again changes
-    nothing (within 1e-12).
-    """
-    mins = [X.min(axis=0) for X in dataset.views]
-    maxs = [X.max(axis=0) for X in dataset.views]
-    record = NormalizationRecord(tuple(mins), tuple(maxs))
-    return record.apply(dataset), record
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +272,9 @@ def parse_manifest(path) -> dict:
 
     Blank lines and ``#`` comments are ignored. Paths are returned as written
     (resolution against the manifest directory happens in ``load_dataset``).
-    A ``name.N`` index outside 1..(view count) and a second ``labels`` line
-    are errors that name their line.
+    A key with an empty value, a ``name.N`` index outside 1..(view count), and
+    a second ``labels`` or ``name.N`` line for the same target are errors that
+    name their line.
     """
     path = Path(path)
     if not path.is_file():
@@ -334,21 +291,25 @@ def parse_manifest(path) -> dict:
         if "=" not in line:
             raise error(line_no, "expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in ("view", "labels") and not key.startswith("name."):
+            raise error(line_no, f"unknown key {key!r}")
+        if not value:
+            raise error(line_no, f"empty value for {key!r}")
         if key == "view":
             views.append(value)
         elif key == "labels":
             if labels is not None:
                 raise error(line_no, "repeated 'labels' key")
             labels = value
-        elif key.startswith("name."):
+        else:
             try:
                 idx = int(key[5:])
             except ValueError:
                 raise error(line_no, f"bad view index in {key!r}") from None
+            if idx in names:
+                raise error(line_no, f"repeated {key!r} key")
             names[idx] = value
             name_lines[idx] = line_no
-        else:
-            raise error(line_no, f"unknown key {key!r}")
     if not views:
         raise ManifestError(f"{path}: manifest lists no views")
     for idx, line_no in name_lines.items():
@@ -378,7 +339,7 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     return dataset
 
 
-def save_dataset(dataset: MultiViewDataset, out_dir, stem="view") -> Path:
+def save_dataset(dataset: MultiViewDataset, out_dir) -> Path:
     """Write views, labels, and a manifest into ``out_dir``; return manifest path.
 
     Values are printed with %.17g so a write/read round trip is exact.
@@ -387,7 +348,7 @@ def save_dataset(dataset: MultiViewDataset, out_dir, stem="view") -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["# mvclust dataset manifest"]
     for h, X in enumerate(dataset.views, start=1):
-        fname = f"{stem}_{h}.csv"
+        fname = f"view_{h}.csv"
         _write_matrix(out_dir / fname, X)
         lines.append(f"view = {fname}")
     if dataset.labels is not None:

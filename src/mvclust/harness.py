@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__, aamvfcm, amvfcm
 from .amvfcm import HyperParams
-from .data import load_dataset, minmax_normalize
+from .data import load_dataset, validate
 from .metrics import score_all
 from .synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
@@ -39,13 +39,15 @@ class TrialError(RuntimeError):
 
 @dataclass(frozen=True)
 class SynthSource:
-    """Inline synthetic data source: benchmark geometry plus optional noise."""
+    """Inline synthetic data source: benchmark geometry plus optional noise.
+
+    Noise columns are uniform on the :class:`~mvclust.synth.NoiseSpec`
+    default interval.
+    """
 
     n: int
     seed: int = 0
     noise_features: int = 0
-    noise_low: float = 0.02
-    noise_high: float = 0.05
 
 
 @dataclass
@@ -56,11 +58,8 @@ class ExperimentConfig:
     params: HyperParams
     trials: int = 1
     seed_base: int = 0
-    normalize: bool = False
     manifest: str | None = None
     synth: SynthSource | None = None
-    prune_warmup: int = 0
-    theta_scale: float = 1.0
     jobs: int = 1
     dump_weights: bool = False
 
@@ -101,37 +100,28 @@ class RunReport:
 
 
 def _synth_dataset(src: SynthSource):
-    # the synthetic dataset of a source, for runs and for ``mvclust synth`` alike
+    # the validated synthetic dataset of a source, for runs and for
+    # ``mvclust synth`` alike
     dataset = generate(default_benchmark_spec(src.n, seed=src.seed))
-    if src.noise_features > 0:
-        noise = NoiseSpec(src.noise_low, src.noise_high, src.noise_features)
-        dataset = append_noise(dataset, noise, seed=src.seed)
+    noise = NoiseSpec(features_per_view=src.noise_features)
+    dataset = append_noise(dataset, noise, seed=src.seed)
+    validate(dataset)
     return dataset
 
 
 def build_dataset(config: ExperimentConfig):
-    """Materialize the configured data source, normalized when requested."""
+    """Materialize the configured data source."""
     if config.manifest is not None:
-        dataset = load_dataset(config.manifest)
-    else:
-        dataset = _synth_dataset(config.synth)
-    if config.normalize:
-        dataset, _ = minmax_normalize(dataset)
-    return dataset
+        return load_dataset(config.manifest)
+    return _synth_dataset(config.synth)
 
 
 def _run_trial(dataset, config, seed):
     params = dataclasses.replace(config.params, seed=seed)
+    solver = amvfcm.fit if config.algorithm == "amvfcm" else aamvfcm.fit
     tic = time.perf_counter()
     try:
-        if config.algorithm == "amvfcm":
-            result = amvfcm.fit(dataset, params)
-        else:
-            result = aamvfcm.fit(
-                dataset, params,
-                prune_warmup=config.prune_warmup,
-                theta_scale=config.theta_scale,
-            )
+        result = solver(dataset, params)
     except Exception as exc:
         raise TrialError(seed) from exc
     elapsed = time.perf_counter() - tic
@@ -182,7 +172,6 @@ def _resolved_config(config: ExperimentConfig, seed_base):
         "algorithm": config.algorithm,
         "trials": config.trials,
         "seed_base": seed_base,
-        "normalize": config.normalize,
         "source": source,
         "hyperparams": {
             "c": p.c,
@@ -192,8 +181,6 @@ def _resolved_config(config: ExperimentConfig, seed_base):
             "epsilon": p.epsilon,
             "delta_clamp": list(p.delta_clamp),
         },
-        "prune_warmup": config.prune_warmup,
-        "theta_scale": config.theta_scale,
         "jobs": config.jobs,
         "dump_weights": config.dump_weights,
     }
@@ -282,7 +269,7 @@ def render_table(report: RunReport) -> str:
         f"engine: {report.engine['name']} {report.engine['version']}   "
         f"prng: {report.engine['prng']}",
         f"algorithm: {cfg['algorithm']}   trials: {cfg['trials']}   "
-        f"seed_base: {cfg['seed_base']}   normalize: {'on' if cfg['normalize'] else 'off'}",
+        f"seed_base: {cfg['seed_base']}",
         f"source: {json.dumps(cfg['source'])}",
         f"c={hp['c']} eta={hp['eta']} beta={hp['beta']} "
         f"t_max={hp['t_max']} epsilon={hp['epsilon']}",

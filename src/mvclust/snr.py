@@ -12,7 +12,7 @@ has the units of 1/x, and min-max normalization maps every column, noise
 included, onto [0, 1], where mean over variance no longer singles the noise
 out: at n = 1.5k with one noise column per view (seed 0) the pruning solver
 keeps dims [2, 2] with ARI 1.0 on raw data, [3, 3] with ARI 0.379 after
-``minmax_normalize``.
+min-max rescaling. Views are therefore used in their raw units.
 """
 
 from __future__ import annotations

@@ -59,9 +59,9 @@ def tagged_problem(weights, rows=4, c=2):
 
 
 def run_pass(weights, n, mask=None, iteration=0):
-    model, views, delta = tagged_problem(weights)
+    model, views, delta = tagged_problem(weights, rows=n)
     mask = ActiveMask.full([len(w) for w in weights]) if mask is None else mask
-    out = prune_features(model, views, delta, mask, n, theta_scale=1.0, iteration=iteration)
+    out = prune_features(iteration, views, delta, model, mask)
     return model, mask, out
 
 
@@ -122,7 +122,7 @@ def test_prune_features_no_guard_when_other_view_survives():
     assert mask.active_dims == [0, 1]
     np.testing.assert_allclose(model.feature_weights, [[1.0]])
     assert events(mask)[-1] == (0, "view", 0, None)
-    np.testing.assert_array_equal(views[0], [[100.0]] * 4)
+    np.testing.assert_array_equal(views[0], [[100.0]] * 3)
 
 
 def test_prune_features_respects_pruned_columns():
@@ -141,8 +141,8 @@ def test_prune_features_compacts_survivors_only():
     weights = [[0.5, 0.3, 0.2], [0.4, 0.6]]
     model, _, (views, delta) = run_pass(weights, n=12)
     vw = model.view_weights
-    np.testing.assert_array_equal(views[0], np.tile([0.0, 1.0], (4, 1)))
-    np.testing.assert_array_equal(views[1], np.tile([100.0, 101.0], (4, 1)))
+    np.testing.assert_array_equal(views[0], np.tile([0.0, 1.0], (12, 1)))
+    np.testing.assert_array_equal(views[1], np.tile([100.0, 101.0], (12, 1)))
     np.testing.assert_array_equal(delta[0], [1.0, 2.0])
     np.testing.assert_array_equal(delta[1], [101.0, 102.0])
     np.testing.assert_array_equal(model.centers[0], [[0.0, 1.0]] * 2)
@@ -185,31 +185,18 @@ def test_fit_prunes_noise_columns_on_benchmark():
     assert score_all(ds.labels, res.hard_labels)["ri"] > 0.9
 
 
-def test_fit_zero_theta_scale_matches_plain_solver():
-    ds = noisy_benchmark(n=300, seed=3)
+def test_fit_matches_plain_solver_when_nothing_is_pruned():
+    # the noise-free benchmark keeps every column, so the pruning step never
+    # fires and both solvers walk the same trajectory
+    ds = generate(default_benchmark_spec(300, seed=3))
     params = HyperParams(c=5, seed=3, t_max=20)
-    pruned = fit(ds, params, theta_scale=0.0)
+    pruned = fit(ds, params)
     plain = amvfcm.fit(ds, params)
     np.testing.assert_array_equal(pruned.objective_trace, plain.objective_trace)
     np.testing.assert_array_equal(pruned.hard_labels, plain.hard_labels)
+    assert pruned.mask.removals == []
     assert pruned.mask.reduction_pct == 0.0
     assert pruned.pruning_iterations == []
-
-
-def test_fit_warmup_delays_pruning():
-    ds = noisy_benchmark(n=400, seed=5)
-    res = fit(ds, HyperParams(c=5, seed=5), prune_warmup=3)
-    assert all(ev.iteration > 3 for ev in res.mask.removals)
-    assert res.mask.active_dims == [2, 2]
-
-
-def test_fit_warmup_beyond_t_max_never_prunes():
-    ds = noisy_benchmark(n=200, seed=6)
-    params = HyperParams(c=5, seed=6, t_max=4)
-    res = fit(ds, params, prune_warmup=100)
-    assert res.mask.active_dims == [3, 3]
-    plain = amvfcm.fit(ds, params)
-    np.testing.assert_array_equal(res.objective_trace, plain.objective_trace)
 
 
 def junk_view_problem(view_names=None):
@@ -311,14 +298,6 @@ def test_fit_pruning_never_reactivates():
             assert not res.mask.view_mask[ev.view]
 
 
-def test_fit_rejects_bad_knobs():
-    ds = noisy_benchmark(n=100, seed=0)
-    with pytest.raises(ValueError):
-        fit(ds, HyperParams(c=5), prune_warmup=-1)
-    with pytest.raises(ValueError):
-        fit(ds, HyperParams(c=5), theta_scale=-0.5)
-
-
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_fit_trace_monotone_between_pruning_events():
     rng = np.random.default_rng(23)
@@ -332,20 +311,20 @@ def test_fit_trace_monotone_between_pruning_events():
 
 
 def test_fit_matches_recorded_pruning_trace():
-    # recorded before the two solvers shared one loop; pruning starts at
-    # iteration 3, so later iterations run on compacted views
+    # recorded before the two solvers shared one loop; pruning fires in
+    # iteration 1, so every later iteration runs on compacted views
     ds = noisy_benchmark(n=300, seed=3)
-    res = fit(ds, HyperParams(c=5, seed=3, t_max=12), prune_warmup=2)
+    res = fit(ds, HyperParams(c=5, seed=3, t_max=12))
     recorded = [
         90.08119535918438,
-        -897.4738368784027,
-        -908.8225171245191,
-        -886.5664468174548,
-        -886.5674218060484,
-        -886.5674289112225,
-        -886.5674289737101,
+        -875.1219239047247,
+        -886.479097332399,
+        -886.5666149080768,
+        -886.5674216528138,
+        -886.5674289076399,
+        -886.5674289736755,
     ]
     np.testing.assert_allclose(res.objective_trace, recorded, rtol=1e-10)
     removed = [(ev.iteration, ev.kind, ev.view, ev.feature) for ev in res.mask.removals]
-    assert removed == [(3, "feature", 0, 2), (3, "feature", 1, 2)]
-    assert res.pruning_iterations == [3]
+    assert removed == [(1, "feature", 0, 2), (1, "feature", 1, 2)]
+    assert res.pruning_iterations == [1]

@@ -54,6 +54,16 @@ def test_bad_flag_values_are_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [
+    ["--normalize"], ["--prune-warmup", "2"], ["--theta-scale", "0"],
+    ["--noise-low", "0.1"], ["--noise-high", "0.2"],
+])
+def test_removed_tuning_flags_are_usage_errors(flag, capsys):
+    argv = ["bench", "--algo", "aamvfcm", "--synth-n", "50", "--clusters", "5"]
+    assert main(argv + flag) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_synth_without_out_dir_is_a_usage_error(capsys):
     assert main(["synth", "--n", "50"]) == EXIT_USAGE
     assert "--out-dir" in capsys.readouterr().err
@@ -83,14 +93,13 @@ def test_invalid_hyperparameter_is_a_data_error(tmp_path, capsys):
 
 
 def test_failing_trial_is_a_trial_error(tmp_path, capsys):
-    # five benchmark samples leave a class empty, which the fit's validation
-    # rejects mid-run; the message names the seed and the cause
+    # five benchmark samples leave a class empty: a data fault of the source,
+    # rejected before any trial runs, so it is not reported as a trial
     code = main(["bench", "--algo", "amvfcm", "--synth-n", "5",
                  "--clusters", "6", "--seed-base", "9"])
-    assert code == EXIT_TRIAL
-    err = capsys.readouterr().err
-    assert "seed 9" in err
-    assert "failed: label classes are not dense" in err
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: label classes are not dense: class 2 is empty\n")
     manifest, _ = make_manifest(tmp_path, n=20)
     code = main(["fit", "--algo", "amvfcm", "--config", str(manifest),
                  "--clusters", "25"])
@@ -126,6 +135,23 @@ def test_synth_noise_flags_extend_the_views(tmp_path, capsys):
     for view in loaded.views:
         noise = view[:, 2]
         assert noise.min() >= 0.02 and noise.max() < 0.05
+
+
+def test_synth_negative_noise_count_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "noisy"
+    assert main(["synth", "--n", "100", "--noise-features", "-3",
+                 "--out-dir", str(out)]) == EXIT_DATA
+    assert "features_per_view must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_with_an_empty_class_is_a_data_error(tmp_path, capsys):
+    # five samples draw labels 3 1 0 0 4: class 2 is empty
+    out = tmp_path / "tiny"
+    assert main(["synth", "--n", "5", "--out-dir", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: label classes are not dense: class 2 is empty\n")
+    assert not out.exists()
 
 
 def test_synth_files_match_the_harness_source(tmp_path, capsys, monkeypatch):
@@ -273,18 +299,13 @@ def test_bench_repeat_runs_agree_modulo_timing(capsys):
     assert first == second
 
 
-def test_bench_manifest_source_and_normalize_flag(tmp_path, capsys):
+def test_bench_manifest_source(tmp_path, capsys):
     manifest, _ = make_manifest(tmp_path, n=80)
     argv = ["bench", "--algo", "amvfcm", "--config", str(manifest),
-            "--clusters", "5", "--normalize", "--format", "records"]
+            "--clusters", "5", "--format", "records"]
     assert main(argv) == EXIT_OK
     records = records_from(capsys.readouterr().out)
-    assert records[0]["config"]["normalize"] is True
     assert records[0]["config"]["source"] == {"manifest": str(manifest)}
-    argv[argv.index("--normalize")] = "--no-normalize"
-    assert main(argv) == EXIT_OK
-    records = records_from(capsys.readouterr().out)
-    assert records[0]["config"]["normalize"] is False
 
 
 def test_bench_table_output_to_files(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Dataset container, validation, normalization, and manifest I/O tests."""
+"""Dataset container, validation, and manifest I/O tests."""
 
 import time
 import tracemalloc
@@ -17,7 +17,6 @@ from mvclust.data import (
     NonFiniteValueError,
     RowCountMismatchError,
     load_dataset,
-    minmax_normalize,
     parse_manifest,
     save_dataset,
     validate,
@@ -134,64 +133,6 @@ def test_validate_names_missing_class_in_linear_time():
     with pytest.raises(LabelValueError, match=r"class 19999 is empty"):
         validate(dataset)
     assert time.perf_counter() - tic < 1.0
-
-
-# -------------------------------------------------------------- normalization
-
-
-def test_minmax_maps_column_to_unit_interval():
-    ds = MultiViewDataset([np.array([[0.0], [5.0], [10.0]])])
-    normed, record = minmax_normalize(ds)
-    assert normed.views[0][:, 0].tolist() == [0.0, 0.5, 1.0]
-    assert record.mins[0][0] == 0.0 and record.maxs[0][0] == 10.0
-
-
-def test_minmax_constant_column_becomes_half():
-    ds = MultiViewDataset([np.array([[7.0, 1.0], [7.0, 3.0], [7.0, 2.0]])])
-    normed, _ = minmax_normalize(ds)
-    assert normed.views[0][:, 0].tolist() == [0.5, 0.5, 0.5]
-
-
-def test_minmax_identity_on_unit_interval_column():
-    ds = MultiViewDataset([np.array([[0.0], [0.25], [1.0]])])
-    normed, record = minmax_normalize(ds)
-    np.testing.assert_allclose(normed.views[0], ds.views[0])
-    assert (record.mins[0][0], record.maxs[0][0]) == (0.0, 1.0)
-
-
-def test_minmax_idempotent():
-    ds = two_view_dataset(n=20)
-    once, _ = minmax_normalize(ds)
-    twice, _ = minmax_normalize(once)
-    for a, b in zip(once.views, twice.views):
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_minmax_preserves_column_order():
-    rng = np.random.default_rng(3)
-    ds = MultiViewDataset([rng.normal(size=(30, 4))])
-    normed, _ = minmax_normalize(ds)
-    for j in range(4):
-        raw_order = np.argsort(ds.views[0][:, j], kind="stable")
-        new_order = np.argsort(normed.views[0][:, j], kind="stable")
-        assert (raw_order == new_order).all()
-
-
-def test_minmax_preserves_labels_and_validates():
-    ds = two_view_dataset()
-    normed, _ = minmax_normalize(ds)
-    validate(normed)
-    assert (normed.labels == ds.labels).all()
-    for X in normed.views:
-        assert X.min() >= 0.0 and X.max() <= 1.0
-
-
-def test_record_replays_onto_other_data():
-    ds = MultiViewDataset([np.array([[0.0], [10.0]])])
-    _, record = minmax_normalize(ds)
-    other = MultiViewDataset([np.array([[5.0], [20.0]])])
-    replayed = record.apply(other)
-    assert replayed.views[0][:, 0].tolist() == [0.5, 2.0]
 
 
 # ------------------------------------------------------------------- file I/O
@@ -412,10 +353,24 @@ def test_manifest_rejects_repeated_labels(tmp_path):
         parse_manifest(tmp_path / "m.cfg")
 
 
+def test_manifest_rejects_repeated_view_name(tmp_path):
+    (tmp_path / "m.cfg").write_text(
+        "view = a.csv\nname.1 = first\nname.1 = second\n"
+    )
+    with pytest.raises(ManifestError, match="m.cfg:3: repeated 'name.1'"):
+        parse_manifest(tmp_path / "m.cfg")
+
+
+@pytest.mark.parametrize("key", ["view", "labels", "name.1"])
+def test_manifest_rejects_empty_value(tmp_path, key):
+    # an empty view path would otherwise resolve to the manifest's directory
+    (tmp_path / "m.cfg").write_text(f"view = a.csv\n{key} =\n")
+    with pytest.raises(ManifestError, match=f"m.cfg:2: empty value for '{key}'"):
+        parse_manifest(tmp_path / "m.cfg")
+
+
 def test_loaded_dataset_passes_later_validation(tmp_path):
-    # load -> validate -> normalize -> validate is total
+    # load -> validate is total
     ds = two_view_dataset(n=5)
     back = load_dataset(save_dataset(ds, tmp_path))
     validate(back)
-    normed, _ = minmax_normalize(back)
-    validate(normed)

@@ -57,11 +57,11 @@ def test_pruning_fit_builds_distances_for_surviving_views_only(
         distance_calls, centring_calls):
     rng = np.random.default_rng(8)
     pruned = 0
-    for i in range(30):
+    for _ in range(30):
         ds, params = support.random_instance(rng, n_max=120)
         distance_calls.clear()
         centring_calls.clear()
-        res = fit_pruning(ds, params, prune_warmup=i % 3)
+        res = fit_pruning(ds, params)
         view_removals = [e.iteration for e in res.mask.removals if e.kind == "view"]
         expected = centred = ds.n_views
         for t in range(1, res.iterations + 1):

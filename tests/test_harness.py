@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mvclust.amvfcm import HyperParams
-from mvclust.data import MultiViewDataset, minmax_normalize, save_dataset
+from mvclust.data import MultiViewDataset, save_dataset
 from mvclust.harness import (
     METRIC_KEYS,
     PRNG_NAME,
@@ -101,15 +101,6 @@ def test_build_dataset_synth_appends_noise_columns():
         np.testing.assert_array_equal(a, b)
 
 
-def test_build_dataset_normalize_flag_applies_minmax():
-    cfg = synth_config(synth=SynthSource(n=80, seed=9), normalize=True)
-    built = build_dataset(cfg)
-    expected, _ = minmax_normalize(generate(default_benchmark_spec(80, seed=9)))
-    for a, b in zip(built.views, expected.views):
-        np.testing.assert_array_equal(a, b)
-        assert a.min() >= 0.0 and a.max() <= 1.0
-
-
 def test_build_dataset_from_manifest(tmp_path):
     saved = generate(default_benchmark_spec(40, seed=2))
     manifest = save_dataset(saved, tmp_path / "bench")
@@ -150,7 +141,6 @@ def test_engine_and_resolved_config_fields():
     assert resolved["algorithm"] == "amvfcm"
     assert resolved["trials"] == 3
     assert resolved["seed_base"] == 5
-    assert resolved["normalize"] is False
     assert resolved["source"] == {"synth": dataclasses.asdict(cfg.synth)}
     assert resolved["hyperparams"]["c"] == 5
     assert resolved["hyperparams"]["beta"] == "auto"
@@ -216,12 +206,12 @@ def test_dump_weights_records_delta_and_learned_weights():
 
 
 def test_failing_trial_raises_trial_error_with_seed():
-    # five samples cannot host six clusters, so the first trial fails
+    # forty samples cannot host fifty clusters, so the first trial fails
     cfg = synth_config(
-        params=small_params(c=6),
+        params=small_params(c=50),
         trials=1,
         seed_base=41,
-        synth=SynthSource(n=5, seed=0),
+        synth=SynthSource(n=40, seed=0),
     )
     with pytest.raises(TrialError, match="seed 41"):
         run_experiment(cfg)
@@ -326,7 +316,6 @@ def test_render_table_mentions_core_run_facts():
     assert PRNG_NAME in text
     assert "algorithm: amvfcm" in text
     assert "seed_base: 5" in text
-    assert "normalize: off" in text
     for key in METRIC_KEYS:
         assert key in text
     for seed in (5, 6, 7):
