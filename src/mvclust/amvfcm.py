@@ -360,11 +360,8 @@ def _objective_given_costs(costs, model, delta, beta, eta):
     return distortion + membership_entropy + view_entropy + eta * feature_entropy
 
 
-SEEDING_RESTARTS = 8
-
-
 def _greedy_spread(Z, sq, c, rng, trials):
-    # one greedy k-means++ pass; returns (row indices, final total potential)
+    # one greedy k-means++ pass; returns the picked row indices
     n, width = Z.shape
     sq_total = sq.sum()
     chosen = [int(rng.integers(n))]
@@ -395,50 +392,43 @@ def _greedy_spread(Z, sq, c, rng, trials):
             unchosen = np.setdiff1d(np.arange(n), chosen)
             idx = int(rng.choice(unchosen))
         chosen.append(idx)
-    return chosen, float(d2.sum())
+    return chosen
 
 
-def init_centers(data, c, seed):
-    """Greedy spread seeding (k-means++ weighting) on the concatenated views.
+def init_centers(data, c, seed, delta):
+    """Greedy spread seeding (k-means++ weighting) in the solver's own metric.
 
-    Columns are standardized for the seeding distance computations only; the
-    returned centers are rows of the original per-view matrices. Runs several
-    independent greedy passes and keeps the one with the lowest total
-    potential: uninformative columns put a noise floor under every pairwise
-    distance, which can lure a single pass into doubling up one cluster, but
-    a covering seed set still wins the potential comparison. Deterministic
-    given the seed. With c equal to the sample count every sample is chosen
-    exactly once.
+    One greedy pass over the concatenated views in the metric of the first
+    iteration: each squared difference weighted by delta_j times the uniform
+    feature weight 1/d_h. Columns are centred and scaled by
+    sqrt(delta_j / d_h) for the seeding distances only; the returned centers
+    are rows of the original per-view matrices. The dispersion ratios damp
+    the uninformative columns, so they put no noise floor under the pairwise
+    distances, and one pass needs no restarts to keep from doubling up a
+    cluster. D^2 sampling is unchanged by a global rescaling of the metric,
+    so a change of units leaves the picks alone; under a power-of-four scale
+    every delta_j * x^2 scales exactly and the picks are bitwise the same.
+    Deterministic given the seed. With c equal to the sample count every
+    sample is chosen exactly once.
 
     Each greedy step ranks its candidates by the Gram expansion
     |z_i|^2 - 2 z_i.z_t + |z_t|^2 of their squared distances: one matrix
-    product and O(n * trials) memory, with the row norms computed once and
-    shared by all passes. On the 150k benchmark the expansion is at most
-    2.8e-14 off the exact squared distance. Candidates whose potentials lie
-    within a rounding bound of the lowest are re-ranked with exact distances
-    (lowest wins, first on ties), and the winner's distances are always the
-    exact ones, so the picks, sampling weights and potentials are those of
-    exact ranking.
+    product and O(n * trials) memory. Candidates whose potentials lie within
+    a rounding bound of the lowest are re-ranked with exact distances (lowest
+    wins, first on ties), and the winner's distances are always the exact
+    ones, so the picks and sampling weights are those of exact ranking.
     """
     views = _views_of(data)
     n = views[0].shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
     Z = np.hstack(views)
-    std = Z.std(axis=0)
-    std[std == 0] = 1.0
     Z -= Z.mean(axis=0)
-    Z /= std
+    Z *= np.sqrt(np.concatenate([dlt / dlt.size for dlt in delta]))
     sq = np.einsum("ij,ij->i", Z, Z)
-
     trials = max(10, 2 + int(math.log(c)))
-    best, best_pot = None, math.inf
-    for restart in range(SEEDING_RESTARTS):
-        rng = np.random.default_rng([seed, restart])
-        chosen, pot = _greedy_spread(Z, sq, c, rng, trials)
-        if pot < best_pot:
-            best, best_pot = chosen, pot
-    return [X[best].copy() for X in views]
+    chosen = _greedy_spread(Z, sq, c, np.random.default_rng(seed), trials)
+    return [X[chosen].copy() for X in views]
 
 
 def _centers_with_reseed(views, membership, agg_dist):
@@ -511,7 +501,7 @@ def _descend(dataset, params, step=None) -> FitResult:
     delta = compute_delta(dataset, params.delta_clamp)
     beta, eta = resolve_regularization(params, dims, n)
     tic = time.perf_counter()
-    centers = init_centers(views, params.c, params.seed)
+    centers = init_centers(views, params.c, params.seed, delta)
     seed_seconds = time.perf_counter() - tic
     model = ClusterModel(
         membership=np.empty((n, params.c)),
@@ -569,8 +559,9 @@ def _descend(dataset, params, step=None) -> FitResult:
 def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
     """Run block coordinate descent until the objective change is <= epsilon.
 
-    Initialization: spread-seeded centers, uniform feature and view weights,
-    and memberships computed from that starting state; the objective of the
+    Initialization: centers from one greedy k-means++ pass in the starting
+    metric (see :func:`init_centers`), uniform feature and view weights, and
+    memberships computed from that starting state; the objective of the
     initialized model is the first trace entry. Each iteration then updates
     memberships, centers, feature weights, and view weights in that order and
     appends the new objective. The first convergence comparison uses an

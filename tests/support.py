@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from mvclust.amvfcm import (
-    SEEDING_RESTARTS,
     HyperParams,
     _centred,
     _costs_given_distances,
@@ -30,6 +29,7 @@ from mvclust.data import (
     parse_manifest,
     validate,
 )
+from mvclust.snr import column_deltas
 
 
 def random_instance(rng, n_max=200):
@@ -190,7 +190,7 @@ def validate_model(views, model, tol=1e-9):
 
 
 def _greedy_spread(Z, c, rng, trials):
-    # one greedy k-means++ pass; returns (row indices, final total potential)
+    # one greedy k-means++ pass; returns the picked row indices
     n = Z.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = np.sum((Z - Z[chosen[0]]) ** 2, axis=1)
@@ -207,29 +207,28 @@ def _greedy_spread(Z, c, rng, trials):
             unchosen = np.setdiff1d(np.arange(n), chosen)
             idx = int(rng.choice(unchosen))
         chosen.append(idx)
-    return chosen, float(d2.sum())
+    return chosen
 
 
-def init_centers_exact(data, c, seed):
+def deltas_of(views):
+    """Default-clamp dispersion ratios of each view, as a fit computes them."""
+    return [column_deltas(X) for X in _views_of(views)]
+
+
+def init_centers_exact(data, c, seed, delta):
     """Seeding that ranks candidates by exact distances; oracle for init_centers.
 
-    Same standardization, restart streams and "lowest potential wins, first
-    on ties" rule, but each greedy step materializes every candidate's
-    squared distances as one (n, trials, D) tensor.
+    Same delta metric, random stream and "lowest potential wins, first on
+    ties" rule, but each greedy step materializes every candidate's squared
+    distances as one (n, trials, D) tensor.
     """
     views = _views_of(data)
     stacked = np.hstack(views)
-    std = stacked.std(axis=0)
-    std[std == 0] = 1.0
-    Z = (stacked - stacked.mean(axis=0)) / std
+    scale = np.sqrt(np.concatenate([dlt / dlt.size for dlt in delta]))
+    Z = (stacked - stacked.mean(axis=0)) * scale
     trials = max(10, 2 + int(math.log(c)))
-    best, best_pot = None, math.inf
-    for restart in range(SEEDING_RESTARTS):
-        rng = np.random.default_rng([seed, restart])
-        chosen, pot = _greedy_spread(Z, c, rng, trials)
-        if pot < best_pot:
-            best, best_pot = chosen, pot
-    return [X[best].copy() for X in views]
+    chosen = _greedy_spread(Z, c, np.random.default_rng(seed), trials)
+    return [X[chosen].copy() for X in views]
 
 
 def scan_matrix(path):

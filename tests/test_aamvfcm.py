@@ -311,18 +311,19 @@ def test_fit_trace_monotone_between_pruning_events():
 
 
 def test_fit_matches_recorded_pruning_trace():
-    # recorded before the two solvers shared one loop; pruning fires in
-    # iteration 1, so every later iteration runs on compacted views
+    # recorded with a separate exact-distance seeding in the delta metric;
+    # pruning fires in iteration 1, so every later iteration runs on
+    # compacted views
     ds = noisy_benchmark(n=300, seed=3)
     res = fit(ds, HyperParams(c=5, seed=3, t_max=12))
     recorded = [
-        90.08119535918438,
-        -875.1219239047247,
-        -886.479097332399,
-        -886.5666149080768,
-        -886.5674216528138,
-        -886.5674289076399,
-        -886.5674289736755,
+        66.11895273277241,
+        -878.565948340692,
+        -886.4931149347364,
+        -886.566705819637,
+        -886.5674225738015,
+        -886.5674289172601,
+        -886.5674289737741,
     ]
     np.testing.assert_allclose(res.objective_trace, recorded, rtol=1e-10)
     removed = [(ev.iteration, ev.kind, ev.view, ev.feature) for ev in res.mask.removals]

@@ -143,7 +143,7 @@ def _worst_block_decrease(dataset, params, rng, sweeps, n_pert=200):
     beta, eta = resolve_regularization(params, dims, n)
     model = ClusterModel(
         membership=np.empty((n, params.c)),
-        centers=init_centers(views, params.c, params.seed),
+        centers=init_centers(views, params.c, params.seed, delta),
         feature_weights=[np.full(d, 1.0 / d) for d in dims],
         view_weights=np.full(s, 1.0 / s),
     )

@@ -81,7 +81,7 @@ def _random_model(views, c, rng, seeded):
     n = views[0].shape[0]
     if seeded:
         # centers on data rows: some distances are exactly zero
-        centers = init_centers(views, c, int(rng.integers(100)))
+        centers = init_centers(views, c, int(rng.integers(100)), support.deltas_of(views))
     else:
         centers = update_centers(views, rng.dirichlet(np.ones(c), size=n))
     return ClusterModel(
@@ -379,8 +379,9 @@ def test_resolve_regularization_scales_with_n():
 
 def test_init_centers_deterministic():
     ds = generate(default_benchmark_spec(120, seed=3))
-    a = init_centers(list(ds.views), 5, seed=9)
-    b = init_centers(list(ds.views), 5, seed=9)
+    delta = compute_delta(ds)
+    a = init_centers(ds, 5, 9, delta)
+    b = init_centers(ds, 5, 9, delta)
     for va, vb in zip(a, b):
         np.testing.assert_array_equal(va, vb)
 
@@ -388,7 +389,7 @@ def test_init_centers_deterministic():
 def test_init_centers_c_equals_n_uses_every_point():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(6, 2))
-    (A,) = init_centers([X], 6, seed=0)
+    (A,) = init_centers([X], 6, 0, support.deltas_of([X]))
     order_a = np.lexsort(A.T)
     order_x = np.lexsort(X.T)
     np.testing.assert_allclose(A[order_a], X[order_x])
@@ -397,21 +398,22 @@ def test_init_centers_c_equals_n_uses_every_point():
 def test_init_centers_single_center_is_a_data_point():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(8, 3))
-    (A,) = init_centers([X], 1, seed=0)
+    (A,) = init_centers([X], 1, 0, support.deltas_of([X]))
     assert any(np.array_equal(A[0], row) for row in X)
 
 
 def test_init_centers_rejects_bad_counts():
     X = np.ones((4, 2))
+    delta = support.deltas_of([X])
     with pytest.raises(ValueError):
-        init_centers([X], 5, seed=0)
+        init_centers([X], 5, 0, delta)
     with pytest.raises(ValueError):
-        init_centers([X], 0, seed=0)
+        init_centers([X], 0, 0, delta)
 
 
 def test_init_centers_handles_duplicate_points():
     X = np.array([[1.0, 1.0]] * 5 + [[4.0, 4.0]] * 5)
-    (A,) = init_centers([X], 4, seed=2)
+    (A,) = init_centers([X], 4, 2, support.deltas_of([X]))
     assert A.shape == (4, 2)
 
 
@@ -536,7 +538,7 @@ def replay_fit(dataset, params):
     beta, eta = resolve_regularization(params, dims, n)
     model = ClusterModel(
         membership=np.empty((n, params.c)),
-        centers=init_centers(views, params.c, params.seed),
+        centers=init_centers(views, params.c, params.seed, delta),
         feature_weights=[np.full(d, 1.0 / d) for d in dims],
         view_weights=np.full(len(views), 1.0 / len(views)),
     )

@@ -14,6 +14,7 @@ import pytest
 import support
 from mvclust import amvfcm, fit_full, fit_pruning
 from mvclust.amvfcm import init_centers
+from mvclust.snr import compute_delta
 from mvclust.synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
 
@@ -77,20 +78,21 @@ def test_pruning_fit_builds_distances_for_surviving_views_only(
 
 
 # row indices of the seeds on the noisy benchmark (4 noise columns per view,
-# c = 5), keyed by (n, data seed, seeding seed)
+# c = 5), keyed by (n, data seed, seeding seed); recorded with a separate
+# exact-distance seeding in the delta metric
 RECORDED_SEEDS = {
-    (1500, 0, 0): [1469, 601, 1292, 849, 154],
-    (1500, 0, 1): [778, 229, 7, 171, 503],
-    (1500, 0, 2): [1140, 1465, 825, 341, 1231],
-    (1500, 0, 3): [472, 827, 270, 829, 712],
-    (1500, 1, 0): [1469, 390, 1286, 88, 86],
-    (1500, 1, 1): [1238, 1303, 1486, 1117, 609],
-    (1500, 1, 2): [312, 600, 305, 19, 463],
-    (1500, 1, 3): [35, 1043, 640, 19, 680],
-    (15000, 0, 0): [10446, 9177, 11336, 11944, 3370],
-    (15000, 0, 1): [11667, 5140, 13927, 6457, 2902],
-    (15000, 0, 2): [3122, 3286, 10757, 10974, 11879],
-    (15000, 0, 3): [6318, 4940, 11838, 12831, 5298],
+    (1500, 0, 0): [1275, 390, 48, 990, 1098],
+    (1500, 0, 1): [709, 1136, 688, 834, 181],
+    (1500, 0, 2): [1256, 1223, 585, 472, 633],
+    (1500, 0, 3): [1217, 126, 439, 1037, 150],
+    (1500, 1, 0): [1275, 57, 824, 995, 437],
+    (1500, 1, 1): [709, 650, 289, 397, 184],
+    (1500, 1, 2): [1256, 460, 237, 166, 1025],
+    (1500, 1, 3): [1217, 169, 420, 432, 1396],
+    (15000, 0, 0): [12759, 8180, 33, 14706, 4716],
+    (15000, 0, 1): [7097, 12405, 3969, 7274, 13673],
+    (15000, 0, 2): [12563, 10976, 10103, 7224, 6652],
+    (15000, 0, 3): [12172, 1427, 9745, 4437, 3197],
 }
 
 
@@ -99,8 +101,9 @@ def test_init_centers_matches_recorded_rows(data_seed):
     for n in sorted({n for n, d, _ in RECORDED_SEEDS if d == data_seed}):
         ds = append_noise(generate(default_benchmark_spec(n, seed=data_seed)),
                           NoiseSpec(features_per_view=4), seed=data_seed)
+        delta = compute_delta(ds)
         for seed in range(4):
-            centers = init_centers(ds, 5, seed)
+            centers = init_centers(ds, 5, seed, delta)
             want = RECORDED_SEEDS[n, data_seed, seed]
             for X, A in zip(ds.views, centers, strict=True):
                 np.testing.assert_array_equal(A, X[want])
