@@ -6,9 +6,9 @@ strictly below an adaptive threshold (current view width divided by the sample
 count) are removed and never come back; the surviving weights of a view are
 renormalized. A view that loses all of its features is eliminated the same
 way; the view weights are not renormalized but recomputed for the surviving
-views by the view-weight update that follows. The working matrices are
-physically compacted after every elimination, so later iterations get
-cheaper as columns disappear.
+views by the view-weight update that follows. After every elimination the
+surviving columns are stacked again into the descent's one centred array,
+so later iterations get cheaper as columns disappear.
 
 The objective is only comparable between eliminations: each pruning event
 changes the domain (and the automatic per-view beta), so the trace is

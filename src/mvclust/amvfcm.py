@@ -13,16 +13,21 @@ intended regime.
 Every block update is the exact minimizer of the joint objective with the
 other blocks held fixed, which makes the objective trace non-increasing.
 
-The weighted squared distances are never built as an (n, c, d) tensor. Each
-view is column-centred once per fit (m = column means, Xc = X - m), and with
-s = w * delta and Ac = A - m the distances are the expansion
-(Xc^2 s)[:, None] - 2 Xc (Ac s)^T + Ac^2 s: one matrix product per view and
-(n, c) temporaries. The feature costs come from (c, d) sums of the same
-pieces. Centring keeps the rounding at the scale of the data's spread, not
-of its offset from the origin: on 200 random instances, as given and shifted
-by 1e6, the distances are at most 6.1e-16 of each view's largest distance
-away from the exact sum, where the uncentred expansion is 3.0e-3 away on the
-shifted data.
+The weighted squared distances are never built, neither as an (n, c, d)
+tensor nor as (n, c) matrices. All views are stacked once per fit into one
+feature-major, column-centred (D, n) array XcT = (X - m)^T. With
+S_j = v_h w_j delta_j and Ac = A - m the stacked centred centers, the
+memberships, held as a (c, n) array U, are the softmax over clusters of
+L = (2 Ac S) XcT - (Ac^2) S: the per-sample term sum_j S_j xc_ij^2 of the
+aggregate distances cancels there and is never formed. One more product,
+G = U Xc, gives the centers G / (cluster masses) and the feature costs
+E_j = delta_j (ss_j - 2 sum_k ac_kj G_kj + sum_k mass_k ac_kj^2), with
+ss_j = sum_i xc_ij^2, hence the view costs w_h . E_h: two matrix products
+per iteration for all views. Centring keeps the rounding at the scale of the
+data's spread, not of its offset: on 200 random instances, as given and
+shifted by 1e6, distances rebuilt from the logits are within 6.1e-16 of each
+view's largest distance (3.0e-3 uncentred and shifted), and the feature
+costs within 1.8e-15 of each view's largest cost.
 """
 
 from __future__ import annotations
@@ -163,7 +168,8 @@ class FitResult:
     each iteration appends one more value, so the trace has ``iterations + 1``
     entries. ``iter_seconds`` holds per-iteration wall times and
     ``seed_seconds`` the wall time of center seeding; these two are the only
-    nondeterministic fields.
+    nondeterministic fields. ``model.membership`` is a C-contiguous (n, c)
+    array, copied once at the end from the (c, n) layout of the descent.
 
     ``mask`` records which original views and columns survived and every
     removal event; ``model`` and ``delta`` are sized to the survivors.
@@ -195,28 +201,16 @@ def _views_of(data):
     return [np.asarray(v, dtype=float) for v in data]
 
 
-def _row_sums(U):
-    # column loop: numpy's reduction along a short last axis is far slower
-    cols = U.T
-    total = cols[0].copy()
-    for col in cols[1:]:
-        total += col
-    return total
-
-
-def _column_sums(U):
-    return np.array([col.sum() for col in U.T])
-
-
-def _softmax_rows(logits):
-    cols = logits.T
-    peak = cols[0].copy()
-    for col in cols[1:]:
-        np.maximum(peak, col, out=peak)
-    e = logits - peak[:, None]
-    np.exp(e, out=e)
-    e /= _row_sums(e)[:, None]
-    return e
+def _softmax_clusters(L):
+    # over the cluster axis of (c, n) logits, reducing contiguous rows; shifts
+    # L in place. Returns U, the per-sample peak logit and sum_ik u_ik log u_ik
+    # from log u_ik = L_ik - peak_i - log(total_i), with no pass of logarithms
+    peak = L.max(axis=0)
+    L -= peak
+    U = np.exp(L)
+    total = U.sum(axis=0)
+    U /= total
+    return U, peak, float(np.vdot(U, L) - np.log(total).sum())
 
 
 def _softmax(x):
@@ -224,58 +218,56 @@ def _softmax(x):
     return e / e.sum()
 
 
-def _xlogx(p):
-    # sum of p*log(p) with the 0*log(0) = 0 convention
-    logp = np.log(p, out=np.zeros_like(p), where=p > 0)
-    return float(np.vdot(p, logp))
+def _stack(views):
+    # every view feature-major and column-centred in one (D, n) array, with
+    # the column means m, ss_j = sum_i xc_ij^2 and each view's rows in it
+    XcT = np.vstack([X.T for X in views])
+    m = XcT.mean(axis=1)
+    XcT -= m[:, None]
+    ends = np.cumsum([X.shape[1] for X in views])
+    slices = [slice(e - X.shape[1], e) for e, X in zip(ends, views)]
+    return XcT, m, np.einsum("ji,ji->j", XcT, XcT), slices
 
 
-def _centred(X):
-    # column means m, X - m and (X - m)^2; built once per view per fit
-    m = X.mean(axis=0)
-    Xc = X - m
-    return m, Xc, Xc * Xc
+def _scales(model, delta):
+    # S_j = v_h w_j delta_j over the stacked columns
+    return np.concatenate([v * w * dlt for v, w, dlt
+                           in zip(model.view_weights, model.feature_weights, delta)])
 
 
-def _distances(Xc, Xc2, Ac, scale):
-    # sum_j s_j (xc_ij - ac_kj)^2 expanded: one GEMM, (n, c) temporaries only
-    D = Xc @ (Ac * (-2.0 * scale)).T
-    D += (Xc2 @ scale)[:, None]
-    D += (Ac * Ac) @ scale
-    return D
+def _logits(Ac, S, XcT):
+    # minus the aggregate distances sum_j S_j (xc_ij - ac_kj)^2, less their
+    # per-sample term sum_j S_j xc_ij^2: one GEMM for all views, (c, n)
+    L = (Ac * (2.0 * S)) @ XcT
+    L -= ((Ac * Ac) @ S)[:, None]
+    return L
 
 
-def _distances_of(cviews, model, delta):
-    return [_distances(Xc, Xc2, A - m, w * dlt)
-            for (m, Xc, Xc2), A, w, dlt
-            in zip(cviews, model.centers, model.feature_weights, delta)]
+def _cluster_sums(U, XcT):
+    # G = U Xc (c, D) and the cluster masses (c,)
+    return U @ XcT.T, U.sum(axis=1)
 
 
-def _weighted_sum(D, view_weights):
-    T = view_weights[0] * D[0]
-    for v, Dh in zip(view_weights[1:], D[1:]):
-        T += v * Dh
-    return T
+def _feature_costs(G, Ac, mass, sq, dlt):
+    # E_j = delta_j sum_ik u_ik (xc_ij - ac_kj)^2 for any centers from (c, D)
+    # sums and sq_j = sum_i (sum_k u_ik) xc_ij^2, which is ss_j on the simplex
+    return dlt * (sq - 2.0 * np.einsum("kj,kj->j", Ac, G) + mass @ (Ac * Ac))
 
 
-def _feature_weights(cviews, model, delta, eta):
-    # E_j = delta_j * sum_ik mu_ik (xc_ij - ac_kj)^2 from (c, d) sums:
-    # r.Xc^2 - 2 sum_k ac_k (mu^T Xc)_k + colsum.ac^2, with r and colsum the
-    # row and column sums of mu. Feature j gets weight proportional to
-    # (1/delta_j) exp(-v_h E_j / eta)
-    U = model.membership
-    rows, cols = _row_sums(U), _column_sums(U)
-    weights = []
-    for (m, Xc, Xc2), A, dlt, v in zip(cviews, model.centers, delta, model.view_weights):
-        Ac = A - m
-        cross = np.sum(Ac * (U.T @ Xc), axis=0)
-        E = dlt * (rows @ Xc2 - 2.0 * cross + cols @ (Ac * Ac))
-        weights.append(_softmax(-np.log(dlt) - v * E / eta))
-    return weights
+def _feature_weights(E, delta, slices, view_weights, eta):
+    # feature j gets weight proportional to (1/delta_j) exp(-v_h E_j / eta)
+    return [_softmax(-np.log(dlt) - v * E[sl] / eta)
+            for dlt, sl, v in zip(delta, slices, view_weights)]
 
 
-def _costs_given_distances(D, membership):
-    return np.array([float(np.vdot(membership, Dh)) for Dh in D])
+def _view_costs(E, feature_weights, slices):
+    # F_h = sum_ik u_ik sum_j w_j delta_j (x_ij - a_kj)^2 = w_h . E_h
+    return np.array([float(w @ E[sl]) for w, sl in zip(feature_weights, slices)])
+
+
+def _view_centers(Ac, m, slices):
+    # the uncentred (c, d_h) centers of each view
+    return [Ac[:, sl] + m[sl] for sl in slices]
 
 
 def entropic_simplex_argmin(costs, beta):
@@ -345,10 +337,10 @@ def resolve_regularization(params, dims, n):
     return beta, params.eta * scale
 
 
-def _objective_given_costs(costs, model, delta, beta, eta):
-    # distortion plus the three entropy terms; 0*log(0) counts as 0
+def _objective_given_costs(costs, membership_entropy, model, delta, beta, eta):
+    # distortion plus the three entropy terms, the membership one given;
+    # 0*log(0) counts as 0
     distortion = float(model.view_weights @ costs)
-    membership_entropy = _xlogx(model.membership)
     vw = model.view_weights
     beta = np.broadcast_to(np.asarray(beta, dtype=float), vw.shape)
     mask = vw > 0
@@ -431,19 +423,16 @@ def init_centers(data, c, seed, delta):
     return [X[chosen].copy() for X in views]
 
 
-def _centers_with_reseed(views, membership, agg_dist):
-    """Center update that re-seeds empty clusters at the worst-served samples."""
-    colsum = _column_sums(membership)
-    safe = np.where(colsum > EMPTY_CLUSTER_TOL, colsum, 1.0)
-    centers = [(membership.T @ X) / safe[:, None] for X in views]
-    empty = np.flatnonzero(colsum <= EMPTY_CLUSTER_TOL)
+def _centers_with_reseed(G, mass, XcT, S, peak):
+    # centred centers; empty clusters are re-seeded at the worst-served samples,
+    # ranked by the dropped per-sample term less the peak logit (only then computed)
+    safe = np.where(mass > EMPTY_CLUSTER_TOL, mass, 1.0)
+    Ac = G / safe[:, None]
+    empty = np.flatnonzero(mass <= EMPTY_CLUSTER_TOL)
     if empty.size:
-        worst_first = np.argsort(agg_dist.min(axis=1))[::-1]
-        for slot, k in enumerate(empty):
-            i = int(worst_first[slot])
-            for h, X in enumerate(views):
-                centers[h][k] = X[i]
-    return centers
+        worst_first = np.argsort(S @ (XcT * XcT) - peak)[::-1]
+        Ac[empty] = XcT[:, worst_first[:empty.size]].T
+    return Ac
 
 
 def _warn_out_of_range(params, dims, n):
@@ -469,25 +458,26 @@ def _warn_out_of_range(params, dims, n):
 def _descend(dataset, params, step=None) -> FitResult:
     """Block descent shared by both solvers; ``step`` is the pruning hook.
 
-    Each view is column-centred once, before the first iteration. Each
-    iteration then takes, per view, the feature costs from (c, d) sums of
-    the centred view, hence the new feature weights, runs the pruning hook,
-    and then builds each surviving view's (n, c) distance matrix at the new
-    weights from one matrix product (the centred expansion; see the module
-    notes). The distances give the view costs and the objective of this
-    iteration and, with the new view weights, the aggregate distances that
-    open the next one.
+    The views are stacked once into one centred (D, n) array and the
+    memberships are held as (c, n) (see the module notes). Each iteration
+    takes the logits of all views from one matrix product and their softmax
+    over clusters; one more gives the cluster sums, hence the centers, the
+    feature costs and the feature weights. After the pruning hook the
+    feature costs give the view costs, the view weights and the objective.
 
     The descent owns an :class:`ActiveMask` sized to the input, full at the
     start. ``step(t, views, delta, model, mask)`` runs in iteration t right
-    after the feature-weight update. It returns None when it changed
-    nothing. Otherwise it has recorded its removals in the mask, shrunk the
-    model's centers and feature weights in place, and returns the compacted
-    views and dispersion ratios; beta and eta are then re-resolved for the
-    surviving widths, the compacted views are centred again, and the
-    view-weight update sizes the view weights to the surviving views. The
-    result's ``reduced_dataset`` is built from the final views, so a fit
-    that removed nothing hands back the input's arrays uncopied.
+    after the feature-weight update, with the model's per-view uncentred
+    centers and feature weights (memberships are set when the descent ends).
+    It returns None when it changed nothing. Otherwise it has recorded its
+    removals in the mask, shrunk the model's centers and feature weights in
+    place, and returns the compacted views and dispersion ratios; beta and
+    eta are then re-resolved for the surviving widths, the compacted views
+    are stacked again, their cluster sums and feature costs are recomputed
+    at the compacted centers, and the view-weight update sizes the view
+    weights to the surviving views. The result's ``reduced_dataset`` is
+    built from the final views, so a fit that removed nothing hands back the
+    input's arrays uncopied.
     """
     validate(dataset)
     views = _views_of(dataset)
@@ -504,41 +494,50 @@ def _descend(dataset, params, step=None) -> FitResult:
     centers = init_centers(views, params.c, params.seed, delta)
     seed_seconds = time.perf_counter() - tic
     model = ClusterModel(
-        membership=np.empty((n, params.c)),
+        membership=None,
         centers=centers,
         feature_weights=[np.full(d, 1.0 / d) for d in dims],
         view_weights=np.full(s, 1.0 / s),
     )
-    cviews = [_centred(X) for X in views]
-    D = _distances_of(cviews, model, delta)
-    model.membership = _softmax_rows(-_weighted_sum(D, model.view_weights))
-    costs = _costs_given_distances(D, model.membership)
-    trace = [_objective_given_costs(costs, model, delta, beta, eta)]
+    XcT, m, ss, slices = _stack(views)
+    dlt = np.concatenate(delta)
+    Ac = np.hstack(centers) - m
+    U, _, entropy = _softmax_clusters(_logits(Ac, _scales(model, delta), XcT))
+    G, mass = _cluster_sums(U, XcT)
+    costs = _view_costs(_feature_costs(G, Ac, mass, ss, dlt), model.feature_weights, slices)
+    trace = [_objective_given_costs(costs, entropy, model, delta, beta, eta)]
 
     prev = math.inf
     converged = False
     iter_seconds = []
     for t in range(1, params.t_max + 1):
         tic = time.perf_counter()
-        agg = _weighted_sum(D, model.view_weights)
-        model.membership = _softmax_rows(-agg)
-        model.centers = _centers_with_reseed(views, model.membership, agg)
-        model.feature_weights = _feature_weights(cviews, model, delta, eta)
+        S = _scales(model, delta)
+        U, peak, entropy = _softmax_clusters(_logits(Ac, S, XcT))
+        G, mass = _cluster_sums(U, XcT)
+        Ac = _centers_with_reseed(G, mass, XcT, S, peak)
+        E = _feature_costs(G, Ac, mass, ss, dlt)
+        model.centers = _view_centers(Ac, m, slices)
+        model.feature_weights = _feature_weights(E, delta, slices, model.view_weights, eta)
         pruned = None if step is None else step(t, views, delta, model, mask)
         if pruned is not None:
             views, delta = pruned
             beta, eta = resolve_regularization(params, [X.shape[1] for X in views], n)
-            cviews = [_centred(X) for X in views]
-        D = _distances_of(cviews, model, delta)
-        costs = _costs_given_distances(D, model.membership)
+            XcT, m, ss, slices = _stack(views)
+            dlt = np.concatenate(delta)
+            Ac = np.hstack(model.centers) - m
+            G, mass = _cluster_sums(U, XcT)
+            E = _feature_costs(G, Ac, mass, ss, dlt)
+        costs = _view_costs(E, model.feature_weights, slices)
         model.view_weights = entropic_simplex_argmin(costs, beta)
-        J = _objective_given_costs(costs, model, delta, beta, eta)
+        J = _objective_given_costs(costs, entropy, model, delta, beta, eta)
         trace.append(J)
         iter_seconds.append(time.perf_counter() - tic)
         if abs(J - prev) <= params.epsilon:
             converged = True
             break
         prev = J
+    model.membership = np.ascontiguousarray(U.T)
     names = dataset.view_names
     if names is not None:
         names = [names[h] for h in mask.active_views()]
@@ -547,7 +546,7 @@ def _descend(dataset, params, step=None) -> FitResult:
         objective_trace=np.asarray(trace),
         iterations=len(trace) - 1,
         converged=converged,
-        hard_labels=np.argmax(model.membership, axis=1),
+        hard_labels=np.argmax(U, axis=0),
         delta=delta,
         seed_seconds=seed_seconds,
         mask=mask,

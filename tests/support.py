@@ -2,26 +2,24 @@
 
 The oracles state single block updates and the model invariants on their
 own, apart from the solver loop that fuses them. The block calls
-(``per_view_distances`` through ``objective``) are compositions of the
-solver's private kernels with no arithmetic of their own, so a test that
-calls them exercises exactly what ``fit`` runs.
+(``per_view_distances`` through ``_centers_with_reseed``) are compositions of
+the solver's private kernels on its stacked, cluster-major layout, with no
+arithmetic of their own beyond three adapters, all there so that the blocks
+stay exact for any model, memberships off the simplex included: the
+per-sample term that the logits leave out is added back where a distance is
+asked for, the squared sums of the feature costs are weighted by the actual
+membership row sums, and the membership entropy is summed directly (``fit``
+takes it from the logits). A test that calls them exercises what ``fit``
+runs, in the (n, c) layout of the model.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
-from mvclust.amvfcm import (
-    HyperParams,
-    _centred,
-    _costs_given_distances,
-    _distances_of,
-    _feature_weights,
-    _objective_given_costs,
-    _softmax_rows,
-    _views_of,
-    _weighted_sum,
-)
+from mvclust import amvfcm
+from mvclust.amvfcm import HyperParams, _views_of
 from mvclust.data import (
     EmptyDatasetError,
     MatrixFormatError,
@@ -116,7 +114,7 @@ def weighted_distance(views, model, delta, i, k, h) -> float:
 def per_view_distances_exact(views, model, delta):
     """Per-view distance matrices from the (n, c, d) squared-difference tensor.
 
-    Oracle for the solver's distance kernel ``amvfcm._distances`` (reached
+    Oracle for the solver's logits kernel ``amvfcm._logits`` (reached
     through ``per_view_distances``), which expands the square on centred data
     instead of materializing every difference.
     """
@@ -126,30 +124,72 @@ def per_view_distances_exact(views, model, delta):
     return out
 
 
+def _logits_of(views, model, delta, view_weights):
+    # fit's stacked logits at these view weights, and the scales and stack
+    # that rebuild the distances from them
+    views = _views_of(views)
+    XcT, m, _, _ = amvfcm._stack(views)
+    S = amvfcm._scales(dataclasses.replace(model, view_weights=view_weights), delta)
+    return amvfcm._logits(np.hstack(model.centers) - m, S, XcT), S, XcT
+
+
+def _distances(views, model, delta, view_weights):
+    L, S, XcT = _logits_of(views, model, delta, view_weights)
+    return (S @ (XcT * XcT) - L).T
+
+
 def per_view_distances(views, model, delta):
-    """Per-view (n, c) matrices of sum_j w_j delta_j (x_ij - a_kj)^2, as fit builds them."""
-    return _distances_of([_centred(X) for X in _views_of(views)], model, delta)
+    """Per-view (n, c) matrices of sum_j w_j delta_j (x_ij - a_kj)^2, from fit's logits."""
+    views = _views_of(views)
+    return [_distances([X], dataclasses.replace(model, centers=[A], feature_weights=[w]),
+                       [dlt], np.ones(1))
+            for X, A, w, dlt in zip(views, model.centers, model.feature_weights, delta)]
 
 
 def aggregate_distances(views, model, delta):
     """View-weighted sum of the per-view distance matrices, shape (n, c)."""
-    return _weighted_sum(per_view_distances(views, model, delta), model.view_weights)
+    return _distances(views, model, delta, model.view_weights)
+
+
+def _feature_costs(views, model, delta):
+    # fit's feature costs at the model's memberships and centers, and the
+    # stacked slices of the views
+    XcT, m, _, slices = amvfcm._stack(_views_of(views))
+    U = np.ascontiguousarray(model.membership.T)
+    G, mass = amvfcm._cluster_sums(U, XcT)
+    sq = (XcT * XcT) @ U.sum(axis=0)
+    E = amvfcm._feature_costs(G, np.hstack(model.centers) - m, mass, sq, np.concatenate(delta))
+    return E, slices
 
 
 def update_feature_weights(views, model, delta, eta):
     """Exact W-block minimizer: weights proportional to (1/delta_j) exp(-v_h E_j / eta)."""
-    cviews = [_centred(X) for X in _views_of(views)]
-    return _feature_weights(cviews, model, delta, eta)
+    E, slices = _feature_costs(views, model, delta)
+    return amvfcm._feature_weights(E, delta, slices, model.view_weights, eta)
 
 
 def view_costs(views, model, delta):
     """Membership-weighted total distortion per view, shape (s,)."""
-    return _costs_given_distances(per_view_distances(views, model, delta), model.membership)
+    E, slices = _feature_costs(views, model, delta)
+    return amvfcm._view_costs(E, model.feature_weights, slices)
 
 
 def objective(views, model, delta, beta, eta) -> float:
     """Joint objective; beta = eta = 0 gives distortion plus membership entropy."""
-    return _objective_given_costs(view_costs(views, model, delta), model, delta, beta, eta)
+    return amvfcm._objective_given_costs(view_costs(views, model, delta),
+                                         _xlogx(model.membership), model, delta, beta, eta)
+
+
+def _xlogx(p):
+    # sum of p*log(p) with the 0*log(0) = 0 convention, for any memberships
+    logp = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return float(np.vdot(p, logp))
+
+
+def _softmax_rows(logits):
+    """Softmax of each row of an (n, c) array, by fit's cluster-axis kernel."""
+    U, _, _ = amvfcm._softmax_clusters(np.array(logits.T, order="C"))
+    return U.T
 
 
 def update_membership(views, model, delta):
@@ -158,8 +198,23 @@ def update_membership(views, model, delta):
     Max-subtraction keeps the exponentials stable, so adding a constant to
     every cluster's aggregate distance leaves the result unchanged.
     """
-    T = aggregate_distances(_views_of(views), model, delta)
-    return _softmax_rows(-T)
+    L, _, _ = _logits_of(views, model, delta, model.view_weights)
+    U, _, _ = amvfcm._softmax_clusters(L)
+    return U.T
+
+
+def _centers_with_reseed(views, membership, agg_dist):
+    """Center update on (n, c) memberships; empty clusters go to the worst served.
+
+    The kernel ranks samples by their smallest aggregate distance, the row
+    term at scales S less the peak logit; with S = 0 and the peak at minus
+    the smallest of ``agg_dist``, it ranks by ``agg_dist`` itself.
+    """
+    views = _views_of(views)
+    XcT, m, _, slices = amvfcm._stack(views)
+    G, mass = amvfcm._cluster_sums(np.ascontiguousarray(membership.T), XcT)
+    Ac = amvfcm._centers_with_reseed(G, mass, XcT, np.zeros(len(m)), -agg_dist.min(axis=1))
+    return amvfcm._view_centers(Ac, m, slices)
 
 
 def update_centers(views, membership):

@@ -24,6 +24,8 @@ import numpy as np
 import pytest
 
 from support import (
+    _centers_with_reseed,
+    _softmax_rows,
     aggregate_distances,
     assert_trace_non_increasing,
     objective,
@@ -40,8 +42,6 @@ from mvclust.amvfcm import (
     EMPTY_CLUSTER_TOL,
     ClusterModel,
     HyperParams,
-    _centers_with_reseed,
-    _softmax_rows,
     _views_of,
     entropic_simplex_argmin,
     init_centers,

@@ -21,12 +21,10 @@ from support import (
     view_costs,
     weighted_distance,
 )
-from mvclust import amvfcm, fit_full
+from mvclust import amvfcm, fit_full, fit_pruning
 from mvclust.amvfcm import (
     ClusterModel,
     HyperParams,
-    _centers_with_reseed,
-    _softmax_rows,
     entropic_simplex_argmin,
     fit,
     init_centers,
@@ -35,7 +33,7 @@ from mvclust.amvfcm import (
 from mvclust.data import MultiViewDataset
 from mvclust.metrics import score_all
 from mvclust.snr import compute_delta
-from mvclust.synth import GmmSpec, default_benchmark_spec, generate
+from mvclust.synth import GmmSpec, NoiseSpec, append_noise, default_benchmark_spec, generate
 
 
 def single_view_model(X, centers, w=None, v=None):
@@ -94,8 +92,9 @@ def _random_model(views, c, rng, seeded):
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 def test_per_view_distances_match_tensor_oracle(offset):
-    # the expansion runs on centred data; uncentred, the same kernel loses
-    # the distances to cancellation once the data sit far from the origin
+    # the logits plus the per-sample term they drop rebuild the distances on
+    # centred data; uncentred, the same kernels lose them to cancellation once
+    # the data sit far from the origin
     rng = np.random.default_rng(41)
     worst = uncentred_worst = 0.0
     for i in range(200):
@@ -109,7 +108,8 @@ def test_per_view_distances_match_tensor_oracle(offset):
                                       delta, got, want, strict=True):
             scale = W.max()
             worst = max(worst, np.abs(G - W).max() / scale)
-            uncentred = amvfcm._distances(X, X * X, A, w * dlt)
+            XT = np.ascontiguousarray(X.T)
+            uncentred = ((w * dlt) @ (XT * XT) - amvfcm._logits(A, w * dlt, XT)).T
             uncentred_worst = max(uncentred_worst, np.abs(uncentred - W).max() / scale)
     assert worst <= 1e-12
     if offset:
@@ -122,17 +122,72 @@ def test_weight_and_distance_pass_needs_no_tensor():
     rng = np.random.default_rng(42)
     views = [rng.uniform(0.5, 9.0, (n, d)), rng.uniform(0.5, 9.0, (n, d))]
     model = _random_model(views, c, rng, seeded=True)
-    model.membership = rng.dirichlet(np.ones(c), size=n)
     delta = [np.ones(d), np.ones(d)]
-    cviews = [amvfcm._centred(X) for X in views]
+    XcT, m, ss, slices = amvfcm._stack(views)
+    Ac = np.hstack(model.centers) - m
     tracemalloc.start()
     try:
-        model.feature_weights = amvfcm._feature_weights(cviews, model, delta, eta=1.0)
-        amvfcm._distances_of(cviews, model, delta)
-        _, peak = tracemalloc.get_traced_memory()
+        S = amvfcm._scales(model, delta)
+        U, peak, _ = amvfcm._softmax_clusters(amvfcm._logits(Ac, S, XcT))
+        G, mass = amvfcm._cluster_sums(U, XcT)
+        Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
+        E = amvfcm._feature_costs(G, Ac, mass, ss, np.concatenate(delta))
+        model.feature_weights = amvfcm._feature_weights(E, delta, slices,
+                                                        model.view_weights, eta=1.0)
+        amvfcm._view_costs(E, model.feature_weights, slices)
+        _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * c * d * 8
+    assert peak_bytes < n * c * d * 8
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_feature_costs_match_tensor_oracle(offset):
+    # E_j = delta_j sum_ik mu_ik (x_ij - a_kj)^2 from the (c, D) cluster sums
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    for i in range(200):
+        ds, params = support.random_instance(rng, n_max=120)
+        views = [X + offset for X in ds.views]
+        model = _random_model(views, params.c, rng, seeded=i % 2 == 0)
+        U = rng.dirichlet(np.ones(params.c), size=views[0].shape[0])
+        delta = [rng.uniform(0.1, 10.0, X.shape[1]) for X in views]
+        XcT, m, ss, slices = amvfcm._stack(views)
+        G, mass = amvfcm._cluster_sums(np.ascontiguousarray(U.T), XcT)
+        E = amvfcm._feature_costs(G, np.hstack(model.centers) - m, mass, ss,
+                                  np.concatenate(delta))
+        for X, A, dlt, sl in zip(views, model.centers, delta, slices, strict=True):
+            want = dlt * np.einsum("ik,ikj->j", U, (X[:, None, :] - A[None, :, :]) ** 2)
+            worst = max(worst, np.abs(E[sl] - want).max() / want.max())
+    assert worst <= 1e-12
+
+
+def test_empty_clusters_reseed_at_the_worst_served_samples():
+    # worst served = largest smallest aggregate distance, from the tensor oracle
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        n, c = 60, 4
+        views = [rng.uniform(1.0, 9.0, (n, 3)), rng.uniform(1.0, 9.0, (n, 2))]
+        model = _random_model(views, c, rng, seeded=False)
+        model.view_weights = rng.dirichlet(np.ones(2))
+        delta = [rng.uniform(0.1, 10.0, X.shape[1]) for X in views]
+        exact = sum(v * D for v, D in zip(
+            model.view_weights, support.per_view_distances_exact(views, model, delta)))
+        worst_first = np.argsort(exact.min(axis=1))[::-1]
+        XcT, m, _, slices = amvfcm._stack(views)
+        S = amvfcm._scales(model, delta)
+        _, peak, _ = amvfcm._softmax_clusters(
+            amvfcm._logits(np.hstack(model.centers) - m, S, XcT))
+        # clusters 1 and 3 get no mass; the others split the samples
+        U = np.zeros((c, n))
+        U[rng.choice([0, 2], size=n), np.arange(n)] = 1.0
+        G, mass = amvfcm._cluster_sums(U, XcT)
+        Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
+        centers = amvfcm._view_centers(Ac, m, slices)
+        for slot, k in enumerate([1, 3]):
+            np.testing.assert_array_equal(Ac[k], XcT[:, worst_first[slot]])
+            for X, A in zip(views, centers, strict=True):
+                np.testing.assert_allclose(A[k], X[worst_first[slot]], rtol=1e-14)
 
 
 # ---------------------------------------------------------------- membership
@@ -500,6 +555,39 @@ def test_fit_model_invariants_and_hard_labels():
     np.testing.assert_array_equal(res.delta[0], compute_delta(ds)[0])
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("solver", [fit_full, fit_pruning])
+def test_fit_membership_is_c_contiguous_samples_by_clusters(solver):
+    # the descent iterates on (c, n) memberships; the result is (n, c)
+    ds = append_noise(generate(default_benchmark_spec(120, seed=5)),
+                      NoiseSpec(features_per_view=1), seed=5)
+    res = solver(ds, HyperParams(c=5, seed=5))
+    U = res.model.membership
+    assert U.shape == (120, 5)
+    assert U.flags.c_contiguous
+    np.testing.assert_allclose(U.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(res.hard_labels, np.argmax(U, axis=1))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fit_trace_ends_at_the_oracle_objective_of_its_model():
+    # the descent takes the membership entropy from the logits and the feature
+    # costs from sums that take the membership rows to sum to 1; the direct
+    # objective of the returned model agrees, for both solvers
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        ds, params = support.random_instance(rng, n_max=120)
+        for solver in (fit_full, fit_pruning):
+            res = solver(ds, params)
+            views = list(res.reduced_dataset.views)
+            beta, eta = resolve_regularization(params, [X.shape[1] for X in views],
+                                               ds.n_samples)
+            J = objective(views, res.model, res.delta, beta, eta)
+            distortion = float(view_costs(views, res.model, res.delta) @ res.model.view_weights)
+            scale = distortion + ds.n_samples * math.log(params.c)
+            assert abs(J - res.objective_trace[-1]) <= 1e-12 * scale
+
+
 def test_fit_result_has_full_mask_and_the_input_views():
     base = generate(default_benchmark_spec(120, seed=6))
     ds = MultiViewDataset(base.views, base.labels, ("left", "right"))
@@ -537,38 +625,56 @@ def replay_fit(dataset, params):
     delta = compute_delta(dataset, params.delta_clamp)
     beta, eta = resolve_regularization(params, dims, n)
     model = ClusterModel(
-        membership=np.empty((n, params.c)),
+        membership=None,
         centers=init_centers(views, params.c, params.seed, delta),
         feature_weights=[np.full(d, 1.0 / d) for d in dims],
         view_weights=np.full(len(views), 1.0 / len(views)),
     )
-    model.membership = _softmax_rows(-aggregate_distances(views, model, delta))
-    trace = [objective(views, model, delta, beta, eta)]
+    XcT, m, ss, slices = amvfcm._stack(views)
+    dlt = np.concatenate(delta)
+
+    def feature_costs(U, Ac):
+        G, mass = amvfcm._cluster_sums(U, XcT)
+        return amvfcm._feature_costs(G, Ac, mass, ss, dlt)
+
+    def objective_of(U, entropy, Ac):
+        costs = amvfcm._view_costs(feature_costs(U, Ac), model.feature_weights, slices)
+        return amvfcm._objective_given_costs(costs, entropy, model, delta, beta, eta)
+
+    Ac = np.hstack(model.centers) - m
+    U, _, entropy = amvfcm._softmax_clusters(
+        amvfcm._logits(Ac, amvfcm._scales(model, delta), XcT))
+    trace = [objective_of(U, entropy, Ac)]
     for _ in range(params.t_max):
-        agg = aggregate_distances(views, model, delta)
-        model.membership = _softmax_rows(-agg)
-        model.centers = _centers_with_reseed(views, model.membership, agg)
-        model.feature_weights = update_feature_weights(views, model, delta, eta)
+        S = amvfcm._scales(model, delta)
+        U, peak, entropy = amvfcm._softmax_clusters(amvfcm._logits(Ac, S, XcT))
+        G, mass = amvfcm._cluster_sums(U, XcT)
+        Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
+        model.feature_weights = amvfcm._feature_weights(
+            feature_costs(U, Ac), delta, slices, model.view_weights, eta)
         model.view_weights = entropic_simplex_argmin(
-            view_costs(views, model, delta), beta
-        )
-        trace.append(objective(views, model, delta, beta, eta))
+            amvfcm._view_costs(feature_costs(U, Ac), model.feature_weights, slices), beta)
+        trace.append(objective_of(U, entropy, Ac))
         if abs(trace[-1] - trace[-2]) <= params.epsilon:
             break
-    return trace, model
+    model.centers = amvfcm._view_centers(Ac, m, slices)
+    return trace, model, U
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_fit_equals_block_by_block_replay():
-    # the loop reuses one distance pass for view costs, objective, and the
-    # next aggregate; that must not change a single bit of the result
+    # the loop reuses one set of cluster sums for the centers, the feature
+    # costs and the view costs; that must not change a single bit of the result
     rng = np.random.default_rng(31)
     for _ in range(8):
         ds, params = support.random_instance(rng, n_max=120)
         res = fit_full(ds, params)
-        trace, model = replay_fit(ds, params)
+        trace, model, U = replay_fit(ds, params)
         np.testing.assert_array_equal(res.objective_trace, trace)
-        np.testing.assert_array_equal(res.hard_labels, np.argmax(model.membership, axis=1))
+        np.testing.assert_array_equal(res.model.membership, U.T)
+        np.testing.assert_array_equal(res.hard_labels, np.argmax(U, axis=0))
         np.testing.assert_array_equal(res.model.view_weights, model.view_weights)
         for got, want in zip(res.model.feature_weights, model.feature_weights, strict=True):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(res.model.centers, model.centers, strict=True):
             np.testing.assert_array_equal(got, want)

@@ -1,11 +1,11 @@
-"""How often the solvers build distance matrices, and what seeding picks.
+"""How often the solvers build logits and stack the views, and what seeding picks.
 
-A fit centres each view once and builds each view's (n, c) distance matrix
-once at initialization; each iteration then builds one per view still alive
-after its pruning step. A pruning step that removes columns adds one
-re-centring per surviving view. Seeding
-ranks its candidates by a Gram expansion and recomputes only the winner's
-distances exactly, which must not change a single pick.
+A fit stacks all views into one centred array once and takes the logits of
+all views from one matrix product at initialization; each iteration then
+takes one more, whatever the view count. A pruning step that removes columns
+adds one stacking of the surviving views. Seeding ranks its candidates by a
+Gram expansion and recomputes only the winner's distances exactly, which must
+not change a single pick.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ def _count_calls(monkeypatch, name):
     real = getattr(amvfcm, name)
 
     def counting(*args):
-        calls.append(args[0].shape[1])
+        calls.append(name)
         return real(*args)
 
     monkeypatch.setattr(amvfcm, name, counting)
@@ -31,48 +31,41 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.fixture
-def distance_calls(monkeypatch):
-    return _count_calls(monkeypatch, "_distances")
+def logit_calls(monkeypatch):
+    return _count_calls(monkeypatch, "_logits")
 
 
 @pytest.fixture
-def centring_calls(monkeypatch):
-    return _count_calls(monkeypatch, "_centred")
+def stack_calls(monkeypatch):
+    return _count_calls(monkeypatch, "_stack")
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_full_fit_builds_one_distance_matrix_per_view_per_iteration(
-        distance_calls, centring_calls):
+def test_full_fit_takes_one_logits_product_per_iteration(logit_calls, stack_calls):
     rng = np.random.default_rng(7)
+    views = set()
     for _ in range(30):
         ds, params = support.random_instance(rng, n_max=120)
-        distance_calls.clear()
-        centring_calls.clear()
+        logit_calls.clear()
+        stack_calls.clear()
         res = fit_full(ds, params)
-        assert len(distance_calls) == ds.n_views * (1 + res.iterations)
-        assert len(centring_calls) == ds.n_views
+        assert len(logit_calls) == 1 + res.iterations
+        assert len(stack_calls) == 1
+        views.add(ds.n_views)
+    assert views == {1, 2, 3}
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_pruning_fit_builds_distances_for_surviving_views_only(
-        distance_calls, centring_calls):
+def test_pruning_fit_restacks_once_per_pruning_iteration(logit_calls, stack_calls):
     rng = np.random.default_rng(8)
     pruned = 0
     for _ in range(30):
         ds, params = support.random_instance(rng, n_max=120)
-        distance_calls.clear()
-        centring_calls.clear()
+        logit_calls.clear()
+        stack_calls.clear()
         res = fit_pruning(ds, params)
-        view_removals = [e.iteration for e in res.mask.removals if e.kind == "view"]
-        expected = centred = ds.n_views
-        for t in range(1, res.iterations + 1):
-            # one build per view alive after iteration t's pruning step
-            survivors = ds.n_views - sum(r <= t for r in view_removals)
-            expected += survivors
-            if t in res.pruning_iterations:
-                centred += survivors
-        assert len(distance_calls) == expected
-        assert len(centring_calls) == centred
+        assert len(logit_calls) == 1 + res.iterations
+        assert len(stack_calls) == 1 + len(res.pruning_iterations)
         pruned += bool(res.pruning_iterations)
     assert pruned >= 5
 
