@@ -7,8 +7,9 @@ count) are removed and never come back; the surviving weights of a view are
 renormalized. A view that loses all of its features is eliminated the same
 way; the view weights are not renormalized but recomputed for the surviving
 views by the view-weight update that follows. After every elimination the
-surviving columns are stacked again into the descent's one centred array,
-so later iterations get cheaper as columns disappear.
+descent's one centred array and the rest of its stacked state are
+restricted to the surviving columns, so later iterations get cheaper as
+columns disappear.
 
 The objective is only comparable between eliminations: each pruning event
 changes the domain (and the automatic per-view beta), so the trace is
@@ -27,27 +28,24 @@ from .amvfcm import ActiveMask, FitResult, HyperParams, RemovalEvent, _descend
 from .data import MultiViewDataset
 
 
-def prune_features(iteration, views, delta, model, mask: ActiveMask):
+def prune_features(iteration, feature_weights, n, mask: ActiveMask):
     """Remove features weighted strictly below width / n, then emptied views.
 
     The descent's pruning hook (see :func:`mvclust.amvfcm._descend`), run in
-    iteration ``iteration`` right after the feature-weight update; n is the
-    row count of the views. ``model``, ``views`` and ``delta`` are aligned
-    with the mask's active views. One selection of low weights decides the
-    removal events (features first, then the views left without any), the
-    mask, and the compaction. If every active feature is low, the largest
-    weight of the last active view is retained instead (with a warning), so
-    at least one feature survives. Returns None when nothing was removed.
-    Otherwise the model's centers and feature weights are compacted in place,
-    the surviving weights of each view that lost a column are renormalized to
-    sum to 1, and the compacted views and dispersion ratios are returned.
-    View weights are left to the next view-weight update.
+    iteration ``iteration`` right after the feature-weight update, with one
+    weight vector per active view of the mask, in order, and the sample
+    count n. One selection of low weights decides the removal events
+    (features first, then the views left without any) and the mask. If every
+    active feature is low, the largest weight of the last active view is
+    retained instead (with a warning), so at least one feature survives.
+    Returns None when nothing was removed, otherwise a boolean vector over
+    the concatenated weights that is True for the survivors. Nothing is
+    compacted or renormalized here; the descent does that.
     """
     active = mask.active_views()
-    n = views[0].shape[0]
-    low = [w < w.size / n for w in model.feature_weights]
+    low = [w < w.size / n for w in feature_weights]
     if all(lo.all() for lo in low):
-        keep = int(np.argmax(model.feature_weights[-1]))
+        keep = int(np.argmax(feature_weights[-1]))
         low[-1][keep] = False
         warnings.warn(
             f"pruning would remove the last active feature; retaining "
@@ -60,25 +58,11 @@ def prune_features(iteration, views, delta, model, mask: ActiveMask):
         cols = mask.active_columns(h)[lo]
         mask.feature_masks[h][cols] = False
         mask.removals.extend(RemovalEvent(iteration, "feature", h, int(j)) for j in cols)
-    kept_views, kept_delta, centers, weights = [], [], [], []
-    for h, X, dlt, A, w, lo in zip(active, views, delta, model.centers,
-                                   model.feature_weights, low):
+    for h, lo in zip(active, low):
         if lo.all():
             mask.view_mask[h] = False
             mask.removals.append(RemovalEvent(iteration, "view", h, None))
-            continue
-        if lo.any():
-            # sum the zero-filled full vector: numpy's pairwise summation
-            # order, and so the rounding, depends on the length
-            w = np.where(lo, 0.0, w)
-            w = w / w.sum()
-        cols = np.flatnonzero(~lo)
-        kept_views.append(X[:, cols])
-        kept_delta.append(dlt[cols])
-        centers.append(A[:, cols])
-        weights.append(w[cols])
-    model.centers, model.feature_weights = centers, weights
-    return kept_views, kept_delta
+    return ~np.concatenate(low)
 
 
 def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
@@ -86,7 +70,7 @@ def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:
 
     This is :func:`mvclust.amvfcm.fit` with :func:`prune_features` as its
     pruning step. Iteration order: memberships, centers, feature weights,
-    pruning (features, then emptied views, then compaction), view weights,
+    pruning (features, then emptied views), view weights,
     objective. Pruning runs from the first iteration on and has no setting
     of its own. The dispersion ratios are computed once up front and
     restricted to the surviving columns after each elimination. Stopping and

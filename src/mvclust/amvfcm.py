@@ -23,7 +23,12 @@ aggregate distances cancels there and is never formed. One more product,
 G = U Xc, gives the centers G / (cluster masses) and the feature costs
 E_j = delta_j (ss_j - 2 sum_k ac_kj G_kj + sum_k mass_k ac_kj^2), with
 ss_j = sum_i xc_ij^2, hence the view costs w_h . E_h: two matrix products
-per iteration for all views. Centring keeps the rounding at the scale of the
+per iteration for all views. The feature weights are one vector over the
+stacked columns, with view_of naming each column's view, so the per-view
+softmax, view costs and entropies are segment reductions over it. Pruning
+is a boolean keep-vector over the columns: the descent indexes every stacked
+array with it and never restacks, and the per-view model is built from the
+mask once, when the fit ends. Centring keeps the rounding at the scale of the
 data's spread, not of its offset: on 200 random instances, as given and
 shifted by 1e6, distances rebuilt from the logits are within 6.1e-16 of each
 view's largest distance (3.0e-3 uncentred and shifted), and the feature
@@ -43,8 +48,7 @@ from .data import MultiViewDataset, validate
 from .snr import DEFAULT_CLAMP, compute_delta
 
 EMPTY_CLUSTER_TOL = 1e-12
-ETA_RANGE_FLOOR = 0.0015
-ETA_RANGE_SCALE = 0.025
+ETA_RANGE = (0.0015, 0.025)
 TEMP_CALIBRATION = 32.0
 
 
@@ -58,8 +62,8 @@ class HyperParams:
         Number of clusters, >= 2.
     eta : float
         Feature-weight entropy strength in per-sample units, > 0 (see
-        :func:`resolve_regularization`). Values outside
-        [0.0015, 0.025 * d_min/d_max] trigger a warning at fit time.
+        :func:`resolve_regularization`). Values outside [0.0015, 0.025]
+        trigger a warning at fit time.
     beta : float or None
         View-weight entropy strength in per-sample units. None selects the
         per-view automatic value d_h / n, which is not size-invariant (see
@@ -168,11 +172,13 @@ class FitResult:
     each iteration appends one more value, so the trace has ``iterations + 1``
     entries. ``iter_seconds`` holds per-iteration wall times and
     ``seed_seconds`` the wall time of center seeding; these two are the only
-    nondeterministic fields. ``model.membership`` is a C-contiguous (n, c)
-    array, copied once at the end from the (c, n) layout of the descent.
+    nondeterministic fields.
 
     ``mask`` records which original views and columns survived and every
-    removal event; ``model`` and ``delta`` are sized to the survivors.
+    removal event. The per-view arrays are built once, at the end, from the
+    descent's stacked state and the mask: ``model`` and ``delta`` are sized
+    to the survivors, and ``model.membership`` is a C-contiguous (n, c)
+    array copied from the (c, n) layout of the descent.
     ``reduced_dataset`` holds the surviving views, names and the labels; pair
     it with ``mask.active_columns`` to map back to original column positions.
     A fit that removed nothing has a full mask and the input's own views.
@@ -220,19 +226,12 @@ def _softmax(x):
 
 def _stack(views):
     # every view feature-major and column-centred in one (D, n) array, with
-    # the column means m, ss_j = sum_i xc_ij^2 and each view's rows in it
+    # the column means m, ss_j = sum_i xc_ij^2 and each column's view index
     XcT = np.vstack([X.T for X in views])
     m = XcT.mean(axis=1)
     XcT -= m[:, None]
-    ends = np.cumsum([X.shape[1] for X in views])
-    slices = [slice(e - X.shape[1], e) for e, X in zip(ends, views)]
-    return XcT, m, np.einsum("ji,ji->j", XcT, XcT), slices
-
-
-def _scales(model, delta):
-    # S_j = v_h w_j delta_j over the stacked columns
-    return np.concatenate([v * w * dlt for v, w, dlt
-                           in zip(model.view_weights, model.feature_weights, delta)])
+    view_of = np.repeat(np.arange(len(views)), [X.shape[1] for X in views])
+    return XcT, m, np.einsum("ji,ji->j", XcT, XcT), view_of
 
 
 def _logits(Ac, S, XcT):
@@ -254,20 +253,17 @@ def _feature_costs(G, Ac, mass, sq, dlt):
     return dlt * (sq - 2.0 * np.einsum("kj,kj->j", Ac, G) + mass @ (Ac * Ac))
 
 
-def _feature_weights(E, delta, slices, view_weights, eta):
-    # feature j gets weight proportional to (1/delta_j) exp(-v_h E_j / eta)
-    return [_softmax(-np.log(dlt) - v * E[sl] / eta)
-            for dlt, sl, v in zip(delta, slices, view_weights)]
+def _view_starts(view_of):
+    # the first stacked column of each view
+    return np.flatnonzero(np.diff(view_of, prepend=-1))
 
 
-def _view_costs(E, feature_weights, slices):
-    # F_h = sum_ik u_ik sum_j w_j delta_j (x_ij - a_kj)^2 = w_h . E_h
-    return np.array([float(w @ E[sl]) for w, sl in zip(feature_weights, slices)])
-
-
-def _view_centers(Ac, m, slices):
-    # the uncentred (c, d_h) centers of each view
-    return [Ac[:, sl] + m[sl] for sl in slices]
+def _feature_weights(E, dlt, view_of, v, eta):
+    # feature j of view h gets weight proportional to (1/delta_j) exp(-v_h E_j / eta):
+    # one softmax per view, shifted by the view's own largest exponent
+    x = -np.log(dlt) - v[view_of] * E / eta
+    e = np.exp(x - np.maximum.reduceat(x, _view_starts(view_of))[view_of])
+    return e / np.bincount(view_of, e)[view_of]
 
 
 def entropic_simplex_argmin(costs, beta):
@@ -337,19 +333,14 @@ def resolve_regularization(params, dims, n):
     return beta, params.eta * scale
 
 
-def _objective_given_costs(costs, membership_entropy, model, delta, beta, eta):
+def _objective_given_costs(costs, membership_entropy, v, w, dlt, beta, eta):
     # distortion plus the three entropy terms, the membership one given;
     # 0*log(0) counts as 0
-    distortion = float(model.view_weights @ costs)
-    vw = model.view_weights
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), vw.shape)
-    mask = vw > 0
-    view_entropy = float(np.sum(beta[mask] * vw[mask] * np.log(vw[mask])))
-    feature_entropy = 0.0
-    for w, dlt in zip(model.feature_weights, delta):
-        mask = w > 0
-        feature_entropy += float(np.sum(w[mask] * np.log(dlt[mask] * w[mask])))
-    return distortion + membership_entropy + view_entropy + eta * feature_entropy
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), v.shape)
+    on, kept = v > 0, w > 0
+    view_entropy = float(np.sum(beta[on] * v[on] * np.log(v[on])))
+    feature_entropy = float(np.sum(w[kept] * np.log(dlt[kept] * w[kept])))
+    return float(v @ costs) + membership_entropy + view_entropy + eta * feature_entropy
 
 
 def _greedy_spread(Z, sq, c, rng, trials):
@@ -446,11 +437,10 @@ def _warn_out_of_range(params, dims, n):
                     stacklevel=4,
                 )
                 break
-    eta_hi = ETA_RANGE_SCALE * min(dims) / max(dims)
-    if not ETA_RANGE_FLOOR <= params.eta <= eta_hi:
+    lo, hi = ETA_RANGE
+    if not lo <= params.eta <= hi:
         warnings.warn(
-            f"eta={params.eta} is outside the recommended range "
-            f"[{ETA_RANGE_FLOOR}, {eta_hi:.6g}]",
+            f"eta={params.eta} is outside the recommended range [{lo}, {hi}]",
             stacklevel=4,
         )
 
@@ -466,17 +456,17 @@ def _descend(dataset, params, step=None) -> FitResult:
     feature costs give the view costs, the view weights and the objective.
 
     The descent owns an :class:`ActiveMask` sized to the input, full at the
-    start. ``step(t, views, delta, model, mask)`` runs in iteration t right
-    after the feature-weight update, with the model's per-view uncentred
-    centers and feature weights (memberships are set when the descent ends).
-    It returns None when it changed nothing. Otherwise it has recorded its
-    removals in the mask, shrunk the model's centers and feature weights in
-    place, and returns the compacted views and dispersion ratios; beta and
-    eta are then re-resolved for the surviving widths, the compacted views
-    are stacked again, their cluster sums and feature costs are recomputed
-    at the compacted centers, and the view-weight update sizes the view
-    weights to the surviving views. The result's ``reduced_dataset`` is
-    built from the final views, so a fit that removed nothing hands back the
+    start. ``step(t, feature_weights, n, mask)`` runs in iteration t right
+    after the feature-weight update, with one weight vector per active view
+    (views of the stacked weights, aligned with ``mask.active_views()``). It
+    returns None when it removed nothing. Otherwise it has recorded its
+    removals in the mask and returns a boolean keep-vector over the stacked
+    columns; the descent then restricts every stacked array to the kept
+    columns, renumbers the views, renormalizes each view's weights to sum to
+    1 and re-resolves beta and eta for the surviving widths, and the
+    view-weight update sizes the view weights to the surviving views. The
+    per-view model, ``delta`` and ``reduced_dataset`` are built from the
+    mask when the descent ends, so a fit that removed nothing hands back the
     input's arrays uncopied.
     """
     validate(dataset)
@@ -493,61 +483,59 @@ def _descend(dataset, params, step=None) -> FitResult:
     tic = time.perf_counter()
     centers = init_centers(views, params.c, params.seed, delta)
     seed_seconds = time.perf_counter() - tic
-    model = ClusterModel(
-        membership=None,
-        centers=centers,
-        feature_weights=[np.full(d, 1.0 / d) for d in dims],
-        view_weights=np.full(s, 1.0 / s),
-    )
-    XcT, m, ss, slices = _stack(views)
+    XcT, m, ss, view_of = _stack(views)
     dlt = np.concatenate(delta)
+    w = 1.0 / np.bincount(view_of)[view_of]
+    v = np.full(s, 1.0 / s)
     Ac = np.hstack(centers) - m
-    U, _, entropy = _softmax_clusters(_logits(Ac, _scales(model, delta), XcT))
+    U, _, entropy = _softmax_clusters(_logits(Ac, v[view_of] * w * dlt, XcT))
     G, mass = _cluster_sums(U, XcT)
-    costs = _view_costs(_feature_costs(G, Ac, mass, ss, dlt), model.feature_weights, slices)
-    trace = [_objective_given_costs(costs, entropy, model, delta, beta, eta)]
+    costs = np.bincount(view_of, w * _feature_costs(G, Ac, mass, ss, dlt))
+    trace = [_objective_given_costs(costs, entropy, v, w, dlt, beta, eta)]
 
     prev = math.inf
     converged = False
     iter_seconds = []
     for t in range(1, params.t_max + 1):
         tic = time.perf_counter()
-        S = _scales(model, delta)
+        S = v[view_of] * w * dlt
         U, peak, entropy = _softmax_clusters(_logits(Ac, S, XcT))
         G, mass = _cluster_sums(U, XcT)
         Ac = _centers_with_reseed(G, mass, XcT, S, peak)
         E = _feature_costs(G, Ac, mass, ss, dlt)
-        model.centers = _view_centers(Ac, m, slices)
-        model.feature_weights = _feature_weights(E, delta, slices, model.view_weights, eta)
-        pruned = None if step is None else step(t, views, delta, model, mask)
-        if pruned is not None:
-            views, delta = pruned
-            beta, eta = resolve_regularization(params, [X.shape[1] for X in views], n)
-            XcT, m, ss, slices = _stack(views)
-            dlt = np.concatenate(delta)
-            Ac = np.hstack(model.centers) - m
-            G, mass = _cluster_sums(U, XcT)
-            E = _feature_costs(G, Ac, mass, ss, dlt)
-        costs = _view_costs(E, model.feature_weights, slices)
-        model.view_weights = entropic_simplex_argmin(costs, beta)
-        J = _objective_given_costs(costs, entropy, model, delta, beta, eta)
+        w = _feature_weights(E, dlt, view_of, v, eta)
+        keep = None if step is None else step(
+            t, np.split(w, _view_starts(view_of)[1:]), n, mask)
+        if keep is not None:
+            XcT, m, ss, dlt, E, w, Ac = (XcT[keep], m[keep], ss[keep], dlt[keep],
+                                         E[keep], w[keep], Ac[:, keep])
+            view_of = np.unique(view_of[keep], return_inverse=True)[1]
+            w /= np.bincount(view_of, w)[view_of]
+            beta, eta = resolve_regularization(params, np.bincount(view_of), n)
+        costs = np.bincount(view_of, w * E)
+        v = entropic_simplex_argmin(costs, beta)
+        J = _objective_given_costs(costs, entropy, v, w, dlt, beta, eta)
         trace.append(J)
         iter_seconds.append(time.perf_counter() - tic)
         if abs(J - prev) <= params.epsilon:
             converged = True
             break
         prev = J
-    model.membership = np.ascontiguousarray(U.T)
     names = dataset.view_names
-    if names is not None:
-        names = [names[h] for h in mask.active_views()]
+    if mask.removals:
+        active = mask.active_views()
+        views = [views[h][:, mask.feature_masks[h]] for h in active]
+        if names is not None:
+            names = [names[h] for h in active]
+    ends = _view_starts(view_of)[1:]
     return FitResult(
-        model=model,
+        model=ClusterModel(np.ascontiguousarray(U.T), np.split(Ac + m, ends, axis=1),
+                           np.split(w, ends), v),
         objective_trace=np.asarray(trace),
         iterations=len(trace) - 1,
         converged=converged,
         hard_labels=np.argmax(U, axis=0),
-        delta=delta,
+        delta=np.split(dlt, ends),
         seed_seconds=seed_seconds,
         mask=mask,
         reduced_dataset=MultiViewDataset(views, dataset.labels, names),

@@ -3,14 +3,16 @@
 The oracles state single block updates and the model invariants on their
 own, apart from the solver loop that fuses them. The block calls
 (``per_view_distances`` through ``_centers_with_reseed``) are compositions of
-the solver's private kernels on its stacked, cluster-major layout, with no
-arithmetic of their own beyond three adapters, all there so that the blocks
-stay exact for any model, memberships off the simplex included: the
-per-sample term that the logits leave out is added back where a distance is
-asked for, the squared sums of the feature costs are weighted by the actual
-membership row sums, and the membership entropy is summed directly (``fit``
-takes it from the logits). A test that calls them exercises what ``fit``
-runs, in the (n, c) layout of the model.
+the solver's private kernels on its stacked, cluster-major layout. Their
+only arithmetic is the descent's own two one-liners, the scales
+S = v[view_of] * w * delta and the view costs bincount(view_of, w * E), and
+three adapters, all there so that the blocks stay exact for any model,
+memberships off the simplex included: the per-sample term that the logits
+leave out is added back where a distance is asked for, the squared sums of
+the feature costs are weighted by the actual membership row sums, and the
+membership entropy is summed directly (``fit`` takes it from the logits). A
+test that calls them exercises what ``fit`` runs, in the (n, c) layout of
+the model.
 """
 
 import dataclasses
@@ -124,12 +126,16 @@ def per_view_distances_exact(views, model, delta):
     return out
 
 
+def _split(stacked, view_of, axis=-1):
+    # the per-view pieces of an array over the stacked columns
+    return np.split(stacked, amvfcm._view_starts(view_of)[1:], axis=axis)
+
+
 def _logits_of(views, model, delta, view_weights):
     # fit's stacked logits at these view weights, and the scales and stack
     # that rebuild the distances from them
-    views = _views_of(views)
-    XcT, m, _, _ = amvfcm._stack(views)
-    S = amvfcm._scales(dataclasses.replace(model, view_weights=view_weights), delta)
+    XcT, m, _, view_of = amvfcm._stack(_views_of(views))
+    S = view_weights[view_of] * np.concatenate(model.feature_weights) * np.concatenate(delta)
     return amvfcm._logits(np.hstack(model.centers) - m, S, XcT), S, XcT
 
 
@@ -153,31 +159,33 @@ def aggregate_distances(views, model, delta):
 
 def _feature_costs(views, model, delta):
     # fit's feature costs at the model's memberships and centers, and the
-    # stacked slices of the views
-    XcT, m, _, slices = amvfcm._stack(_views_of(views))
+    # view index of each stacked column
+    XcT, m, _, view_of = amvfcm._stack(_views_of(views))
     U = np.ascontiguousarray(model.membership.T)
     G, mass = amvfcm._cluster_sums(U, XcT)
     sq = (XcT * XcT) @ U.sum(axis=0)
     E = amvfcm._feature_costs(G, np.hstack(model.centers) - m, mass, sq, np.concatenate(delta))
-    return E, slices
+    return E, view_of
 
 
 def update_feature_weights(views, model, delta, eta):
     """Exact W-block minimizer: weights proportional to (1/delta_j) exp(-v_h E_j / eta)."""
-    E, slices = _feature_costs(views, model, delta)
-    return amvfcm._feature_weights(E, delta, slices, model.view_weights, eta)
+    E, view_of = _feature_costs(views, model, delta)
+    w = amvfcm._feature_weights(E, np.concatenate(delta), view_of, model.view_weights, eta)
+    return _split(w, view_of)
 
 
 def view_costs(views, model, delta):
     """Membership-weighted total distortion per view, shape (s,)."""
-    E, slices = _feature_costs(views, model, delta)
-    return amvfcm._view_costs(E, model.feature_weights, slices)
+    E, view_of = _feature_costs(views, model, delta)
+    return np.bincount(view_of, np.concatenate(model.feature_weights) * E)
 
 
 def objective(views, model, delta, beta, eta) -> float:
     """Joint objective; beta = eta = 0 gives distortion plus membership entropy."""
-    return amvfcm._objective_given_costs(view_costs(views, model, delta),
-                                         _xlogx(model.membership), model, delta, beta, eta)
+    return amvfcm._objective_given_costs(
+        view_costs(views, model, delta), _xlogx(model.membership), model.view_weights,
+        np.concatenate(model.feature_weights), np.concatenate(delta), beta, eta)
 
 
 def _xlogx(p):
@@ -210,11 +218,10 @@ def _centers_with_reseed(views, membership, agg_dist):
     term at scales S less the peak logit; with S = 0 and the peak at minus
     the smallest of ``agg_dist``, it ranks by ``agg_dist`` itself.
     """
-    views = _views_of(views)
-    XcT, m, _, slices = amvfcm._stack(views)
+    XcT, m, _, view_of = amvfcm._stack(_views_of(views))
     G, mass = amvfcm._cluster_sums(np.ascontiguousarray(membership.T), XcT)
     Ac = amvfcm._centers_with_reseed(G, mass, XcT, np.zeros(len(m)), -agg_dist.min(axis=1))
-    return amvfcm._view_centers(Ac, m, slices)
+    return _split(Ac + m, view_of)
 
 
 def update_centers(views, membership):

@@ -42,27 +42,10 @@ def test_active_mask_bookkeeping():
 # ------------------------------------------------------------ pruning pass
 
 
-def tagged_problem(weights, rows=4, c=2):
-    """Model, views and delta for one pruning pass; entries name view and column.
-
-    Column j of view p holds 100 * p + j in the views and the centers and
-    100 * p + j + 1 in delta, so compaction can be read off the values.
-    """
-    tags = [100.0 * p + np.arange(len(w)) for p, w in enumerate(weights)]
-    model = amvfcm.ClusterModel(
-        membership=np.full((rows, c), 1.0 / c),
-        centers=[np.tile(tag, (c, 1)) for tag in tags],
-        feature_weights=[np.asarray(w, dtype=float) for w in weights],
-        view_weights=np.full(len(weights), 1.0 / len(weights)),
-    )
-    return model, [np.tile(tag, (rows, 1)) for tag in tags], [tag + 1.0 for tag in tags]
-
-
 def run_pass(weights, n, mask=None, iteration=0):
-    model, views, delta = tagged_problem(weights, rows=n)
-    mask = ActiveMask.full([len(w) for w in weights]) if mask is None else mask
-    out = prune_features(iteration, views, delta, model, mask)
-    return model, mask, out
+    weights = [np.asarray(w, dtype=float) for w in weights]
+    mask = ActiveMask.full([w.size for w in weights]) if mask is None else mask
+    return prune_features(iteration, weights, n, mask), mask
 
 
 def events(mask):
@@ -70,34 +53,34 @@ def events(mask):
 
 
 def test_prune_features_renormalization_example():
-    # d=3, n=12 puts the threshold at 0.25; only the 0.2 weight dies
-    model, mask, out = run_pass([[0.5, 0.3, 0.2]], n=12, iteration=4)
-    np.testing.assert_allclose(model.feature_weights[0], [0.625, 0.375])
+    # d=3, n=12 puts the threshold at 0.25; only the 0.2 weight dies (the
+    # descent renormalizes the survivors, see the fit tests below)
+    keep, mask = run_pass([[0.5, 0.3, 0.2]], n=12, iteration=4)
+    np.testing.assert_array_equal(keep, [True, True, False])
     assert mask.active_dims == [2]
     assert events(mask) == [(4, "feature", 0, 2)]
-    assert out is not None
 
 
 def test_prune_features_no_change_when_all_survive():
-    model, mask, out = run_pass([[0.5, 0.3, 0.2]], n=100)
-    assert out is None
-    np.testing.assert_array_equal(model.feature_weights[0], [0.5, 0.3, 0.2])
+    weights = [np.array([0.5, 0.3, 0.2])]
+    keep, mask = run_pass(weights, n=100)
+    assert keep is None
+    np.testing.assert_array_equal(weights[0], [0.5, 0.3, 0.2])
     assert mask.removals == []
 
 
 def test_prune_features_tie_at_threshold_survives():
     # theta = 2/8 = 0.25; strict inequality keeps the 0.25 weight
-    model, mask, out = run_pass([[0.75, 0.25]], n=8)
-    assert out is None
-    np.testing.assert_array_equal(model.feature_weights[0], [0.75, 0.25])
+    keep, mask = run_pass([[0.75, 0.25]], n=8)
+    assert keep is None
     assert mask.active_dims == [2]
 
 
 def test_prune_features_guard_keeps_last_feature():
     # d=2, n=3: theta = 2/3 exceeds both weights; the larger one is retained
     with pytest.warns(UserWarning, match="retaining feature 0 of view 0"):
-        model, mask, _ = run_pass([[0.6, 0.4]], n=3)
-    np.testing.assert_allclose(model.feature_weights[0], [1.0])
+        keep, mask = run_pass([[0.6, 0.4]], n=3)
+    np.testing.assert_array_equal(keep, [True, False])
     assert mask.active_dims == [1]
 
 
@@ -106,7 +89,8 @@ def test_prune_features_guard_names_original_column():
     mask = ActiveMask.full([3])
     mask.feature_masks[0][0] = False
     with pytest.warns(UserWarning, match="retaining feature 2 of view 0"):
-        model, mask, _ = run_pass([[0.4, 0.6]], n=3, mask=mask)
+        keep, mask = run_pass([[0.4, 0.6]], n=3, mask=mask)
+    np.testing.assert_array_equal(keep, [False, True])
     assert mask.active_columns(0).tolist() == [2]
     assert events(mask) == [(0, "feature", 0, 1)]
 
@@ -118,11 +102,10 @@ def test_prune_features_no_guard_when_other_view_survives():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model, mask, (views, delta) = run_pass([[0.5, 0.5], [0.9, 0.1]], n=3)
+        keep, mask = run_pass([[0.5, 0.5], [0.9, 0.1]], n=3)
     assert mask.active_dims == [0, 1]
-    np.testing.assert_allclose(model.feature_weights, [[1.0]])
+    np.testing.assert_array_equal(keep, [False, False, True, False])
     assert events(mask)[-1] == (0, "view", 0, None)
-    np.testing.assert_array_equal(views[0], [[100.0]] * 3)
 
 
 def test_prune_features_respects_pruned_columns():
@@ -130,45 +113,39 @@ def test_prune_features_respects_pruned_columns():
     # and a new removal must be recorded against original index 2
     mask = ActiveMask.full([3])
     mask.feature_masks[0][1] = False
-    model, mask, _ = run_pass([[0.8, 0.2]], n=8, mask=mask)
+    keep, mask = run_pass([[0.8, 0.2]], n=8, mask=mask)
+    np.testing.assert_array_equal(keep, [True, False])
     assert mask.active_columns(0).tolist() == [0]
     assert mask.removals[-1].feature == 2
-    np.testing.assert_allclose(model.feature_weights[0], [1.0])
 
 
 def test_prune_features_compacts_survivors_only():
-    # view 0 loses column 2 (theta 3/12), view 1 (theta 2/12) keeps both
-    weights = [[0.5, 0.3, 0.2], [0.4, 0.6]]
-    model, _, (views, delta) = run_pass(weights, n=12)
-    vw = model.view_weights
-    np.testing.assert_array_equal(views[0], np.tile([0.0, 1.0], (12, 1)))
-    np.testing.assert_array_equal(views[1], np.tile([100.0, 101.0], (12, 1)))
-    np.testing.assert_array_equal(delta[0], [1.0, 2.0])
-    np.testing.assert_array_equal(delta[1], [101.0, 102.0])
-    np.testing.assert_array_equal(model.centers[0], [[0.0, 1.0]] * 2)
-    np.testing.assert_array_equal(model.centers[1], [[100.0, 101.0]] * 2)
-    np.testing.assert_array_equal(model.feature_weights[1], [0.4, 0.6])
-    assert model.view_weights is vw
-    np.testing.assert_array_equal(vw, [0.5, 0.5])
+    # view 0 loses column 2 (theta 3/12), view 1 (theta 2/12) keeps both: the
+    # keep-vector over the concatenated weights marks exactly the survivors,
+    # and the weights it was handed are left as they were
+    weights = [np.array([0.5, 0.3, 0.2]), np.array([0.4, 0.6])]
+    keep, mask = run_pass(weights, n=12)
+    np.testing.assert_array_equal(keep, [True, True, False, True, True])
+    assert mask.active_dims == [2, 2]
+    np.testing.assert_array_equal(weights[0], [0.5, 0.3, 0.2])
+    np.testing.assert_array_equal(weights[1], [0.4, 0.6])
 
 
 def test_prune_views_removes_emptied_view():
     # n=4: theta 0.5 keeps the tied views 0 and 2, theta 0.75 empties view 1
     weights = [[0.5, 0.5], [0.2, 0.3, 0.5], [0.5, 0.5]]
-    model, mask, (views, delta) = run_pass(weights, n=4, iteration=6)
+    keep, mask = run_pass(weights, n=4, iteration=6)
     assert mask.active_views() == [0, 2]
     assert events(mask) == [(6, "feature", 1, j) for j in range(3)] + [(6, "view", 1, None)]
-    assert [X[0].tolist() for X in views] == [[0.0, 1.0], [200.0, 201.0]]
-    assert [d.tolist() for d in delta] == [[1.0, 2.0], [201.0, 202.0]]
-    assert len(model.centers) == len(model.feature_weights) == 2
+    np.testing.assert_array_equal(keep, [True, True, False, False, False, True, True])
 
 
 def test_prune_views_noop_when_all_alive():
     # a feature goes, but both views keep columns: no view event
-    model, mask, (views, _) = run_pass([[0.5, 0.3, 0.2], [0.6, 0.4]], n=12)
+    keep, mask = run_pass([[0.5, 0.3, 0.2], [0.6, 0.4]], n=12)
     assert mask.active_views() == [0, 1]
     assert [ev.kind for ev in mask.removals] == ["feature"]
-    assert len(views) == 2
+    assert keep.sum() == 4
 
 
 # ----------------------------------------------------------------------- fit
@@ -253,6 +230,32 @@ def test_fit_reduced_dataset_holds_the_surviving_columns():
         assert reduced.n_views == len(survivors)
         for X, h in zip(reduced.views, survivors, strict=True):
             np.testing.assert_array_equal(X, ds.views[h][:, res.mask.active_columns(h)])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fit_restricts_weights_and_centers_to_the_survivors():
+    # a fit that stops in its pruning iteration: each surviving view's weights
+    # are the ones the hook was handed, restricted and renormalized to sum to
+    # 1, and the centers are the membership-weighted means of the kept columns
+    cases = [(noisy_benchmark(n=300, seed=3), HyperParams(c=5, seed=3, t_max=1)),
+             (junk_view_problem(), HyperParams(c=3, seed=0, t_max=1))]
+    for ds, params in cases:
+        handed = []
+
+        def hook(t, feature_weights, n, mask):
+            handed.append([w.copy() for w in feature_weights])
+            return prune_features(t, feature_weights, n, mask)
+
+        res = amvfcm._descend(ds, params, hook)
+        assert res.pruning_iterations == [1]
+        active = res.mask.active_views()
+        for w, h in zip(res.model.feature_weights, active, strict=True):
+            kept = handed[0][h][res.mask.feature_masks[h]]
+            np.testing.assert_allclose(w, kept / kept.sum(), rtol=1e-14)
+            assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        want = support.update_centers(res.reduced_dataset.views, res.model.membership)
+        for A, B in zip(res.model.centers, want, strict=True):
+            np.testing.assert_allclose(A, B, rtol=1e-12)
 
 
 def test_fit_delta_is_restricted_not_recomputed():

@@ -123,18 +123,18 @@ def test_weight_and_distance_pass_needs_no_tensor():
     views = [rng.uniform(0.5, 9.0, (n, d)), rng.uniform(0.5, 9.0, (n, d))]
     model = _random_model(views, c, rng, seeded=True)
     delta = [np.ones(d), np.ones(d)]
-    XcT, m, ss, slices = amvfcm._stack(views)
+    XcT, m, ss, view_of = amvfcm._stack(views)
     Ac = np.hstack(model.centers) - m
+    dlt, v = np.concatenate(delta), model.view_weights
     tracemalloc.start()
     try:
-        S = amvfcm._scales(model, delta)
+        S = v[view_of] * np.concatenate(model.feature_weights) * dlt
         U, peak, _ = amvfcm._softmax_clusters(amvfcm._logits(Ac, S, XcT))
         G, mass = amvfcm._cluster_sums(U, XcT)
         Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
-        E = amvfcm._feature_costs(G, Ac, mass, ss, np.concatenate(delta))
-        model.feature_weights = amvfcm._feature_weights(E, delta, slices,
-                                                        model.view_weights, eta=1.0)
-        amvfcm._view_costs(E, model.feature_weights, slices)
+        E = amvfcm._feature_costs(G, Ac, mass, ss, dlt)
+        w = amvfcm._feature_weights(E, dlt, view_of, v, eta=1.0)
+        np.bincount(view_of, w * E)
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -152,13 +152,14 @@ def test_feature_costs_match_tensor_oracle(offset):
         model = _random_model(views, params.c, rng, seeded=i % 2 == 0)
         U = rng.dirichlet(np.ones(params.c), size=views[0].shape[0])
         delta = [rng.uniform(0.1, 10.0, X.shape[1]) for X in views]
-        XcT, m, ss, slices = amvfcm._stack(views)
+        XcT, m, ss, view_of = amvfcm._stack(views)
         G, mass = amvfcm._cluster_sums(np.ascontiguousarray(U.T), XcT)
         E = amvfcm._feature_costs(G, np.hstack(model.centers) - m, mass, ss,
                                   np.concatenate(delta))
-        for X, A, dlt, sl in zip(views, model.centers, delta, slices, strict=True):
+        for X, A, dlt, got in zip(views, model.centers, delta, support._split(E, view_of),
+                                  strict=True):
             want = dlt * np.einsum("ik,ikj->j", U, (X[:, None, :] - A[None, :, :]) ** 2)
-            worst = max(worst, np.abs(E[sl] - want).max() / want.max())
+            worst = max(worst, np.abs(got - want).max() / want.max())
     assert worst <= 1e-12
 
 
@@ -174,8 +175,9 @@ def test_empty_clusters_reseed_at_the_worst_served_samples():
         exact = sum(v * D for v, D in zip(
             model.view_weights, support.per_view_distances_exact(views, model, delta)))
         worst_first = np.argsort(exact.min(axis=1))[::-1]
-        XcT, m, _, slices = amvfcm._stack(views)
-        S = amvfcm._scales(model, delta)
+        XcT, m, _, view_of = amvfcm._stack(views)
+        S = (model.view_weights[view_of] * np.concatenate(model.feature_weights)
+             * np.concatenate(delta))
         _, peak, _ = amvfcm._softmax_clusters(
             amvfcm._logits(np.hstack(model.centers) - m, S, XcT))
         # clusters 1 and 3 get no mass; the others split the samples
@@ -183,7 +185,7 @@ def test_empty_clusters_reseed_at_the_worst_served_samples():
         U[rng.choice([0, 2], size=n), np.arange(n)] = 1.0
         G, mass = amvfcm._cluster_sums(U, XcT)
         Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
-        centers = amvfcm._view_centers(Ac, m, slices)
+        centers = support._split(Ac + m, view_of)
         for slot, k in enumerate([1, 3]):
             np.testing.assert_array_equal(Ac[k], XcT[:, worst_first[slot]])
             for X, A in zip(views, centers, strict=True):
@@ -293,6 +295,25 @@ def test_feature_weights_hot_limit_is_inverse_dispersion():
     dlt = np.array([2.0, 5.0])
     (w,) = update_feature_weights([X], model, [dlt], eta=1e15)
     np.testing.assert_allclose(w, (1 / dlt) / (1 / dlt).sum(), atol=1e-9)
+
+
+def test_feature_weights_kernel_is_a_softmax_per_view():
+    # one stacked pass equals the per-view softmax, each view shifted by its
+    # own largest exponent: views whose exponents sit ~1e3 apart, and a view
+    # of one column
+    rng = np.random.default_rng(6)
+    for widths in ([3, 1, 4], [1], [2, 5]):
+        view_of = np.repeat(np.arange(len(widths)), widths)
+        dlt = rng.uniform(0.1, 10.0, view_of.size)
+        E = rng.uniform(0.0, 5.0, view_of.size) + 1e3 * view_of
+        v = rng.dirichlet(np.ones(len(widths)))
+        w = amvfcm._feature_weights(E, dlt, view_of, v, eta=0.3)
+        for h, got in enumerate(support._split(w, view_of)):
+            on = view_of == h
+            want = amvfcm._softmax(-np.log(dlt[on]) - v[h] * E[on] / 0.3)
+            np.testing.assert_allclose(got, want, rtol=1e-14)
+            assert np.isfinite(got).all()
+            assert got.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 # ----------------------------------------------- view weights and the argmin
@@ -492,14 +513,28 @@ def test_hyperparams_validation():
 
 def test_fit_warns_on_out_of_range_beta():
     ds = generate(default_benchmark_spec(60, seed=0))
-    with pytest.warns(UserWarning, match="beta"):
-        fit(ds, HyperParams(c=5, beta=1.0, t_max=1))
+    for solver in (fit_full, fit_pruning):
+        with pytest.warns(UserWarning, match="beta") as record:
+            solver(ds, HyperParams(c=5, beta=1.0, t_max=1))
+        # the warning points at the caller of fit, not into the solver
+        assert record[0].filename == __file__
 
 
 def test_fit_warns_on_out_of_range_eta():
     ds = generate(default_benchmark_spec(60, seed=0))
-    with pytest.warns(UserWarning, match="eta"):
-        fit(ds, HyperParams(c=5, eta=1e-4, t_max=1))
+    for solver in (fit_full, fit_pruning):
+        for eta in (1e-4, 0.03):
+            with pytest.warns(UserWarning, match="eta") as record:
+                solver(ds, HyperParams(c=5, eta=eta, t_max=1))
+            assert record[0].filename == __file__
+
+
+def test_default_eta_quiet_on_views_of_unequal_width():
+    rng = np.random.default_rng(14)
+    ds = MultiViewDataset([rng.uniform(1, 2, (60, 2)), rng.uniform(1, 2, (60, 3))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_full(ds, HyperParams(c=3))
 
 
 def test_fit_quiet_in_recommended_ranges():
@@ -624,40 +659,36 @@ def replay_fit(dataset, params):
     n, dims = dataset.n_samples, dataset.dims
     delta = compute_delta(dataset, params.delta_clamp)
     beta, eta = resolve_regularization(params, dims, n)
-    model = ClusterModel(
-        membership=None,
-        centers=init_centers(views, params.c, params.seed, delta),
-        feature_weights=[np.full(d, 1.0 / d) for d in dims],
-        view_weights=np.full(len(views), 1.0 / len(views)),
-    )
-    XcT, m, ss, slices = amvfcm._stack(views)
+    centers = init_centers(views, params.c, params.seed, delta)
+    XcT, m, ss, view_of = amvfcm._stack(views)
     dlt = np.concatenate(delta)
+    w = np.concatenate([np.full(d, 1.0 / d) for d in dims])
+    v = np.full(len(views), 1.0 / len(views))
 
     def feature_costs(U, Ac):
         G, mass = amvfcm._cluster_sums(U, XcT)
         return amvfcm._feature_costs(G, Ac, mass, ss, dlt)
 
-    def objective_of(U, entropy, Ac):
-        costs = amvfcm._view_costs(feature_costs(U, Ac), model.feature_weights, slices)
-        return amvfcm._objective_given_costs(costs, entropy, model, delta, beta, eta)
+    def view_costs(U, Ac):
+        return np.bincount(view_of, w * feature_costs(U, Ac))
 
-    Ac = np.hstack(model.centers) - m
-    U, _, entropy = amvfcm._softmax_clusters(
-        amvfcm._logits(Ac, amvfcm._scales(model, delta), XcT))
+    def objective_of(U, entropy, Ac):
+        return amvfcm._objective_given_costs(view_costs(U, Ac), entropy, v, w, dlt, beta, eta)
+
+    Ac = np.hstack(centers) - m
+    U, _, entropy = amvfcm._softmax_clusters(amvfcm._logits(Ac, v[view_of] * w * dlt, XcT))
     trace = [objective_of(U, entropy, Ac)]
     for _ in range(params.t_max):
-        S = amvfcm._scales(model, delta)
+        S = v[view_of] * w * dlt
         U, peak, entropy = amvfcm._softmax_clusters(amvfcm._logits(Ac, S, XcT))
         G, mass = amvfcm._cluster_sums(U, XcT)
         Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
-        model.feature_weights = amvfcm._feature_weights(
-            feature_costs(U, Ac), delta, slices, model.view_weights, eta)
-        model.view_weights = entropic_simplex_argmin(
-            amvfcm._view_costs(feature_costs(U, Ac), model.feature_weights, slices), beta)
+        w = amvfcm._feature_weights(feature_costs(U, Ac), dlt, view_of, v, eta)
+        v = entropic_simplex_argmin(view_costs(U, Ac), beta)
         trace.append(objective_of(U, entropy, Ac))
         if abs(trace[-1] - trace[-2]) <= params.epsilon:
             break
-    model.centers = amvfcm._view_centers(Ac, m, slices)
+    model = ClusterModel(U.T, support._split(Ac + m, view_of), support._split(w, view_of), v)
     return trace, model, U
 
 

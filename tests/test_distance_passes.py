@@ -3,9 +3,9 @@
 A fit stacks all views into one centred array once and takes the logits of
 all views from one matrix product at initialization; each iteration then
 takes one more, whatever the view count. A pruning step that removes columns
-adds one stacking of the surviving views. Seeding ranks its candidates by a
-Gram expansion and recomputes only the winner's distances exactly, which must
-not change a single pick.
+restricts the stacked arrays instead of stacking again. Seeding ranks its
+candidates by a Gram expansion and recomputes only the winner's distances
+exactly, which must not change a single pick.
 """
 
 import numpy as np
@@ -56,7 +56,7 @@ def test_full_fit_takes_one_logits_product_per_iteration(logit_calls, stack_call
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_pruning_fit_restacks_once_per_pruning_iteration(logit_calls, stack_calls):
+def test_pruning_fit_stacks_once_per_fit(logit_calls, stack_calls):
     rng = np.random.default_rng(8)
     pruned = 0
     for _ in range(30):
@@ -65,7 +65,7 @@ def test_pruning_fit_restacks_once_per_pruning_iteration(logit_calls, stack_call
         stack_calls.clear()
         res = fit_pruning(ds, params)
         assert len(logit_calls) == 1 + res.iterations
-        assert len(stack_calls) == 1 + len(res.pruning_iterations)
+        assert len(stack_calls) == 1
         pruned += bool(res.pruning_iterations)
     assert pruned >= 5
 

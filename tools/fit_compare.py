@@ -12,7 +12,8 @@ removal events are equal, the largest relative difference of the two
 objective traces over their common prefix, and the two iteration counts;
 then a summary line. The relative difference of two entries a and b is
 |a - b| / max(|a|, |b|), and 0 when both are 0. A fit that raises on either
-side compares by its error message instead.
+side compares by its error message instead. The exit status is 1 when any
+fit's labels, removal events or error message differ, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def main(argv):
           f"{same_removals}/{fits}; worst relative trace difference {worst:.3g}; "
           f"iteration counts differ on {len(iteration_moves)} fits, "
           f"{moved_at_zero} of them with epsilon = 0")
+    if same_labels < fits or same_removals < fits:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
