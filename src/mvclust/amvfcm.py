@@ -14,25 +14,25 @@ Every block update is the exact minimizer of the joint objective with the
 other blocks held fixed, which makes the objective trace non-increasing.
 
 The weighted squared distances are never built, neither as an (n, c, d)
-tensor nor as (n, c) matrices. All views are stacked once per fit into one
-feature-major, column-centred (D, n) array XcT = (X - m)^T. With
-S_j = v_h w_j delta_j and Ac = A - m the stacked centred centers, the
-memberships, held as a (c, n) array U, are the softmax over clusters of
-L = (2 Ac S) XcT - (Ac^2) S: the per-sample term sum_j S_j xc_ij^2 of the
-aggregate distances cancels there and is never formed. One more product,
-G = U Xc, gives the centers G / (cluster masses) and the feature costs
-E_j = delta_j (ss_j - 2 sum_k ac_kj G_kj + sum_k mass_k ac_kj^2), with
-ss_j = sum_i xc_ij^2, hence the view costs w_h . E_h: two matrix products
+tensor nor as (n, c) matrices. One pass over the data stacks all views into
+a C-ordered, feature-major, column-centred (D, n) array XcT = (X - m)^T; its
+m and ss_j = sum_i xc_ij^2 give the dispersion ratios, its scaled rows the
+seeds (:func:`init_centers`). With S_j = v_h w_j delta_j and Ac = A - m the
+stacked centred centers, the memberships, held as a (c, n) array U, are the
+softmax over clusters of L = (2 Ac S) XcT - (Ac^2) S: the per-sample term
+sum_j S_j xc_ij^2 of the aggregate distances cancels there and is never
+formed. One more product, G = U Xc, gives the centers G / (cluster masses)
+and the feature costs E_j = delta_j (ss_j - 2 sum_k ac_kj G_kj +
+sum_k mass_k ac_kj^2), hence the view costs w_h . E_h: two matrix products
 per iteration for all views. The feature weights are one vector over the
 stacked columns, with view_of naming each column's view, so the per-view
 softmax, view costs and entropies are segment reductions over it. Pruning
 is a boolean keep-vector over the columns: the descent indexes every stacked
-array with it and never restacks, and the per-view model is built from the
-mask once, when the fit ends. Centring keeps the rounding at the scale of the
-data's spread, not of its offset: on 200 random instances, as given and
-shifted by 1e6, distances rebuilt from the logits are within 6.1e-16 of each
-view's largest distance (3.0e-3 uncentred and shifted), and the feature
-costs within 1.8e-15 of each view's largest cost.
+array with it and never restacks, and builds the per-view model once, at
+the end. Centring keeps the rounding at the scale of the data's spread, not
+of its offset: on 200 random instances, as given and shifted by 1e6,
+distances rebuilt from the logits are within 6.1e-16 of each view's largest
+distance (3.0e-3 uncentred and shifted), feature costs within 1.8e-15.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultiViewDataset, validate
-from .snr import DEFAULT_CLAMP, compute_delta
+from .snr import DEFAULT_CLAMP, clamped_ratios
 
 EMPTY_CLUSTER_TOL = 1e-12
+SEED_BLOCK = 4096
 ETA_RANGE = (0.0015, 0.025)
 TEMP_CALIBRATION = 32.0
 
@@ -225,13 +226,19 @@ def _softmax(x):
 
 
 def _stack(views):
-    # every view feature-major and column-centred in one (D, n) array, with
-    # the column means m, ss_j = sum_i xc_ij^2 and each column's view index
-    XcT = np.vstack([X.T for X in views])
-    m = XcT.mean(axis=1)
-    XcT -= m[:, None]
+    # all views feature-major and column-centred in one C-ordered (D, n)
+    # array, with the column means m, ss_j = sum_i xc_ij^2 and each column's
+    # view; m and ss are taken per (n, d) view as np.var takes them, so
+    # ss / (n - 1) is its unbiased variance bit for bit
     view_of = np.repeat(np.arange(len(views)), [X.shape[1] for X in views])
-    return XcT, m, np.einsum("ji,ji->j", XcT, XcT), view_of
+    XcT = np.empty((view_of.size, views[0].shape[0]))
+    m, ss = [], []
+    for X, rows in zip(views, np.split(XcT, _view_starts(view_of)[1:])):
+        m.append(X.mean(axis=0))
+        Xc = X - m[-1]
+        rows[:] = Xc.T
+        ss.append(np.multiply(Xc, Xc, out=Xc).sum(axis=0))
+    return XcT, np.concatenate(m), np.concatenate(ss), view_of
 
 
 def _logits(Ac, S, XcT):
@@ -343,30 +350,60 @@ def _objective_given_costs(costs, membership_entropy, v, w, dlt, beta, eta):
     return float(v @ costs) + membership_entropy + view_entropy + eta * feature_entropy
 
 
-def _greedy_spread(Z, sq, c, rng, trials):
-    # one greedy k-means++ pass; returns the picked row indices
-    n, width = Z.shape
-    sq_total = sq.sum()
+def _sq_dists(Z, t):
+    # exact squared distances of every column of Z to column t, row by row
+    out, diff = np.zeros(Z.shape[1]), np.empty(Z.shape[1])
+    for row in Z:
+        np.subtract(row, row[t], out=diff)
+        out += np.multiply(diff, diff, out=diff)
+    return out
+
+
+def init_centers(XcT, dlt, view_of, c, seed):
+    """Greedy spread seeding (k-means++ weighting) in the solver's own metric.
+
+    One greedy pass over the samples of the fit's stacked, centred (D, n)
+    array, on a copy with row j scaled by sqrt(delta_j / d_h): the metric of
+    the first iteration, delta_j times the uniform feature weight 1/d_h.
+    Returns the c picked sample indices. The dispersion ratios damp the
+    uninformative columns, so one pass needs no restarts to keep from
+    doubling up a cluster. Under a power-of-four change of units every
+    delta_j * x^2 scales exactly and the picks are bitwise the same.
+    Deterministic given the seed; with c = n every sample is chosen.
+
+    Each step ranks its candidates by the Gram expansion |z_i|^2 -
+    2 z_i.z_t + |z_t|^2, one (trials, block) product per block of samples,
+    so seeding holds no (n, trials) array. Candidates within a rounding bound
+    of the lowest potential are re-ranked by exact distances, summed one row
+    at a time (lowest wins, first on ties); the winner's distances are always
+    exact, so the picks and sampling weights are those of exact ranking.
+    """
+    width, n = XcT.shape
+    if not 1 <= c <= n:
+        raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
+    Z = XcT * np.sqrt(dlt / np.bincount(view_of)[view_of])[:, None]
+    rng = np.random.default_rng(seed)
+    trials = max(10, 2 + int(math.log(c)))
+    sq = np.einsum("ji,ji->i", Z, Z)
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((Z - Z[chosen[0]]) ** 2, axis=1)
+    d2 = _sq_dists(Z, chosen[0])
     for _ in range(1, c):
         total = d2.sum()
         if total > 0:
             cand = rng.choice(n, size=trials, p=d2 / total)
-            # rank by the expansion |z_i|^2 - 2 z_i.z_t + |z_t|^2: (n, trials) only
-            G = Z @ Z[cand].T
-            G *= -2.0
-            G += sq[:, None]
-            G += sq[cand]
-            pot = np.minimum(G, d2[:, None], out=G).sum(axis=0)
-            del G
+            Zc, pot = -2.0 * Z[:, cand].T, np.zeros(trials)
+            for lo in range(0, n, SEED_BLOCK):
+                G = Zc @ Z[:, lo:lo + SEED_BLOCK]
+                G += sq[lo:lo + SEED_BLOCK]
+                G += sq[cand, None]
+                pot += np.minimum(G, d2[lo:lo + SEED_BLOCK], out=G).sum(axis=1)
             # candidates within the expansion's rounding bound of the lowest
-            # potential are re-ranked exactly, first on ties
+            # potential are re-ranked exactly, first on ties, summed over the
+            # samples of an (n, near) array as the exact ranking sums them
             slack = np.finfo(float).eps * (
-                (width + 4) * (sq_total + n * sq[cand].max()) + n * pot.max())
+                (width + 4) * (sq.sum() + n * sq[cand].max()) + n * pot.max())
             near = cand[pot <= pot.min() + 2 * slack]
-            cand_d2 = np.stack(
-                [np.minimum(d2, np.sum((Z - Z[t]) ** 2, axis=1)) for t in near], axis=1)
+            cand_d2 = np.stack([np.minimum(d2, _sq_dists(Z, t)) for t in near], axis=1)
             best = int(np.argmin(cand_d2.sum(axis=0)))
             idx, d2 = int(near[best]), cand_d2[:, best]
         else:
@@ -376,42 +413,6 @@ def _greedy_spread(Z, sq, c, rng, trials):
             idx = int(rng.choice(unchosen))
         chosen.append(idx)
     return chosen
-
-
-def init_centers(data, c, seed, delta):
-    """Greedy spread seeding (k-means++ weighting) in the solver's own metric.
-
-    One greedy pass over the concatenated views in the metric of the first
-    iteration: each squared difference weighted by delta_j times the uniform
-    feature weight 1/d_h. Columns are centred and scaled by
-    sqrt(delta_j / d_h) for the seeding distances only; the returned centers
-    are rows of the original per-view matrices. The dispersion ratios damp
-    the uninformative columns, so they put no noise floor under the pairwise
-    distances, and one pass needs no restarts to keep from doubling up a
-    cluster. D^2 sampling is unchanged by a global rescaling of the metric,
-    so a change of units leaves the picks alone; under a power-of-four scale
-    every delta_j * x^2 scales exactly and the picks are bitwise the same.
-    Deterministic given the seed. With c equal to the sample count every
-    sample is chosen exactly once.
-
-    Each greedy step ranks its candidates by the Gram expansion
-    |z_i|^2 - 2 z_i.z_t + |z_t|^2 of their squared distances: one matrix
-    product and O(n * trials) memory. Candidates whose potentials lie within
-    a rounding bound of the lowest are re-ranked with exact distances (lowest
-    wins, first on ties), and the winner's distances are always the exact
-    ones, so the picks and sampling weights are those of exact ranking.
-    """
-    views = _views_of(data)
-    n = views[0].shape[0]
-    if not 1 <= c <= n:
-        raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    Z = np.hstack(views)
-    Z -= Z.mean(axis=0)
-    Z *= np.sqrt(np.concatenate([dlt / dlt.size for dlt in delta]))
-    sq = np.einsum("ij,ij->i", Z, Z)
-    trials = max(10, 2 + int(math.log(c)))
-    chosen = _greedy_spread(Z, sq, c, np.random.default_rng(seed), trials)
-    return [X[chosen].copy() for X in views]
 
 
 def _centers_with_reseed(G, mass, XcT, S, peak):
@@ -448,12 +449,9 @@ def _warn_out_of_range(params, dims, n):
 def _descend(dataset, params, step=None) -> FitResult:
     """Block descent shared by both solvers; ``step`` is the pruning hook.
 
-    The views are stacked once into one centred (D, n) array and the
-    memberships are held as (c, n) (see the module notes). Each iteration
-    takes the logits of all views from one matrix product and their softmax
-    over clusters; one more gives the cluster sums, hence the centers, the
-    feature costs and the feature weights. After the pruning hook the
-    feature costs give the view costs, the view weights and the objective.
+    One centred (D, n) stack gives delta, the seeds and every iteration (see
+    the module notes): logits and softmax, cluster sums, centers, feature
+    costs and weights, the pruning hook, view costs and weights, objective.
 
     The descent owns an :class:`ActiveMask` sized to the input, full at the
     start. ``step(t, feature_weights, n, mask)`` runs in iteration t right
@@ -478,16 +476,15 @@ def _descend(dataset, params, step=None) -> FitResult:
         raise ValueError(f"need at least c={params.c} samples, got {n}")
     _warn_out_of_range(params, dims, n)
 
-    delta = compute_delta(dataset, params.delta_clamp)
+    XcT, m, ss, view_of = _stack(views)
+    dlt = clamped_ratios(m, ss / (n - 1), params.delta_clamp)
     beta, eta = resolve_regularization(params, dims, n)
     tic = time.perf_counter()
-    centers = init_centers(views, params.c, params.seed, delta)
+    picks = init_centers(XcT, dlt, view_of, params.c, params.seed)
     seed_seconds = time.perf_counter() - tic
-    XcT, m, ss, view_of = _stack(views)
-    dlt = np.concatenate(delta)
     w = 1.0 / np.bincount(view_of)[view_of]
     v = np.full(s, 1.0 / s)
-    Ac = np.hstack(centers) - m
+    Ac = XcT[:, picks].T.copy()
     U, _, entropy = _softmax_clusters(_logits(Ac, v[view_of] * w * dlt, XcT))
     G, mass = _cluster_sums(U, XcT)
     costs = np.bincount(view_of, w * _feature_costs(G, Ac, mass, ss, dlt))
@@ -498,6 +495,7 @@ def _descend(dataset, params, step=None) -> FitResult:
     iter_seconds = []
     for t in range(1, params.t_max + 1):
         tic = time.perf_counter()
+        del U  # spent: one (c, n) array fewer beside the next logits and softmax
         S = v[view_of] * w * dlt
         U, peak, entropy = _softmax_clusters(_logits(Ac, S, XcT))
         G, mass = _cluster_sums(U, XcT)

@@ -277,6 +277,14 @@ def deltas_of(views):
     return [column_deltas(X) for X in _views_of(views)]
 
 
+def init_centers(data, c, seed, delta):
+    """Initial per-view centers: fit's seeding on the views' own stack."""
+    views = _views_of(data)
+    XcT, _, _, view_of = amvfcm._stack(views)
+    chosen = amvfcm.init_centers(XcT, np.concatenate(delta), view_of, c, seed)
+    return [X[chosen].copy() for X in views]
+
+
 def init_centers_exact(data, c, seed, delta):
     """Seeding that ranks candidates by exact distances; oracle for init_centers.
 

@@ -28,6 +28,7 @@ from support import (
     _softmax_rows,
     aggregate_distances,
     assert_trace_non_increasing,
+    init_centers,
     objective,
     perturb_simplex,
     random_instance,
@@ -44,7 +45,6 @@ from mvclust.amvfcm import (
     HyperParams,
     _views_of,
     entropic_simplex_argmin,
-    init_centers,
     resolve_regularization,
 )
 from mvclust.cli import EXIT_OK, main

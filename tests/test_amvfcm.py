@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import support
 from support import (
     aggregate_distances,
+    init_centers,
     objective,
     per_view_distances,
     update_centers,
@@ -27,12 +28,11 @@ from mvclust.amvfcm import (
     HyperParams,
     entropic_simplex_argmin,
     fit,
-    init_centers,
     resolve_regularization,
 )
 from mvclust.data import MultiViewDataset
 from mvclust.metrics import score_all
-from mvclust.snr import compute_delta
+from mvclust.snr import DEFAULT_CLAMP, compute_delta
 from mvclust.synth import GmmSpec, NoiseSpec, append_noise, default_benchmark_spec, generate
 
 
@@ -114,6 +114,19 @@ def test_per_view_distances_match_tensor_oracle(offset):
     assert worst <= 1e-12
     if offset:
         assert uncentred_worst > 1e-12
+
+
+def test_stack_is_c_ordered_feature_major_with_the_variance_sums():
+    # the two products of each iteration stream its rows; its sums of squares
+    # give np.var's unbiased variances bit for bit, a one-column view included
+    rng = np.random.default_rng(45)
+    views = [rng.uniform(1, 9, (50, 3)), rng.uniform(1, 9, (50, 1)), rng.uniform(1, 9, (50, 2))]
+    XcT, m, ss, view_of = amvfcm._stack(views)
+    assert XcT.shape == (6, 50) and XcT.flags.c_contiguous
+    assert XcT.tobytes() == np.ascontiguousarray((np.hstack(views) - m).T).tobytes()
+    np.testing.assert_array_equal(view_of, [0, 0, 0, 1, 2, 2])
+    want = np.concatenate([X.var(axis=0, ddof=1) for X in views])
+    assert (ss / 49).tobytes() == want.tobytes()
 
 
 def test_weight_and_distance_pass_needs_no_tensor():
@@ -588,6 +601,25 @@ def test_fit_model_invariants_and_hard_labels():
         res.hard_labels, np.argmax(res.model.membership, axis=1)
     )
     np.testing.assert_array_equal(res.delta[0], compute_delta(ds)[0])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("solver", [fit_full, fit_pruning])
+def test_fit_delta_equals_compute_delta_at_both_clamp_bounds(solver):
+    # a fit takes delta from its own stack; a constant column must still hit
+    # the ceiling and a negative-mean one the floor, bit for bit as
+    # compute_delta, the latter in a one-column view
+    ds = append_noise(generate(default_benchmark_spec(120, seed=6)),
+                      NoiseSpec(features_per_view=1), seed=6)
+    X0, X1 = ds.views
+    data = MultiViewDataset([np.column_stack([X0, np.full(120, 3.0)]), X1, -X1[:, :1]],
+                            ds.labels)
+    full = compute_delta(data)
+    assert full[0][-1] == DEFAULT_CLAMP[1] and full[2][0] == DEFAULT_CLAMP[0]
+    res = solver(data, HyperParams(c=5, seed=6))
+    assert len(res.delta) == len(res.mask.active_views())
+    for got, h in zip(res.delta, res.mask.active_views(), strict=True):
+        assert got.tobytes() == full[h][res.mask.active_columns(h)].tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import support
+from support import init_centers
 from mvclust import amvfcm, fit_full, fit_pruning
-from mvclust.amvfcm import init_centers
 from mvclust.snr import compute_delta
 from mvclust.synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 

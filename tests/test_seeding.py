@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import support
+from support import init_centers
 from mvclust import fit_pruning
-from mvclust.amvfcm import HyperParams, init_centers
+from mvclust.amvfcm import HyperParams
 from mvclust.metrics import adjusted_rand, contingency_table
 from mvclust.synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
@@ -95,8 +96,8 @@ def test_init_centers_needs_no_candidate_tensor():
     finally:
         tracemalloc.stop()
     assert peak < n * trials * width * 8
-    # centring and scaling in place: the stacked views and the exact
-    # distances' temporaries, not three copies at once
+    # the stacked views, their scaled copy, one (trials, block) Gram and a
+    # few (n,) buffers, not three copies at once
     assert peak < 3 * n * width * 8
 
 
