@@ -48,7 +48,7 @@ from .data import MultiViewDataset, validate
 from .snr import DEFAULT_CLAMP, clamped_ratios
 
 EMPTY_CLUSTER_TOL = 1e-12
-SEED_BLOCK = 4096
+SAMPLE_BLOCK = 4096  # samples per block product: small enough to run unthreaded
 ETA_RANGE = (0.0015, 0.025)
 TEMP_CALIBRATION = 32.0
 
@@ -243,8 +243,12 @@ def _stack(views):
 
 def _logits(Ac, S, XcT):
     # minus the aggregate distances sum_j S_j (xc_ij - ac_kj)^2, less their
-    # per-sample term sum_j S_j xc_ij^2: one GEMM for all views, (c, n)
-    L = (Ac * (2.0 * S)) @ XcT
+    # per-sample term sum_j S_j xc_ij^2, (c, n): one GEMM for all views per
+    # block of samples (BLAS threads a whole-width one at n = 150k, and its
+    # idle worker then spins)
+    A2S, L = Ac * (2.0 * S), np.empty((Ac.shape[0], XcT.shape[1]))
+    for lo in range(0, XcT.shape[1], SAMPLE_BLOCK):
+        np.matmul(A2S, XcT[:, lo:lo + SAMPLE_BLOCK], out=L[:, lo:lo + SAMPLE_BLOCK])
     L -= ((Ac * Ac) @ S)[:, None]
     return L
 
@@ -392,11 +396,11 @@ def init_centers(XcT, dlt, view_of, c, seed):
         if total > 0:
             cand = rng.choice(n, size=trials, p=d2 / total)
             Zc, pot = -2.0 * Z[:, cand].T, np.zeros(trials)
-            for lo in range(0, n, SEED_BLOCK):
-                G = Zc @ Z[:, lo:lo + SEED_BLOCK]
-                G += sq[lo:lo + SEED_BLOCK]
+            for lo in range(0, n, SAMPLE_BLOCK):
+                G = Zc @ Z[:, lo:lo + SAMPLE_BLOCK]
+                G += sq[lo:lo + SAMPLE_BLOCK]
                 G += sq[cand, None]
-                pot += np.minimum(G, d2[lo:lo + SEED_BLOCK], out=G).sum(axis=1)
+                pot += np.minimum(G, d2[lo:lo + SAMPLE_BLOCK], out=G).sum(axis=1)
             # candidates within the expansion's rounding bound of the lowest
             # potential are re-ranked exactly, first on ties, summed over the
             # samples of an (n, near) array as the exact ranking sums them

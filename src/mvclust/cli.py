@@ -4,6 +4,10 @@ Exit codes are category-coded: 0 success, 2 usage errors (bad flags or
 missing arguments, raised by the parser), 3 data or configuration errors
 (unreadable or inconsistent dataset files, invalid hyperparameters), 4 trial
 failures inside a run, 1 anything unexpected.
+
+``fit --algo aamvfcm`` writes the surviving data to ``filtered/``: a view
+that kept every column is copied from its input file if that file and the
+manifest are as they were before the load, other views print as %.17g.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .amvfcm import HyperParams
-from .data import DatasetError, _read_labels, _write_labels, save_dataset
+from .data import (DatasetError, _file_stamp, _read_labels, _write_labels,
+                   parse_manifest, save_dataset)
 from .harness import (
     ExperimentConfig,
     SynthSource,
@@ -160,24 +165,42 @@ def _run(args, trials, seed_base, jobs=1, synth=None):
 
 
 def _cmd_fit(args):
+    filtered = args.out_dir is not None and args.algo == "aamvfcm"
+    inputs = _input_stamps(args.config) if filtered else []
     result = _run(args, trials=1, seed_base=args.seed).fit_results[0]
     if args.out_dir is not None:  # created by the report write
         _write_labels(args.out_dir / "predicted_labels.txt", result.hard_labels)
-        if args.algo == "aamvfcm":
-            _write_filtered(result, args.out_dir / "filtered")
+        if filtered:
+            _write_filtered(result, args.out_dir / "filtered", inputs)
     return EXIT_OK
 
 
-def _write_filtered(result, out_dir):
-    # surviving data plus a sidecar mapping kept columns to original positions
-    save_dataset(result.reduced_dataset, out_dir)
+def _input_stamps(manifest):
+    # (path, stamp) of the manifest, then of each view file it lists, taken
+    # before the load; [] for a manifest that cannot be read (the load says why)
+    stamp = _file_stamp(manifest)
+    try:
+        views = [manifest.parent / rel for rel in parse_manifest(manifest)["views"]]
+    except DatasetError:
+        return []
+    return [(manifest, stamp)] + [(path, _file_stamp(path)) for path in views]
+
+
+def _write_filtered(result, out_dir, inputs):
+    # surviving data plus a sidecar mapping kept columns to original positions;
+    # an intact view may be copied from its file in ``inputs`` (_input_stamps)
+    mask, sources = result.mask, None
+    if inputs and _file_stamp(inputs[0][0]) == inputs[0][1]:
+        sources = [inputs[1 + h] if mask.active_dims[h] == mask.original_dims[h] else None
+                   for h in mask.active_views()]
+    save_dataset(result.reduced_dataset, out_dir, sources)
     mapping = {
         "views": [
             {
                 "original_view": h,
-                "columns": [int(j) for j in result.mask.active_columns(h)],
+                "columns": [int(j) for j in mask.active_columns(h)],
             }
-            for h in result.mask.active_views()
+            for h in mask.active_views()
         ]
     }
     (Path(out_dir) / "column_map.json").write_text(

@@ -14,11 +14,14 @@ resolved relative to the manifest's directory. View files are plain CSV (one
 sample per line, no header); label files hold one integer per line. Reads go
 through numpy's vectorized parser and fall back to a line scan for what it
 refuses, so errors still name the file and line; writes print %.17g, byte for
-byte what ``np.savetxt`` prints, a chunk of rows per call.
+byte what ``np.savetxt`` prints, a chunk of rows per call, or copy a view
+from the file it was read from while that file is unchanged.
 """
 
 from __future__ import annotations
 
+import shutil
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -339,17 +342,25 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     return dataset
 
 
-def save_dataset(dataset: MultiViewDataset, out_dir) -> Path:
+def save_dataset(dataset: MultiViewDataset, out_dir, sources=None) -> Path:
     """Write views, labels, and a manifest into ``out_dir``; return manifest path.
 
     Values are printed with %.17g so a write/read round trip is exact.
+    ``sources`` may give per view None or ``(path, _file_stamp(path))`` from
+    before the view was read: a file whose stamp still matches is copied byte
+    for byte instead, which reads back exactly as well.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["# mvclust dataset manifest"]
     for h, X in enumerate(dataset.views, start=1):
         fname = f"view_{h}.csv"
-        _write_matrix(out_dir / fname, X)
+        path, stamp = sources[h - 1] if sources and sources[h - 1] else (None, None)
+        if stamp is not None and _file_stamp(path) == stamp:
+            with suppress(shutil.SameFileError):  # the file is already in place
+                shutil.copyfile(path, out_dir / fname)
+        else:
+            _write_matrix(out_dir / fname, X)
         lines.append(f"view = {fname}")
     if dataset.labels is not None:
         _write_labels(out_dir / "labels.txt", dataset.labels)
@@ -360,6 +371,16 @@ def save_dataset(dataset: MultiViewDataset, out_dir) -> Path:
     manifest = out_dir / "manifest.cfg"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
+
+
+def _file_stamp(path):
+    # (inode, size, modification time in ns), or None when stat fails: a file
+    # rewritten in place or replaced by another gets a new stamp
+    try:
+        st = Path(path).stat()
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _write_matrix(path: Path, X, fmt="%.17g") -> None:

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from mvclust import harness
+from mvclust import cli, harness
 from mvclust.amvfcm import HyperParams
 from mvclust.cli import EXIT_DATA, EXIT_OK, EXIT_TRIAL, EXIT_USAGE, main
 from mvclust.data import load_dataset, save_dataset
@@ -270,6 +270,104 @@ def test_fit_pruning_writes_filtered_dataset_with_column_map(tmp_path, capsys):
     # surviving columns are the original signal columns, bit for bit
     for h, view in enumerate(filtered.views):
         np.testing.assert_allclose(view, dataset.views[h][:, :2], rtol=1e-15)
+
+
+def short_text_manifest(tmp_path, views, labels):
+    # views printed as %.3f, each file ending in a blank line: not the bytes
+    # save_dataset would print for the values read back
+    data = tmp_path / "short"
+    data.mkdir()
+    lines = []
+    for h, X in enumerate(views, start=1):
+        with open(data / f"v{h}.csv", "w") as fh:
+            np.savetxt(fh, X, fmt="%.3f", delimiter=",")
+            fh.write("\n")
+        lines.append(f"view = v{h}.csv")
+    np.savetxt(data / "labels.txt", labels, fmt="%d")
+    manifest = data / "data.cfg"
+    manifest.write_text("\n".join(lines + ["labels = labels.txt"]) + "\n")
+    return manifest
+
+
+def fit_filtered(manifest, out, *extra):
+    return main(["fit", "--algo", "aamvfcm", "--config", str(manifest),
+                 "--clusters", "5", "--out-dir", str(out), *extra])
+
+
+def test_fit_copies_views_that_kept_every_column(tmp_path, capsys):
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    manifest = short_text_manifest(tmp_path, dataset.views, dataset.labels)
+    out = tmp_path / "run"
+    assert fit_filtered(manifest, out) == EXIT_OK
+    capsys.readouterr()
+    source = load_dataset(manifest)
+    filtered = load_dataset(out / "filtered" / "manifest.cfg")
+    assert filtered.dims == source.dims == [2, 2]
+    for h in range(2):
+        written = (out / "filtered" / f"view_{h + 1}.csv").read_bytes()
+        assert written == (manifest.parent / f"v{h + 1}.csv").read_bytes()
+        np.testing.assert_array_equal(filtered.views[h], source.views[h])
+
+
+def test_fit_prints_views_that_lost_columns_with_17_digits(tmp_path, capsys):
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    noise = np.random.default_rng(0).uniform(0.02, 0.05, (300, 1))
+    views = [dataset.views[0], np.hstack([dataset.views[1], noise])]
+    manifest = short_text_manifest(tmp_path, views, dataset.labels)
+    out = tmp_path / "run"
+    assert fit_filtered(manifest, out) == EXIT_OK
+    capsys.readouterr()
+    source = load_dataset(manifest)
+    mapping = json.loads((out / "filtered" / "column_map.json").read_text())
+    assert [v["columns"] for v in mapping["views"]] == [[0, 1], [0, 1]]
+    assert ((out / "filtered" / "view_1.csv").read_bytes()
+            == (manifest.parent / "v1.csv").read_bytes())
+    np.savetxt(tmp_path / "savetxt.csv", source.views[1][:, :2], fmt="%.17g", delimiter=",")
+    assert ((out / "filtered" / "view_2.csv").read_bytes()
+            == (tmp_path / "savetxt.csv").read_bytes())
+
+
+@pytest.mark.parametrize("changed, printed", [("v2.csv", [2]), ("data.cfg", [1, 2])],
+                         ids=["view-file", "manifest"])
+def test_fit_prints_views_whose_input_changed_after_the_load(tmp_path, capsys, monkeypatch,
+                                                             changed, printed):
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    manifest = short_text_manifest(tmp_path, dataset.views, dataset.labels)
+    source = load_dataset(manifest)
+    real_run = cli._run
+
+    def run_then_edit(*args, **kwargs):
+        report = real_run(*args, **kwargs)
+        if changed == "v2.csv":  # other data: a copy would not hold what the fit saw
+            np.savetxt(manifest.parent / changed, source.views[1] + 1.0, fmt="%.5f",
+                       delimiter=",")
+        else:  # the view list may differ from the one loaded
+            with open(manifest.parent / changed, "a") as fh:
+                fh.write("# edited\n")
+        return report
+
+    monkeypatch.setattr(cli, "_run", run_then_edit)
+    out = tmp_path / "run"
+    assert fit_filtered(manifest, out) == EXIT_OK
+    capsys.readouterr()
+    for h in (1, 2):
+        want = manifest.parent / f"v{h}.csv"
+        if h in printed:
+            want = tmp_path / "savetxt.csv"
+            np.savetxt(want, source.views[h - 1], fmt="%.17g", delimiter=",")
+        assert (out / "filtered" / f"view_{h}.csv").read_bytes() == want.read_bytes()
+
+
+def test_refit_of_a_filtered_dataset_into_its_own_run_directory(tmp_path, capsys):
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    manifest = short_text_manifest(tmp_path, dataset.views, dataset.labels)
+    out = tmp_path / "run"
+    assert fit_filtered(manifest, out) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in (out / "filtered").iterdir()}
+    # the intact views are their own sources now
+    assert fit_filtered(out / "filtered" / "manifest.cfg", out) == EXIT_OK
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in (out / "filtered").iterdir()} == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """How often the solvers build logits and stack the views, and what seeding picks.
 
 A fit stacks all views into one centred array once and takes the logits of
-all views from one matrix product at initialization; each iteration then
-takes one more, whatever the view count. A pruning step that removes columns
-restricts the stacked arrays instead of stacking again. Seeding ranks its
-candidates by a Gram expansion and recomputes only the winner's distances
-exactly, which must not change a single pick.
+all views from one call at initialization; each iteration then takes one
+more, whatever the view count; inside it, one product per block of samples
+gives the bits of one whole-width product. A pruning step that removes
+columns restricts the stacked arrays instead of stacking again. Seeding
+ranks its candidates by a Gram expansion and recomputes only the winner's
+distances exactly, which must not change a single pick.
 """
 
 import numpy as np
@@ -68,6 +69,18 @@ def test_pruning_fit_stacks_once_per_fit(logit_calls, stack_calls):
         assert len(stack_calls) == 1
         pruned += bool(res.pruning_iterations)
     assert pruned >= 5
+
+
+def test_blocked_logits_equal_the_one_product_bitwise():
+    # the logits are taken one block of samples at a time into one (c, n)
+    # array; with a ragged last block they still equal the whole-width product
+    rng = np.random.default_rng(11)
+    n = 2 * amvfcm.SAMPLE_BLOCK + 3
+    XcT = rng.normal(size=(9, n))
+    Ac, S = rng.normal(size=(5, 9)), rng.uniform(0.1, 2.0, 9)
+    want = (Ac * (2.0 * S)) @ XcT
+    want -= ((Ac * Ac) @ S)[:, None]
+    np.testing.assert_array_equal(amvfcm._logits(Ac, S, XcT), want)
 
 
 # row indices of the seeds on the noisy benchmark (4 noise columns per view,
