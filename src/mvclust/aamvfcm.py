@@ -6,10 +6,10 @@ strictly below an adaptive threshold (current view width divided by the sample
 count) are removed and never come back; the surviving weights of a view are
 renormalized. A view that loses all of its features is eliminated the same
 way; the view weights are not renormalized but recomputed for the surviving
-views by the view-weight update that follows. After every elimination the
-descent's one centred array and the rest of its stacked state are
-restricted to the surviving columns, so later iterations get cheaper as
-columns disappear.
+views by the view-weight update that follows. The step thresholds the stacked
+weights at once and marks the removed columns in one boolean vector; the
+descent's stacked state is then restricted to the survivors, so later
+iterations get cheaper as columns disappear.
 
 The objective is only comparable between eliminations: each pruning event
 changes the domain (and the automatic per-view beta), so the trace is
@@ -28,41 +28,40 @@ from .amvfcm import ActiveMask, FitResult, HyperParams, RemovalEvent, _descend
 from .data import MultiViewDataset
 
 
-def prune_features(iteration, feature_weights, n, mask: ActiveMask):
+def prune_features(iteration, w, view_of, n, mask: ActiveMask):
     """Remove features weighted strictly below width / n, then emptied views.
 
     The descent's pruning hook (see :func:`mvclust.amvfcm._descend`), run in
-    iteration ``iteration`` right after the feature-weight update, with one
-    weight vector per active view of the mask, in order, and the sample
-    count n. One selection of low weights decides the removal events
-    (features first, then the views left without any) and the mask. If every
-    active feature is low, the largest weight of the last active view is
-    retained instead (with a warning), so at least one feature survives.
-    Returns None when nothing was removed, otherwise a boolean vector over
-    the concatenated weights that is True for the survivors. Nothing is
-    compacted or renormalized here; the descent does that.
+    iteration ``iteration`` right after the feature-weight update, with the
+    stacked weights w of the mask's active columns, their views view_of
+    (numbered among the active views) and the sample count n. One selection of
+    low weights decides the mask and the removal events (features, then the
+    views left without any). If every active feature is low, the largest
+    weight of the last active view is retained instead (with a warning), so at
+    least one feature survives. Returns None when nothing was removed,
+    otherwise a boolean vector over w that is True for the survivors. The
+    descent compacts and renormalizes.
     """
-    active = mask.active_views()
-    low = [w < w.size / n for w in feature_weights]
-    if all(lo.all() for lo in low):
-        keep = int(np.argmax(feature_weights[-1]))
-        low[-1][keep] = False
+    low = w < np.bincount(view_of)[view_of] / n
+    if low.all():
+        first = np.searchsorted(view_of, view_of[-1])  # of the last active view
+        keep = first + int(np.argmax(w[first:]))
+        low[keep] = False
+        h, j = mask.locate(np.flatnonzero(mask.columns)[keep])
         warnings.warn(
             f"pruning would remove the last active feature; retaining "
-            f"feature {mask.active_columns(active[-1])[keep]} of view {active[-1]}",
+            f"feature {j} of view {h}",
             stacklevel=4,  # the caller of aamvfcm.fit
         )
-    if not any(lo.any() for lo in low):
+    if not low.any():
         return None
-    for h, lo in zip(active, low):
-        cols = mask.active_columns(h)[lo]
-        mask.feature_masks[h][cols] = False
-        mask.removals.extend(RemovalEvent(iteration, "feature", h, int(j)) for j in cols)
-    for h, lo in zip(active, low):
-        if lo.all():
-            mask.view_mask[h] = False
-            mask.removals.append(RemovalEvent(iteration, "view", h, None))
-    return ~np.concatenate(low)
+    gone, before = np.flatnonzero(mask.columns)[low], mask.active_views()
+    mask.columns[gone] = False
+    mask.removals.extend(RemovalEvent(iteration, "feature", int(h), int(j))
+                         for h, j in zip(*mask.locate(gone)))
+    mask.removals.extend(RemovalEvent(iteration, "view", h, None)
+                         for h in np.setdiff1d(before, mask.active_views()).tolist())
+    return ~low
 
 
 def fit(dataset: MultiViewDataset, params: HyperParams) -> FitResult:

@@ -48,7 +48,8 @@ from .data import MultiViewDataset, validate
 from .snr import DEFAULT_CLAMP, clamped_ratios
 
 EMPTY_CLUSTER_TOL = 1e-12
-SAMPLE_BLOCK = 4096  # samples per block product: small enough to run unthreaded
+SAMPLE_BLOCK = 4096  # samples per seeding block at 10 candidates and 12 columns
+BLOCK_CELLS = 10 * 12 * SAMPLE_BLOCK  # rows x D x samples of a block product: unthreaded
 ETA_RANGE = (0.0015, 0.025)
 TEMP_CALIBRATION = 32.0
 
@@ -126,43 +127,44 @@ class RemovalEvent:
 
 @dataclass
 class ActiveMask:
-    """Which original columns and views are still alive, plus removal history.
+    """Which original columns are still alive, plus the removal history.
 
-    Masks are indexed by original positions and only ever flip True -> False.
+    ``columns`` has one boolean per original stacked column, ``view_of`` its
+    view; a view lives while any of its columns does. Flips only True -> False.
     """
 
-    feature_masks: list
-    view_mask: np.ndarray
+    columns: np.ndarray
+    view_of: np.ndarray
     removals: list = field(default_factory=list)
 
     @classmethod
     def full(cls, dims):
-        return cls(
-            feature_masks=[np.ones(d, dtype=bool) for d in dims],
-            view_mask=np.ones(len(dims), dtype=bool),
-        )
+        return cls(np.ones(sum(dims), dtype=bool), np.repeat(np.arange(len(dims)), dims))
 
     @property
     def original_dims(self):
-        return [m.size for m in self.feature_masks]
+        return np.bincount(self.view_of).tolist()
 
     @property
     def active_dims(self):
         """Surviving column count per original view (0 for dead views)."""
-        return [int(m.sum()) if alive else 0
-                for m, alive in zip(self.feature_masks, self.view_mask)]
+        return np.bincount(self.view_of, self.columns).astype(int).tolist()
 
     def active_views(self):
-        return [int(h) for h in np.flatnonzero(self.view_mask)]
+        return np.flatnonzero(self.active_dims).tolist()
 
     def active_columns(self, view):
-        return np.flatnonzero(self.feature_masks[view])
+        return np.flatnonzero(self.columns[self.view_of == view])
+
+    def locate(self, j):
+        """Original view and column within it of original stacked column(s) j."""
+        h = self.view_of[j]
+        return h, j - np.searchsorted(self.view_of, h)
 
     @property
     def reduction_pct(self):
         """Fraction of original columns eliminated, in [0, 1]."""
-        total = sum(self.original_dims)
-        return 1.0 - sum(self.active_dims) / total
+        return 1.0 - int(self.columns.sum()) / self.columns.size
 
 
 @dataclass
@@ -175,11 +177,11 @@ class FitResult:
     ``seed_seconds`` the wall time of center seeding; these two are the only
     nondeterministic fields.
 
-    ``mask`` records which original views and columns survived and every
-    removal event. The per-view arrays are built once, at the end, from the
-    descent's stacked state and the mask: ``model`` and ``delta`` are sized
-    to the survivors, and ``model.membership`` is a C-contiguous (n, c)
-    array copied from the (c, n) layout of the descent.
+    ``mask`` records which original columns survived, one boolean per stacked
+    column, and every removal event. The per-view arrays are built once, at
+    the end, from the descent's stacked state and the mask: ``model`` and
+    ``delta`` are sized to the survivors, and ``model.membership`` is a
+    C-contiguous (n, c) copy of the descent's (c, n) memberships.
     ``reduced_dataset`` holds the surviving views, names and the labels; pair
     it with ``mask.active_columns`` to map back to original column positions.
     A fit that removed nothing has a full mask and the input's own views.
@@ -242,13 +244,13 @@ def _stack(views):
 
 
 def _logits(Ac, S, XcT):
-    # minus the aggregate distances sum_j S_j (xc_ij - ac_kj)^2, less their
-    # per-sample term sum_j S_j xc_ij^2, (c, n): one GEMM for all views per
-    # block of samples (BLAS threads a whole-width one at n = 150k, and its
-    # idle worker then spins)
+    # minus the aggregate distances less their per-sample term sum_j S_j xc_ij^2,
+    # (c, n): one GEMM for all views per BLOCK_CELLS / (c D) samples (BLAS
+    # threads a larger one, and its idle worker then spins)
     A2S, L = Ac * (2.0 * S), np.empty((Ac.shape[0], XcT.shape[1]))
-    for lo in range(0, XcT.shape[1], SAMPLE_BLOCK):
-        np.matmul(A2S, XcT[:, lo:lo + SAMPLE_BLOCK], out=L[:, lo:lo + SAMPLE_BLOCK])
+    block = max(1, BLOCK_CELLS // Ac.size)
+    for lo in range(0, XcT.shape[1], block):
+        np.matmul(A2S, XcT[:, lo:lo + block], out=L[:, lo:lo + block])
     L -= ((Ac * Ac) @ S)[:, None]
     return L
 
@@ -375,12 +377,12 @@ def init_centers(XcT, dlt, view_of, c, seed):
     delta_j * x^2 scales exactly and the picks are bitwise the same.
     Deterministic given the seed; with c = n every sample is chosen.
 
-    Each step ranks its candidates by the Gram expansion |z_i|^2 -
-    2 z_i.z_t + |z_t|^2, one (trials, block) product per block of samples,
-    so seeding holds no (n, trials) array. Candidates within a rounding bound
-    of the lowest potential are re-ranked by exact distances, summed one row
-    at a time (lowest wins, first on ties); the winner's distances are always
-    exact, so the picks and sampling weights are those of exact ranking.
+    Each step ranks its candidates by the Gram expansion |z_i|^2 - 2 z_i.z_t +
+    |z_t|^2, one (trials, block) product per block of samples sized by
+    BLOCK_CELLS, so seeding holds no (n, trials) array. Candidates within a
+    rounding bound of the lowest potential are re-ranked by exact distances,
+    summed one row at a time (lowest wins, first on ties); the winner's
+    distances are exact, so the picks and sampling weights are exact ranking's.
     """
     width, n = XcT.shape
     if not 1 <= c <= n:
@@ -388,6 +390,7 @@ def init_centers(XcT, dlt, view_of, c, seed):
     Z = XcT * np.sqrt(dlt / np.bincount(view_of)[view_of])[:, None]
     rng = np.random.default_rng(seed)
     trials = max(10, 2 + int(math.log(c)))
+    block = max(1, BLOCK_CELLS // (trials * width))
     sq = np.einsum("ji,ji->i", Z, Z)
     chosen = [int(rng.integers(n))]
     d2 = _sq_dists(Z, chosen[0])
@@ -396,11 +399,11 @@ def init_centers(XcT, dlt, view_of, c, seed):
         if total > 0:
             cand = rng.choice(n, size=trials, p=d2 / total)
             Zc, pot = -2.0 * Z[:, cand].T, np.zeros(trials)
-            for lo in range(0, n, SAMPLE_BLOCK):
-                G = Zc @ Z[:, lo:lo + SAMPLE_BLOCK]
-                G += sq[lo:lo + SAMPLE_BLOCK]
+            for lo in range(0, n, block):
+                G = Zc @ Z[:, lo:lo + block]
+                G += sq[lo:lo + block]
                 G += sq[cand, None]
-                pot += np.minimum(G, d2[lo:lo + SAMPLE_BLOCK], out=G).sum(axis=1)
+                pot += np.minimum(G, d2[lo:lo + block], out=G).sum(axis=1)
             # candidates within the expansion's rounding bound of the lowest
             # potential are re-ranked exactly, first on ties, summed over the
             # samples of an (n, near) array as the exact ranking sums them
@@ -458,18 +461,17 @@ def _descend(dataset, params, step=None) -> FitResult:
     costs and weights, the pruning hook, view costs and weights, objective.
 
     The descent owns an :class:`ActiveMask` sized to the input, full at the
-    start. ``step(t, feature_weights, n, mask)`` runs in iteration t right
-    after the feature-weight update, with one weight vector per active view
-    (views of the stacked weights, aligned with ``mask.active_views()``). It
+    start. ``step(t, w, view_of, n, mask)`` runs in iteration t right after
+    the feature-weight update, on the stacked weights w of the mask's active
+    columns and their views view_of, numbered among the active views. It
     returns None when it removed nothing. Otherwise it has recorded its
-    removals in the mask and returns a boolean keep-vector over the stacked
-    columns; the descent then restricts every stacked array to the kept
-    columns, renumbers the views, renormalizes each view's weights to sum to
-    1 and re-resolves beta and eta for the surviving widths, and the
-    view-weight update sizes the view weights to the surviving views. The
-    per-view model, ``delta`` and ``reduced_dataset`` are built from the
-    mask when the descent ends, so a fit that removed nothing hands back the
-    input's arrays uncopied.
+    removals in the mask and returns a boolean keep-vector over w; the descent
+    then restricts every stacked array to the kept columns, renumbers the
+    views, renormalizes each view's weights to sum to 1 and re-resolves beta
+    and eta for the surviving widths, and the view-weight update sizes the
+    view weights to the surviving views. The per-view model, ``delta`` and
+    ``reduced_dataset`` are built from the mask when the descent ends, so a
+    fit that removed nothing hands back the input's arrays uncopied.
     """
     validate(dataset)
     views = _views_of(dataset)
@@ -506,8 +508,7 @@ def _descend(dataset, params, step=None) -> FitResult:
         Ac = _centers_with_reseed(G, mass, XcT, S, peak)
         E = _feature_costs(G, Ac, mass, ss, dlt)
         w = _feature_weights(E, dlt, view_of, v, eta)
-        keep = None if step is None else step(
-            t, np.split(w, _view_starts(view_of)[1:]), n, mask)
+        keep = None if step is None else step(t, w, view_of, n, mask)
         if keep is not None:
             XcT, m, ss, dlt, E, w, Ac = (XcT[keep], m[keep], ss[keep], dlt[keep],
                                          E[keep], w[keep], Ac[:, keep])
@@ -526,7 +527,7 @@ def _descend(dataset, params, step=None) -> FitResult:
     names = dataset.view_names
     if mask.removals:
         active = mask.active_views()
-        views = [views[h][:, mask.feature_masks[h]] for h in active]
+        views = [views[h][:, mask.active_columns(h)] for h in active]
         if names is not None:
             names = [names[h] for h in active]
     ends = _view_starts(view_of)[1:]

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from mvclust import amvfcm
-from mvclust.amvfcm import HyperParams, _views_of
+from mvclust.amvfcm import HyperParams, RemovalEvent, _views_of
 from mvclust.data import (
     EmptyDatasetError,
     MatrixFormatError,
@@ -299,6 +299,37 @@ def init_centers_exact(data, c, seed, delta):
     trials = max(10, 2 + int(math.log(c)))
     chosen = _greedy_spread(Z, c, np.random.default_rng(seed), trials)
     return [X[chosen].copy() for X in views]
+
+
+def prune_features_per_view(iteration, feature_weights, n, feature_masks):
+    """The pruning hook written view by view; oracle for ``prune_features``.
+
+    ``feature_weights`` holds one weight vector per live view, in order (a
+    view lives while its column mask has a True); ``feature_masks`` holds one
+    boolean column mask per original view and is updated in place. Returns
+    the keep-vector over the concatenated weights (None when nothing goes),
+    the removal events and the text of the last-feature warning (None
+    without one).
+    """
+    active = [h for h, m in enumerate(feature_masks) if m.any()]
+    low = [w < w.size / n for w in feature_weights]
+    message, events = None, []
+    if all(lo.all() for lo in low):
+        keep = int(np.argmax(feature_weights[-1]))
+        low[-1][keep] = False
+        column = np.flatnonzero(feature_masks[active[-1]])[keep]
+        message = (f"pruning would remove the last active feature; retaining "
+                   f"feature {column} of view {active[-1]}")
+    if not any(lo.any() for lo in low):
+        return None, events, message
+    for h, lo in zip(active, low):
+        cols = np.flatnonzero(feature_masks[h])[lo]
+        feature_masks[h][cols] = False
+        events.extend(RemovalEvent(iteration, "feature", h, int(j)) for j in cols)
+    for h, lo in zip(active, low):
+        if lo.all():
+            events.append(RemovalEvent(iteration, "view", h, None))
+    return ~np.concatenate(low), events, message
 
 
 def scan_matrix(path):

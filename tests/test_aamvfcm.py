@@ -1,7 +1,11 @@
 """Unit tests for the pruning solver: thresholds, elimination, bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from support import validate_model
@@ -29,12 +33,11 @@ def test_active_mask_bookkeeping():
     assert mask.active_dims == [3, 2]
     assert mask.active_views() == [0, 1]
     assert mask.reduction_pct == 0.0
-    mask.feature_masks[0][1] = False
+    mask.columns[1] = False
     assert mask.active_dims == [2, 2]
     assert mask.active_columns(0).tolist() == [0, 2]
     assert mask.reduction_pct == pytest.approx(1 / 5)
-    mask.feature_masks[1][:] = False
-    mask.view_mask[1] = False
+    mask.columns[3:] = False
     assert mask.active_dims == [2, 0]
     assert mask.active_views() == [0]
 
@@ -45,7 +48,8 @@ def test_active_mask_bookkeeping():
 def run_pass(weights, n, mask=None, iteration=0):
     weights = [np.asarray(w, dtype=float) for w in weights]
     mask = ActiveMask.full([w.size for w in weights]) if mask is None else mask
-    return prune_features(iteration, weights, n, mask), mask
+    view_of = np.repeat(np.arange(len(weights)), [w.size for w in weights])
+    return prune_features(iteration, np.concatenate(weights), view_of, n, mask), mask
 
 
 def events(mask):
@@ -87,7 +91,7 @@ def test_prune_features_guard_keeps_last_feature():
 def test_prune_features_guard_names_original_column():
     # original column 0 already gone: the retained weight 0.6 is column 2
     mask = ActiveMask.full([3])
-    mask.feature_masks[0][0] = False
+    mask.columns[0] = False
     with pytest.warns(UserWarning, match="retaining feature 2 of view 0"):
         keep, mask = run_pass([[0.4, 0.6]], n=3, mask=mask)
     np.testing.assert_array_equal(keep, [False, True])
@@ -112,7 +116,7 @@ def test_prune_features_respects_pruned_columns():
     # original column 1 already gone; active weights cover columns 0 and 2,
     # and a new removal must be recorded against original index 2
     mask = ActiveMask.full([3])
-    mask.feature_masks[0][1] = False
+    mask.columns[1] = False
     keep, mask = run_pass([[0.8, 0.2]], n=8, mask=mask)
     np.testing.assert_array_equal(keep, [True, False])
     assert mask.active_columns(0).tolist() == [0]
@@ -146,6 +150,64 @@ def test_prune_views_noop_when_all_alive():
     assert mask.active_views() == [0, 1]
     assert [ev.kind for ev in mask.removals] == ["feature"]
     assert keep.sum() == 4
+
+
+@st.composite
+def pruning_states(draw):
+    """Per-view column masks, the live views' weights and a sample count.
+
+    1-4 views of 1-6 columns, some already removed, at least one alive. Each
+    live view's weights lie on its simplex; some sit exactly at the threshold
+    width / n, the rest share what is left in proportion to integers 0-9.
+    """
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    masks = [np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d))) for d in dims]
+    if not any(m.any() for m in masks):
+        h = draw(st.integers(0, len(dims) - 1))
+        masks[h][draw(st.integers(0, dims[h] - 1))] = True
+    n = draw(st.integers(1, 40))
+    weights = []
+    for width in (int(m.sum()) for m in masks if m.any()):
+        at = np.array(draw(st.lists(st.booleans(), min_size=width, max_size=width)))
+        at &= np.cumsum(at) * width <= n  # as many as the unit mass holds
+        if at.all() and width * width != n:
+            at[-1] = False
+        raw = np.array(draw(st.lists(st.integers(0, 9), min_size=width, max_size=width)),
+                       dtype=float)
+        w = np.full(width, width / n)
+        if not at.all():
+            free = raw[~at] if raw[~at].any() else np.ones((~at).sum())
+            w[~at] = free / free.sum() * (1.0 - at.sum() * width / n)
+        weights.append(w)
+    return masks, weights, n
+
+
+@given(pruning_states(), st.integers(0, 50))
+@settings(max_examples=300, deadline=None)
+def test_prune_features_equals_the_per_view_hook_hypothesis(state, iteration):
+    # the stacked hook against the per-view one it replaced: the same
+    # keep-vector, mask, events (with Python ints, as the fit digests hash
+    # their repr) and warning, and the weights it was handed left as they were
+    masks, weights, n = state
+    mask = ActiveMask.full([m.size for m in masks])
+    mask.columns[:] = np.concatenate(masks)
+    w = np.concatenate(weights)
+    view_of = np.repeat(np.arange(len(weights)), [x.size for x in weights])
+    handed = w.copy()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        keep = prune_features(iteration, w, view_of, n, mask)
+    want, events, message = support.prune_features_per_view(iteration, weights, n, masks)
+    if want is None:
+        assert keep is None
+    else:
+        assert keep.dtype == bool
+        np.testing.assert_array_equal(keep, want)
+    assert repr(mask.removals) == repr(events)
+    assert [(c.category, str(c.message)) for c in caught] == (
+        [] if message is None else [(UserWarning, message)])
+    np.testing.assert_array_equal(mask.columns, np.concatenate(masks))
+    assert w.tobytes() == handed.tobytes()
 
 
 # ----------------------------------------------------------------------- fit
@@ -242,15 +304,15 @@ def test_fit_restricts_weights_and_centers_to_the_survivors():
     for ds, params in cases:
         handed = []
 
-        def hook(t, feature_weights, n, mask):
-            handed.append([w.copy() for w in feature_weights])
-            return prune_features(t, feature_weights, n, mask)
+        def hook(t, w, view_of, n, mask):
+            handed.append(np.split(w.copy(), np.flatnonzero(np.diff(view_of)) + 1))
+            return prune_features(t, w, view_of, n, mask)
 
         res = amvfcm._descend(ds, params, hook)
         assert res.pruning_iterations == [1]
         active = res.mask.active_views()
         for w, h in zip(res.model.feature_weights, active, strict=True):
-            kept = handed[0][h][res.mask.feature_masks[h]]
+            kept = handed[0][h][res.mask.active_columns(h)]
             np.testing.assert_allclose(w, kept / kept.sum(), rtol=1e-14)
             assert w.sum() == pytest.approx(1.0, abs=1e-15)
         want = support.update_centers(res.reduced_dataset.views, res.model.membership)
@@ -296,9 +358,9 @@ def test_fit_pruning_never_reactivates():
         assert key not in seen
         seen.add(key)
         if ev.kind == "feature":
-            assert not res.mask.feature_masks[ev.view][ev.feature]
+            assert ev.feature not in res.mask.active_columns(ev.view)
         else:
-            assert not res.mask.view_mask[ev.view]
+            assert ev.view not in res.mask.active_views()
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

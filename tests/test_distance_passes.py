@@ -2,11 +2,12 @@
 
 A fit stacks all views into one centred array once and takes the logits of
 all views from one call at initialization; each iteration then takes one
-more, whatever the view count; inside it, one product per block of samples
-gives the bits of one whole-width product. A pruning step that removes
-columns restricts the stacked arrays instead of stacking again. Seeding
-ranks its candidates by a Gram expansion and recomputes only the winner's
-distances exactly, which must not change a single pick.
+more, whatever the view count; inside it, one product per block of samples,
+sized from one cell budget, gives the bits of one whole-width product at
+the benchmark's shape. A pruning step that removes columns restricts the
+stacked arrays instead of stacking again. Seeding ranks its candidates by a
+Gram expansion and recomputes only the winner's distances exactly, which
+must not change a single pick.
 """
 
 import numpy as np
@@ -81,6 +82,25 @@ def test_blocked_logits_equal_the_one_product_bitwise():
     want = (Ac * (2.0 * S)) @ XcT
     want -= ((Ac * Ac) @ S)[:, None]
     np.testing.assert_array_equal(amvfcm._logits(Ac, S, XcT), want)
+
+
+@pytest.mark.parametrize("c, width, exact", [(5, 12, True), (20, 30, False)])
+def test_logit_blocks_follow_the_cell_budget(c, width, exact):
+    # BLOCK_CELLS / (c D) samples per block, two whole blocks and a ragged one.
+    # At the benchmark's shape (8,192 samples) the bits are those of one
+    # whole-width product; at c = 20, D = 30 the block (819) is no multiple of
+    # the BLAS kernel's column unroll, and a sum's last bit may differ
+    rng = np.random.default_rng(12)
+    n = 2 * (amvfcm.BLOCK_CELLS // (c * width)) + 3
+    XcT = rng.normal(size=(width, n))
+    Ac, S = rng.normal(size=(c, width)), rng.uniform(0.1, 2.0, width)
+    want = (Ac * (2.0 * S)) @ XcT
+    want -= ((Ac * Ac) @ S)[:, None]
+    got = amvfcm._logits(Ac, S, XcT)
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 # row indices of the seeds on the noisy benchmark (4 noise columns per view,

@@ -12,7 +12,7 @@ import pytest
 
 import support
 from support import init_centers
-from mvclust import fit_pruning
+from mvclust import amvfcm, fit_pruning
 from mvclust.amvfcm import HyperParams
 from mvclust.metrics import adjusted_rand, contingency_table
 from mvclust.synth import NoiseSpec, append_noise, default_benchmark_spec, generate
@@ -64,6 +64,16 @@ def test_init_centers_matches_exact_ranking_on_degenerate_inputs(case):
             ds, params = support.random_instance(rng)
             views, c = [X * 1e6 for X in ds.views], params.c
         assert_same_seeds(views, c, seed)
+
+
+def test_init_centers_matches_exact_ranking_across_gram_blocks():
+    # 30 columns and 10 candidates put BLOCK_CELLS / 300 = 1,638 samples in a
+    # Gram block: two whole blocks and a ragged one
+    rng = np.random.default_rng(35)
+    n = 2 * (amvfcm.BLOCK_CELLS // (10 * 30)) + 5
+    views = [rng.uniform(0.5, 9.0, (n, 12)), rng.uniform(0.5, 9.0, (n, 18))]
+    for seed in range(3):
+        assert_same_seeds(views, 5, seed)
 
 
 def test_init_centers_picks_do_not_depend_on_units():

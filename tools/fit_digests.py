@@ -4,8 +4,11 @@ Prints ``<case id> <sha256>`` for each fit. The hash covers everything a fit
 returns except timings: the objective trace, hard labels, memberships,
 centers, feature and view weights, dispersion ratios, iteration count and
 convergence flag, plus the removal events, pruning iterations and reduced
-views of the pruning solver. Two versions of ``mvclust`` fit bitwise alike
-exactly when their outputs are identical line for line:
+views of the pruning solver and what callers read from its mask (the
+original and active widths, the active views, each original view's active
+columns and the reduction fraction, with their types). Two versions of
+``mvclust`` fit bitwise alike exactly when their outputs are identical line
+for line:
 
     PYTHONPATH=src python tools/fit_digests.py > new.txt
     PYTHONPATH=/path/to/old/src python tools/fit_digests.py > old.txt
@@ -91,6 +94,10 @@ def digest(result, pruning):
         events = [dataclasses.astuple(ev) for ev in result.mask.removals]
         h.update(repr((events, list(result.pruning_iterations))).encode())
         _feed(h, *result.reduced_dataset.views)
+        mask = result.mask
+        h.update(repr((mask.original_dims, mask.active_dims, mask.active_views(),
+                       mask.reduction_pct)).encode())
+        _feed(h, *(mask.active_columns(v) for v in range(len(mask.original_dims))))
     return h.hexdigest()
 
 
