@@ -39,8 +39,7 @@ for h, view in enumerate(dataset.views):
 print("per-cluster empirical means sit on the configured centers (atol 0.2)")
 
 # dispersion ratio mean/var separates structured from flat columns
-noisy = append_noise(dataset, NoiseSpec(low=0.02, high=0.05, features_per_view=1),
-                     seed=0)
+noisy = append_noise(dataset, NoiseSpec(features_per_view=1), seed=0)
 deltas = compute_delta(noisy)
 print(f"\nwith one uniform noise column per view, dims become {noisy.dims}")
 for h, dlt in enumerate(deltas):

@@ -45,25 +45,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultiViewDataset, validate
-from .snr import DEFAULT_CLAMP, clamped_ratios
+from .snr import clamped_ratios
 
 EMPTY_CLUSTER_TOL = 1e-12
-SAMPLE_BLOCK = 4096  # samples per seeding block at 10 candidates and 12 columns
-BLOCK_CELLS = 10 * 12 * SAMPLE_BLOCK  # rows x D x samples of a block product: unthreaded
+# rows x D x samples of a block product, kept small enough that BLAS does not
+# thread it: 4,096 samples per seeding block at 10 candidates and 12 columns
+BLOCK_CELLS = 10 * 12 * 4096
 ETA_RANGE = (0.0015, 0.025)
 TEMP_CALIBRATION = 32.0
 
 
 @dataclass
 class HyperParams:
-    """Solver knobs shared by both the full and the pruning variant.
+    """Solver settings shared by both the full and the pruning variant.
+
+    The dispersion clamp is not one of them: it is :data:`mvclust.snr.CLAMP`.
 
     Parameters
     ----------
     c : int
         Number of clusters, >= 2.
     eta : float
-        Feature-weight entropy strength in per-sample units, > 0 (see
+        Feature-weight entropy strength in per-sample units, finite and > 0 (see
         :func:`resolve_regularization`). Values outside [0.0015, 0.025]
         trigger a warning at fit time.
     beta : float or None
@@ -74,11 +77,9 @@ class HyperParams:
     t_max : int
         Iteration cap, >= 1.
     epsilon : float
-        Absolute objective-change stopping tolerance, >= 0.
+        Absolute objective-change stopping tolerance, finite and >= 0.
     seed : int
-        Seed for center initialization.
-    delta_clamp : (lo, hi)
-        Clamp interval for the per-feature dispersion ratios.
+        Seed for center initialization, >= 0.
     """
 
     c: int
@@ -87,22 +88,20 @@ class HyperParams:
     t_max: int = 100
     epsilon: float = 1e-6
     seed: int = 0
-    delta_clamp: tuple = DEFAULT_CLAMP
 
     def __post_init__(self):
         if self.c < 2:
             raise ValueError("c must be >= 2")
-        if not self.eta > 0:
-            raise ValueError("eta must be > 0")
-        if self.beta is not None and not self.beta > 0:
-            raise ValueError("fixed beta must be > 0")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ValueError(f"fixed beta must be finite and > 0, got {self.beta}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        lo, hi = self.delta_clamp
-        if not (0 < lo < hi):
-            raise ValueError("delta_clamp must satisfy 0 < lo < hi")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -202,12 +201,6 @@ class FitResult:
     def pruning_iterations(self):
         """Iterations in which something was removed, ascending."""
         return sorted({ev.iteration for ev in self.mask.removals})
-
-
-def _views_of(data):
-    if isinstance(data, MultiViewDataset):
-        return list(data.views)
-    return [np.asarray(v, dtype=float) for v in data]
 
 
 def _softmax_clusters(L):
@@ -474,7 +467,7 @@ def _descend(dataset, params, step=None) -> FitResult:
     fit that removed nothing hands back the input's arrays uncopied.
     """
     validate(dataset)
-    views = _views_of(dataset)
+    views = list(dataset.views)
     n, s = views[0].shape[0], len(views)
     dims = [X.shape[1] for X in views]
     mask = ActiveMask.full(dims)
@@ -483,7 +476,7 @@ def _descend(dataset, params, step=None) -> FitResult:
     _warn_out_of_range(params, dims, n)
 
     XcT, m, ss, view_of = _stack(views)
-    dlt = clamped_ratios(m, ss / (n - 1), params.delta_clamp)
+    dlt = clamped_ratios(m, ss / (n - 1))
     beta, eta = resolve_regularization(params, dims, n)
     tic = time.perf_counter()
     picks = init_centers(XcT, dlt, view_of, params.c, params.seed)

@@ -32,23 +32,12 @@ from .harness import (
     run_experiment,
 )
 from .metrics import score_all
-from .snr import DEFAULT_CLAMP
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_TRIAL = 4
 EXIT_UNEXPECTED = 1
-
-
-def _parse_clamp(text):
-    try:
-        lo, hi = (float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'lo,hi' with two numbers, got {text!r}"
-        ) from None
-    return (lo, hi)
 
 
 def _parse_beta(text):
@@ -70,8 +59,6 @@ def _model_flags(parser):
                         help="'auto' (per-view d/n) or a fixed positive value")
     parser.add_argument("--max-iters", type=int, default=100)
     parser.add_argument("--epsilon", type=float, default=1e-6)
-    parser.add_argument("--delta-clamp", type=_parse_clamp, default=DEFAULT_CLAMP,
-                        metavar="LO,HI")
     parser.add_argument("--dump-weights", action="store_true",
                         help="include dispersion ratios and learned weights in the report")
     parser.add_argument("--out-dir", type=Path, default=None,
@@ -143,7 +130,6 @@ def _run(args, trials, seed_base, jobs=1, synth=None):
             t_max=args.max_iters,
             epsilon=args.epsilon,
             seed=seed_base,
-            delta_clamp=args.delta_clamp,
         ),
         trials=trials,
         seed_base=seed_base,

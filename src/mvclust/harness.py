@@ -41,8 +41,8 @@ class TrialError(RuntimeError):
 class SynthSource:
     """Inline synthetic data source: benchmark geometry plus optional noise.
 
-    Noise columns are uniform on the :class:`~mvclust.synth.NoiseSpec`
-    default interval.
+    Noise columns are uniform on the fixed interval
+    [:data:`~mvclust.synth.NOISE_LOW`, :data:`~mvclust.synth.NOISE_HIGH`).
     """
 
     n: int
@@ -179,7 +179,6 @@ def _resolved_config(config: ExperimentConfig, seed_base):
             "beta": "auto" if p.beta is None else p.beta,
             "t_max": p.t_max,
             "epsilon": p.epsilon,
-            "delta_clamp": list(p.delta_clamp),
         },
         "jobs": config.jobs,
         "dump_weights": config.dump_weights,

@@ -16,6 +16,7 @@ import numpy as np
 from .data import MultiViewDataset
 
 MIXING_TOL = 1e-12
+NOISE_LOW, NOISE_HIGH = 0.02, 0.05  # noise columns are uniform on [NOISE_LOW, NOISE_HIGH)
 
 
 @dataclass(frozen=True)
@@ -76,17 +77,11 @@ class GmmSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Uniform noise padding: ``features_per_view`` columns drawn on [low, high)."""
+    """Uniform noise padding: ``features_per_view`` columns on [NOISE_LOW, NOISE_HIGH)."""
 
-    low: float = 0.02
-    high: float = 0.05
     features_per_view: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.low) and np.isfinite(self.high)):
-            raise ValueError("noise bounds must be finite")
-        if self.low >= self.high:
-            raise ValueError("noise interval must satisfy low < high")
         if self.features_per_view < 0:
             raise ValueError("features_per_view must be >= 0")
 
@@ -132,7 +127,7 @@ def generate(spec: GmmSpec) -> MultiViewDataset:
 
 
 def append_noise(dataset: MultiViewDataset, noise: NoiseSpec, seed=0) -> MultiViewDataset:
-    """Append i.i.d. uniform [low, high) columns to the right of every view.
+    """Append i.i.d. uniform [NOISE_LOW, NOISE_HIGH) columns to the right of every view.
 
     Labels and existing columns are untouched; zero features per view returns
     the dataset unchanged.
@@ -144,7 +139,7 @@ def append_noise(dataset: MultiViewDataset, noise: NoiseSpec, seed=0) -> MultiVi
     rng = np.random.default_rng([seed, 1])
     padded = []
     for X in dataset.views:
-        z = rng.uniform(noise.low, noise.high, size=(X.shape[0], noise.features_per_view))
+        z = rng.uniform(NOISE_LOW, NOISE_HIGH, size=(X.shape[0], noise.features_per_view))
         out = np.hstack([X, z])
         out.flags.writeable = False  # handed over without a defensive copy
         padded.append(out)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from mvclust import amvfcm
-from mvclust.amvfcm import HyperParams, RemovalEvent, _views_of
+from mvclust.amvfcm import HyperParams, RemovalEvent
 from mvclust.data import (
     EmptyDatasetError,
     MatrixFormatError,
@@ -30,6 +30,13 @@ from mvclust.data import (
     validate,
 )
 from mvclust.snr import column_deltas
+
+
+def _views_of(data):
+    """The views of a dataset, or of a list of arrays, as float arrays."""
+    if isinstance(data, MultiViewDataset):
+        return list(data.views)
+    return [np.asarray(v, dtype=float) for v in data]
 
 
 def random_instance(rng, n_max=200):

@@ -26,6 +26,7 @@ import pytest
 from support import (
     _centers_with_reseed,
     _softmax_rows,
+    _views_of,
     aggregate_distances,
     assert_trace_non_increasing,
     init_centers,
@@ -43,7 +44,6 @@ from mvclust.amvfcm import (
     EMPTY_CLUSTER_TOL,
     ClusterModel,
     HyperParams,
-    _views_of,
     entropic_simplex_argmin,
     resolve_regularization,
 )
@@ -139,7 +139,7 @@ def _worst_block_decrease(dataset, params, rng, sweeps, n_pert=200):
     views = _views_of(dataset)
     n, s = views[0].shape[0], len(views)
     dims = [X.shape[1] for X in views]
-    delta = compute_delta(dataset, params.delta_clamp)
+    delta = compute_delta(dataset)
     beta, eta = resolve_regularization(params, dims, n)
     model = ClusterModel(
         membership=np.empty((n, params.c)),

@@ -32,7 +32,7 @@ from mvclust.amvfcm import (
 )
 from mvclust.data import MultiViewDataset
 from mvclust.metrics import score_all
-from mvclust.snr import DEFAULT_CLAMP, compute_delta
+from mvclust.snr import CLAMP, compute_delta
 from mvclust.synth import GmmSpec, NoiseSpec, append_noise, default_benchmark_spec, generate
 
 
@@ -520,8 +520,13 @@ def test_hyperparams_validation():
         HyperParams(c=2, t_max=0)
     with pytest.raises(ValueError):
         HyperParams(c=2, epsilon=-1.0)
-    with pytest.raises(ValueError):
-        HyperParams(c=2, delta_clamp=(1.0, 0.5))
+    # non-finite values and negative seeds are rejected by name
+    for field, bad in [("eta", math.inf), ("eta", math.nan), ("beta", math.inf),
+                       ("beta", math.nan), ("epsilon", math.inf),
+                       ("epsilon", math.nan), ("seed", -1)]:
+        with pytest.raises(ValueError, match=field):
+            HyperParams(c=2, **{field: bad})
+    HyperParams(c=2, beta=None, epsilon=0.0, seed=0)  # the bounds themselves
 
 
 def test_fit_warns_on_out_of_range_beta():
@@ -615,7 +620,7 @@ def test_fit_delta_equals_compute_delta_at_both_clamp_bounds(solver):
     data = MultiViewDataset([np.column_stack([X0, np.full(120, 3.0)]), X1, -X1[:, :1]],
                             ds.labels)
     full = compute_delta(data)
-    assert full[0][-1] == DEFAULT_CLAMP[1] and full[2][0] == DEFAULT_CLAMP[0]
+    assert full[0][-1] == CLAMP[1] and full[2][0] == CLAMP[0]
     res = solver(data, HyperParams(c=5, seed=6))
     assert len(res.delta) == len(res.mask.active_views())
     for got, h in zip(res.delta, res.mask.active_views(), strict=True):
@@ -689,7 +694,7 @@ def replay_fit(dataset, params):
     """The full solver written out block by block, each block its own call."""
     views = list(dataset.views)
     n, dims = dataset.n_samples, dataset.dims
-    delta = compute_delta(dataset, params.delta_clamp)
+    delta = compute_delta(dataset)
     beta, eta = resolve_regularization(params, dims, n)
     centers = init_centers(views, params.c, params.seed, delta)
     XcT, m, ss, view_of = amvfcm._stack(views)

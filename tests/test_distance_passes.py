@@ -72,18 +72,6 @@ def test_pruning_fit_stacks_once_per_fit(logit_calls, stack_calls):
     assert pruned >= 5
 
 
-def test_blocked_logits_equal_the_one_product_bitwise():
-    # the logits are taken one block of samples at a time into one (c, n)
-    # array; with a ragged last block they still equal the whole-width product
-    rng = np.random.default_rng(11)
-    n = 2 * amvfcm.SAMPLE_BLOCK + 3
-    XcT = rng.normal(size=(9, n))
-    Ac, S = rng.normal(size=(5, 9)), rng.uniform(0.1, 2.0, 9)
-    want = (Ac * (2.0 * S)) @ XcT
-    want -= ((Ac * Ac) @ S)[:, None]
-    np.testing.assert_array_equal(amvfcm._logits(Ac, S, XcT), want)
-
-
 @pytest.mark.parametrize("c, width, exact", [(5, 12, True), (20, 30, False)])
 def test_logit_blocks_follow_the_cell_budget(c, width, exact):
     # BLOCK_CELLS / (c D) samples per block, two whole blocks and a ragged one.

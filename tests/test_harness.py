@@ -144,7 +144,7 @@ def test_engine_and_resolved_config_fields():
     assert resolved["source"] == {"synth": dataclasses.asdict(cfg.synth)}
     assert resolved["hyperparams"]["c"] == 5
     assert resolved["hyperparams"]["beta"] == "auto"
-    assert resolved["hyperparams"]["delta_clamp"] == [1e-6, 1e6]
+    assert list(resolved["hyperparams"]) == ["c", "eta", "beta", "t_max", "epsilon"]
 
 
 def test_aggregates_are_min_avg_max_of_trials():

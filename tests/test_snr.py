@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvclust.data import MultiViewDataset
-from mvclust.snr import DEFAULT_CLAMP, column_deltas, compute_delta
+from mvclust.snr import CLAMP, column_deltas, compute_delta
 
 
 def test_column_deltas_basic_ratio():
@@ -17,24 +17,15 @@ def test_column_deltas_basic_ratio():
 
 def test_column_deltas_zero_variance_hits_ceiling():
     out = column_deltas(np.full((4, 1), 7.0))
-    assert out[0] == DEFAULT_CLAMP[1]
+    assert out[0] == CLAMP[1]
 
 
 def test_column_deltas_nonpositive_mean_hits_floor():
-    lo = DEFAULT_CLAMP[0]
+    lo = CLAMP[0]
     zero_mean = np.array([[-1.0], [1.0]])
     assert column_deltas(zero_mean)[0] == lo
     negative_mean = np.array([[-3.0], [-1.0]])
     assert column_deltas(negative_mean)[0] == lo
-
-
-def test_column_deltas_custom_clamp():
-    out = column_deltas(np.array([[1.0], [2.0], [3.0]]), clamp=(0.5, 1.5))
-    assert out[0] == 1.5  # ratio 2 clipped to the ceiling
-    with pytest.raises(ValueError):
-        column_deltas(np.ones((3, 1)), clamp=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        column_deltas(np.ones((3, 1)), clamp=(2.0, 1.0))
 
 
 def test_column_deltas_needs_two_rows():

@@ -181,8 +181,4 @@ def test_noise_stream_does_not_replay_assignment_draws():
 
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
-        NoiseSpec(low=0.05, high=0.02)
-    with pytest.raises(ValueError):
-        NoiseSpec(low=np.nan, high=1.0)
-    with pytest.raises(ValueError):
         NoiseSpec(features_per_view=-1)
