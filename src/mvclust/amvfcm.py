@@ -14,25 +14,27 @@ Every block update is the exact minimizer of the joint objective with the
 other blocks held fixed, which makes the objective trace non-increasing.
 
 The weighted squared distances are never built, neither as an (n, c, d)
-tensor nor as (n, c) matrices. One pass over the data stacks all views into
-a C-ordered, feature-major, column-centred (D, n) array XcT = (X - m)^T; its
-m and ss_j = sum_i xc_ij^2 give the dispersion ratios, its scaled rows the
-seeds (:func:`init_centers`). With S_j = v_h w_j delta_j and Ac = A - m the
+tensor nor as (n, c) matrices, and a fit holds one copy of the data: the
+views centred, block by block, into a C-ordered, feature-major (D, n) array
+XcT = (X - m)^T. Its m and ss_j = sum_i xc_ij^2 give the dispersion ratios,
+its rows, scaled one block of samples at a time, the seeds
+(:func:`init_centers`). With S_j = v_h w_j delta_j and Ac = A - m the
 stacked centred centers, the memberships, held as a (c, n) array U, are the
 softmax over clusters of L = (2 Ac S) XcT - (Ac^2) S: the per-sample term
 sum_j S_j xc_ij^2 of the aggregate distances cancels there and is never
-formed. One more product, G = U Xc, gives the centers G / (cluster masses)
-and the feature costs E_j = delta_j (ss_j - 2 sum_k ac_kj G_kj +
-sum_k mass_k ac_kj^2), hence the view costs w_h . E_h: two matrix products
-per iteration for all views. The feature weights are one vector over the
-stacked columns, with view_of naming each column's view, so the per-view
-softmax, view costs and entropies are segment reductions over it. Pruning
-is a boolean keep-vector over the columns: the descent indexes every stacked
-array with it and never restacks, and builds the per-view model once, at
-the end. Centring keeps the rounding at the scale of the data's spread, not
-of its offset: on 200 random instances, as given and shifted by 1e6,
-distances rebuilt from the logits are within 6.1e-16 of each view's largest
-distance (3.0e-3 uncentred and shifted), feature costs within 1.8e-15.
+formed. The sums G = U Xc give the centers G / (cluster masses) and the
+feature costs E_j = delta_j (ss_j - 2 sum_k ac_kj G_kj +
+sum_k mass_k ac_kj^2), hence the view costs w_h . E_h. Each iteration reads
+the stack once, in blocks of samples that take L, U and G together. The
+feature weights are one vector over the stacked columns, with view_of
+naming each column's view, so the per-view softmax, view costs and
+entropies are segment reductions over it. Pruning is a boolean keep-vector
+over the columns: the descent moves the kept rows of the stack up in place,
+never restacks, and builds the per-view model once, at the end. Centring
+keeps the rounding at the scale of the data's spread, not of its offset: on
+200 random instances, as given and shifted by 1e6, distances rebuilt from
+the logits are within 6.1e-16 of each view's largest distance (3.0e-3
+uncentred and shifted), feature costs within 1.8e-15.
 """
 
 from __future__ import annotations
@@ -180,7 +182,8 @@ class FitResult:
     column, and every removal event. The per-view arrays are built once, at
     the end, from the descent's stacked state and the mask: ``model`` and
     ``delta`` are sized to the survivors, and ``model.membership`` is a
-    C-contiguous (n, c) copy of the descent's (c, n) memberships.
+    C-contiguous (n, c) copy of the descent's cluster-major (c, n)
+    membership buffer, made after the stacked data is freed.
     ``reduced_dataset`` holds the surviving views, names and the labels; pair
     it with ``mask.active_columns`` to map back to original column positions.
     A fit that removed nothing has a full mask and the input's own views.
@@ -203,18 +206,6 @@ class FitResult:
         return sorted({ev.iteration for ev in self.mask.removals})
 
 
-def _softmax_clusters(L):
-    # over the cluster axis of (c, n) logits, reducing contiguous rows; shifts L
-    # in place. Returns U, the per-sample peak and sum_ik u_ik log u_ik by einsum
-    # (BLAS threads a dot this long; a busy machine stalls it ~8ms against 20us)
-    peak = L.max(axis=0)
-    L -= peak
-    U = np.exp(L)
-    total = U.sum(axis=0)
-    U /= total
-    return U, peak, float(np.einsum("kn,kn->", U, L) - np.log(total).sum())
-
-
 def _softmax(x):
     e = np.exp(x - x.max())
     return e / e.sum()
@@ -223,34 +214,60 @@ def _softmax(x):
 def _stack(views):
     # all views feature-major and column-centred in one C-ordered (D, n)
     # array, with the column means m, ss_j = sum_i xc_ij^2 and each column's
-    # view; m and ss are taken per (n, d) view as np.var takes them, so
-    # ss / (n - 1) is its unbiased variance bit for bit
+    # view, filled by blocks of rows with no (n, d) temporary. m and ss are
+    # what np.var takes, so ss / (n - 1) is its unbiased variance bit for bit:
+    # it sums a C-ordered view row after row, which each block repeats below
+    # the running sums carried as its row 0, and a one-column view pairwise
     view_of = np.repeat(np.arange(len(views)), [X.shape[1] for X in views])
-    XcT = np.empty((view_of.size, views[0].shape[0]))
+    n = views[0].shape[0]
+    XcT, block = np.empty((view_of.size, n)), max(1, BLOCK_CELLS // (10 * view_of.size))
     m, ss = [], []
     for X, rows in zip(views, np.split(XcT, _view_starts(view_of)[1:])):
         m.append(X.mean(axis=0))
-        Xc = X - m[-1]
-        rows[:] = Xc.T
-        ss.append(np.multiply(Xc, Xc, out=Xc).sum(axis=0))
+        if X.shape[1] == 1:
+            np.subtract(X[:, 0], m[-1], out=rows[0])
+            ss.append(np.square(rows).sum(axis=1))
+            continue
+        B, total = np.empty((min(block, n) + 1, X.shape[1])), np.zeros(X.shape[1])
+        for lo in range(0, n, block):
+            Bb = B[:min(block, n - lo) + 1]
+            Bb[0] = total
+            Xc = np.subtract(X[lo:lo + block], m[-1], out=Bb[1:])
+            rows[:, lo:lo + block] = Xc.T
+            Xc *= Xc
+            total = Bb.sum(axis=0)
+        ss.append(total)
     return XcT, np.concatenate(m), np.concatenate(ss), view_of
 
 
-def _logits(Ac, S, XcT):
-    # minus the aggregate distances less their per-sample term sum_j S_j xc_ij^2,
-    # (c, n): one GEMM for all views per BLOCK_CELLS / (c D) samples (BLAS
-    # threads a larger one, and its idle worker then spins)
-    A2S, L = Ac * (2.0 * S), np.empty((Ac.shape[0], XcT.shape[1]))
-    block = max(1, BLOCK_CELLS // Ac.size)
+def _logit_buffer(c, XcT):
+    # the (c, block) logits buffer of _sweep: BLOCK_CELLS / (c D) samples, a
+    # product BLAS does not thread (a larger one leaves its idle worker spinning)
+    return np.empty((c, min(XcT.shape[1], max(1, BLOCK_CELLS // (c * XcT.shape[0])))))
+
+
+def _sweep(Ac, S, XcT, U, peak, L):
+    # one pass over the (D, n) stack in blocks of L.shape[1] samples. Per
+    # block: the logits (2 Ac S) Xc - (Ac^2) S into L, minus the aggregate
+    # distances less their per-sample term sum_j S_j xc_ij^2; their softmax
+    # over clusters into the (c, n) U and its per-sample peak into peak (L is
+    # left shifted by it); and the sums G = U Xc (c, D), the cluster masses
+    # and sum_ik u_ik log u_ik, accumulated. The entropy is an einsum: BLAS
+    # threads a dot this long, and a busy machine stalls it ~8ms against 20us
+    A2S, row = Ac * (2.0 * S), ((Ac * Ac) @ S)[:, None]
+    entropy, block = 0.0, L.shape[1]
     for lo in range(0, XcT.shape[1], block):
-        np.matmul(A2S, XcT[:, lo:lo + block], out=L[:, lo:lo + block])
-    L -= ((Ac * Ac) @ S)[:, None]
-    return L
-
-
-def _cluster_sums(U, XcT):
-    # G = U Xc (c, D) and the cluster masses (c,)
-    return U @ XcT.T, U.sum(axis=1)
+        X, Ub, top = XcT[:, lo:lo + block], U[:, lo:lo + block], peak[lo:lo + block]
+        Lb = np.matmul(A2S, X, out=L[:, :X.shape[1]])
+        Lb -= row
+        Lb -= np.max(Lb, axis=0, out=top)
+        total = np.exp(Lb, out=Ub).sum(axis=0)
+        Ub /= total
+        entropy += np.einsum("kn,kn->", Ub, Lb) - np.log(total).sum()
+        # the first block's sums are taken as they are: with one block, no add
+        G = Ub @ X.T if lo == 0 else G + Ub @ X.T
+        mass = Ub.sum(axis=1) if lo == 0 else mass + Ub.sum(axis=1)
+    return G, mass, float(entropy)
 
 
 def _feature_costs(G, Ac, mass, sq, dlt):
@@ -349,12 +366,24 @@ def _objective_given_costs(costs, membership_entropy, v, w, dlt, beta, eta):
     return float(v @ costs) + membership_entropy + view_entropy + eta * feature_entropy
 
 
-def _sq_dists(Z, t):
-    # exact squared distances of every column of Z to column t, row by row
-    out, diff = np.zeros(Z.shape[1]), np.empty(Z.shape[1])
-    for row in Z:
-        np.subtract(row, row[t], out=diff)
-        out += np.multiply(diff, diff, out=diff)
+def _scaled_blocks(XcT, scale, Z):
+    # (first sample, block) of the stack scaled into the (D, block) buffer Z,
+    # by the products that would scale the whole stack; the last block ends
+    # at n and overlaps the one before, since a one-sample block would be
+    # summed over its rows pairwise, not row after row
+    n, b = XcT.shape[1], Z.shape[1]
+    for lo in range(0, n, b):
+        lo = min(lo, n - b)
+        yield lo, np.multiply(XcT[:, lo:lo + b], scale, out=Z)
+
+
+def _sq_dists(XcT, scale, t, Z):
+    # exact squared distances of every sample to sample t in the scaled
+    # metric, summed over the rows of each scaled block
+    out, zt = np.empty(XcT.shape[1]), XcT[:, t] * scale[:, 0]
+    for lo, diff in _scaled_blocks(XcT, scale, Z):
+        diff -= zt[:, None]
+        np.multiply(diff, diff, out=diff).sum(axis=0, out=out[lo:lo + Z.shape[1]])
     return out
 
 
@@ -362,38 +391,47 @@ def init_centers(XcT, dlt, view_of, c, seed):
     """Greedy spread seeding (k-means++ weighting) in the solver's own metric.
 
     One greedy pass over the samples of the fit's stacked, centred (D, n)
-    array, on a copy with row j scaled by sqrt(delta_j / d_h): the metric of
-    the first iteration, delta_j times the uniform feature weight 1/d_h.
+    array in the metric of the first iteration: row j scaled by
+    sqrt(delta_j / d_h), delta_j times the uniform feature weight 1/d_h.
     Returns the c picked sample indices. The dispersion ratios damp the
     uninformative columns, so one pass needs no restarts to keep from
     doubling up a cluster. Under a power-of-four change of units every
     delta_j * x^2 scales exactly and the picks are bitwise the same.
     Deterministic given the seed; with c = n every sample is chosen.
 
-    Each step ranks its candidates by the Gram expansion |z_i|^2 - 2 z_i.z_t +
-    |z_t|^2, one (trials, block) product per block of samples sized by
-    BLOCK_CELLS, so seeding holds no (n, trials) array. Candidates within a
-    rounding bound of the lowest potential are re-ranked by exact distances,
-    summed one row at a time (lowest wins, first on ties); the winner's
-    distances are exact, so the picks and sampling weights are exact ranking's.
+    Each step ranks its candidates by the Gram expansion |z_i|^2 - 2 z_i.z_t
+    + |z_t|^2, one (trials, block) product of the stack per block of samples
+    sized by BLOCK_CELLS, the metric folded into the (trials, D) candidate
+    matrix, so seeding holds no (n, trials) array and no scaled copy of the
+    stack. Candidates within a rounding bound of the lowest potential are
+    re-ranked by exact distances (lowest wins, first on ties); those and
+    |z_i|^2 come from one block at a time, scaled by the products that would
+    scale the whole stack. The winner's distances are exact, so the picks and
+    sampling weights are exact ranking's; the last pick's are not needed, and
+    are computed only to break a near-tie.
     """
     width, n = XcT.shape
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    Z = XcT * np.sqrt(dlt / np.bincount(view_of)[view_of])[:, None]
+    metric = dlt / np.bincount(view_of)[view_of]
+    scale = np.sqrt(metric)[:, None]
     rng = np.random.default_rng(seed)
     trials = max(10, 2 + int(math.log(c)))
     block = max(1, BLOCK_CELLS // (trials * width))
-    sq = np.einsum("ji,ji->i", Z, Z)
+    # the scaled blocks: equal in size, about BLOCK_CELLS / 8 cells, which
+    # stay in cache between the products that scale, subtract and square them
+    Z, sq = np.empty((width, math.ceil(n / math.ceil(n * width * 8 / BLOCK_CELLS)))), np.empty(n)
+    for lo, Zb in _scaled_blocks(XcT, scale, Z):
+        np.einsum("ji,ji->i", Zb, Zb, out=sq[lo:lo + Z.shape[1]])
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(Z, chosen[0])
+    d2 = _sq_dists(XcT, scale, chosen[0], Z)
     for _ in range(1, c):
         total = d2.sum()
         if total > 0:
             cand = rng.choice(n, size=trials, p=d2 / total)
-            Zc, pot = -2.0 * Z[:, cand].T, np.zeros(trials)
+            Zc, pot = XcT[:, cand].T * (-2.0 * metric), np.zeros(trials)
             for lo in range(0, n, block):
-                G = Zc @ Z[:, lo:lo + block]
+                G = Zc @ XcT[:, lo:lo + block]
                 G += sq[lo:lo + block]
                 G += sq[cand, None]
                 pot += np.minimum(G, d2[lo:lo + block], out=G).sum(axis=1)
@@ -403,9 +441,12 @@ def init_centers(XcT, dlt, view_of, c, seed):
             slack = np.finfo(float).eps * (
                 (width + 4) * (sq.sum() + n * sq[cand].max()) + n * pot.max())
             near = cand[pot <= pot.min() + 2 * slack]
-            cand_d2 = np.stack([np.minimum(d2, _sq_dists(Z, t)) for t in near], axis=1)
-            best = int(np.argmin(cand_d2.sum(axis=0)))
-            idx, d2 = int(near[best]), cand_d2[:, best]
+            idx = int(near[0])
+            if near.size > 1 or len(chosen) < c - 1:  # the last pick's distances go unused
+                cand_d2 = np.stack([np.minimum(d2, _sq_dists(XcT, scale, t, Z)) for t in near],
+                                   axis=1)
+                best = int(np.argmin(cand_d2.sum(axis=0)))
+                idx, d2 = int(near[best]), cand_d2[:, best]
         else:
             # all remaining mass is zero (duplicate points): pick any unchosen,
             # and every distance stays zero
@@ -417,12 +458,13 @@ def init_centers(XcT, dlt, view_of, c, seed):
 
 def _centers_with_reseed(G, mass, XcT, S, peak):
     # centred centers; empty clusters are re-seeded at the worst-served samples,
-    # ranked by the dropped per-sample term less the peak logit (only then computed)
+    # ranked by the dropped per-sample term less the peak logit (only then
+    # computed, by an einsum that needs no squared copy of the stack)
     safe = np.where(mass > EMPTY_CLUSTER_TOL, mass, 1.0)
     Ac = G / safe[:, None]
     empty = np.flatnonzero(mass <= EMPTY_CLUSTER_TOL)
     if empty.size:
-        worst_first = np.argsort(S @ (XcT * XcT) - peak)[::-1]
+        worst_first = np.argsort(np.einsum("j,ji,ji->i", S, XcT, XcT) - peak)[::-1]
         Ac[empty] = XcT[:, worst_first[:empty.size]].T
     return Ac
 
@@ -450,8 +492,9 @@ def _descend(dataset, params, step=None) -> FitResult:
     """Block descent shared by both solvers; ``step`` is the pruning hook.
 
     One centred (D, n) stack gives delta, the seeds and every iteration (see
-    the module notes): logits and softmax, cluster sums, centers, feature
-    costs and weights, the pruning hook, view costs and weights, objective.
+    the module notes): one pass for the logits, softmax and cluster sums,
+    then centers, feature costs and weights, the pruning hook, view costs
+    and weights, objective.
 
     The descent owns an :class:`ActiveMask` sized to the input, full at the
     start. ``step(t, w, view_of, n, mask)`` runs in iteration t right after
@@ -459,12 +502,12 @@ def _descend(dataset, params, step=None) -> FitResult:
     columns and their views view_of, numbered among the active views. It
     returns None when it removed nothing. Otherwise it has recorded its
     removals in the mask and returns a boolean keep-vector over w; the descent
-    then restricts every stacked array to the kept columns, renumbers the
-    views, renormalizes each view's weights to sum to 1 and re-resolves beta
-    and eta for the surviving widths, and the view-weight update sizes the
-    view weights to the surviving views. The per-view model, ``delta`` and
-    ``reduced_dataset`` are built from the mask when the descent ends, so a
-    fit that removed nothing hands back the input's arrays uncopied.
+    then restricts every stacked array to the kept columns (the stack in
+    place), renumbers the views, renormalizes each view's weights to sum to 1
+    and re-resolves beta and eta for the surviving widths, and the view-weight
+    update sizes the view weights to the surviving views. The per-view model,
+    ``delta`` and ``reduced_dataset`` are built from the mask when the descent
+    ends, so a fit that removed nothing hands back the input's arrays uncopied.
     """
     validate(dataset)
     views = list(dataset.views)
@@ -484,8 +527,8 @@ def _descend(dataset, params, step=None) -> FitResult:
     w = 1.0 / np.bincount(view_of)[view_of]
     v = np.full(s, 1.0 / s)
     Ac = XcT[:, picks].T.copy()
-    U, _, entropy = _softmax_clusters(_logits(Ac, v[view_of] * w * dlt, XcT))
-    G, mass = _cluster_sums(U, XcT)
+    U, peak, L = np.empty((params.c, n)), np.empty(n), _logit_buffer(params.c, XcT)
+    G, mass, entropy = _sweep(Ac, v[view_of] * w * dlt, XcT, U, peak, L)
     costs = np.bincount(view_of, w * _feature_costs(G, Ac, mass, ss, dlt))
     trace = [_objective_given_costs(costs, entropy, v, w, dlt, beta, eta)]
 
@@ -494,17 +537,19 @@ def _descend(dataset, params, step=None) -> FitResult:
     iter_seconds = []
     for t in range(1, params.t_max + 1):
         tic = time.perf_counter()
-        del U  # spent: one (c, n) array fewer beside the next logits and softmax
         S = v[view_of] * w * dlt
-        U, peak, entropy = _softmax_clusters(_logits(Ac, S, XcT))
-        G, mass = _cluster_sums(U, XcT)
+        G, mass, entropy = _sweep(Ac, S, XcT, U, peak, L)
         Ac = _centers_with_reseed(G, mass, XcT, S, peak)
         E = _feature_costs(G, Ac, mass, ss, dlt)
         w = _feature_weights(E, dlt, view_of, v, eta)
         keep = None if step is None else step(t, w, view_of, n, mask)
         if keep is not None:
-            XcT, m, ss, dlt, E, w, Ac = (XcT[keep], m[keep], ss[keep], dlt[keep],
+            kept = np.flatnonzero(keep)
+            for i, j in enumerate(kept):  # in place: no second stack
+                XcT[i] = XcT[j]
+            XcT, m, ss, dlt, E, w, Ac = (XcT[:kept.size], m[keep], ss[keep], dlt[keep],
                                          E[keep], w[keep], Ac[:, keep])
+            L = _logit_buffer(params.c, XcT)
             view_of = np.unique(view_of[keep], return_inverse=True)[1]
             w /= np.bincount(view_of, w)[view_of]
             beta, eta = resolve_regularization(params, np.bincount(view_of), n)
@@ -517,20 +562,26 @@ def _descend(dataset, params, step=None) -> FitResult:
             converged = True
             break
         prev = J
+    # the stack goes before the (n, c) membership copy, the (c, n) buffer
+    # before the surviving views are copied (read-only, so kept uncopied)
+    del XcT, L, peak
+    membership, hard_labels = np.ascontiguousarray(U.T), np.argmax(U, axis=0)
+    del U
     names = dataset.view_names
     if mask.removals:
         active = mask.active_views()
-        views = [views[h][:, mask.active_columns(h)] for h in active]
+        views = [np.take(views[h], mask.active_columns(h), axis=1) for h in active]
+        for X in views:
+            X.flags.writeable = False
         if names is not None:
             names = [names[h] for h in active]
     ends = _view_starts(view_of)[1:]
     return FitResult(
-        model=ClusterModel(np.ascontiguousarray(U.T), np.split(Ac + m, ends, axis=1),
-                           np.split(w, ends), v),
+        model=ClusterModel(membership, np.split(Ac + m, ends, axis=1), np.split(w, ends), v),
         objective_trace=np.asarray(trace),
         iterations=len(trace) - 1,
         converged=converged,
-        hard_labels=np.argmax(U, axis=0),
+        hard_labels=hard_labels,
         delta=np.split(dlt, ends),
         seed_seconds=seed_seconds,
         mask=mask,

@@ -49,6 +49,10 @@ class SynthSource:
     seed: int = 0
     noise_features: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass
 class ExperimentConfig:

@@ -5,13 +5,15 @@ own, apart from the solver loop that fuses them. The block calls
 (``per_view_distances`` through ``_centers_with_reseed``) are compositions of
 the solver's private kernels on its stacked, cluster-major layout. Their
 only arithmetic is the descent's own two one-liners, the scales
-S = v[view_of] * w * delta and the view costs bincount(view_of, w * E), and
-three adapters, all there so that the blocks stay exact for any model,
-memberships off the simplex included: the per-sample term that the logits
-leave out is added back where a distance is asked for, the squared sums of
-the feature costs are weighted by the actual membership row sums, and the
-membership entropy is summed directly (``fit`` takes it from the logits). A
-test that calls them exercises what ``fit`` runs, in the (n, c) layout of
+S = v[view_of] * w * delta and the view costs bincount(view_of, w * E), the
+cluster sums U Xc of any memberships, and three adapters, all there so that
+the blocks stay exact for any model, memberships off the simplex included:
+the per-sample term that the logits leave out is added back where a
+distance is asked for, the squared sums of the feature costs are weighted by
+the actual membership row sums, and the membership entropy is summed
+directly (``fit`` takes it from the logits). The logits are read back from
+the buffer of the solver's fused kernel, run over all samples in one block.
+A test that calls them exercises what ``fit`` runs, in the (n, c) layout of
 the model.
 """
 
@@ -123,7 +125,7 @@ def weighted_distance(views, model, delta, i, k, h) -> float:
 def per_view_distances_exact(views, model, delta):
     """Per-view distance matrices from the (n, c, d) squared-difference tensor.
 
-    Oracle for the solver's logits kernel ``amvfcm._logits`` (reached
+    Oracle for the logits of the solver's kernel ``amvfcm._sweep`` (reached
     through ``per_view_distances``), which expands the square on centred data
     instead of materializing every difference.
     """
@@ -138,16 +140,34 @@ def _split(stacked, view_of, axis=-1):
     return np.split(stacked, amvfcm._view_starts(view_of)[1:], axis=axis)
 
 
-def _logits_of(views, model, delta, view_weights):
-    # fit's stacked logits at these view weights, and the scales and stack
-    # that rebuild the distances from them
+def sweep(Ac, S, XcT):
+    """fit's kernel over all n samples in one block: (U, peak, logits, G, mass, entropy).
+
+    One block leaves the kernel's (c, n) buffer holding the logits shifted
+    by each sample's peak, so adding the peak back gives the logits.
+    """
+    c, n = Ac.shape[0], XcT.shape[1]
+    U, peak, L = np.empty((c, n)), np.empty(n), np.empty((c, n))
+    G, mass, entropy = amvfcm._sweep(Ac, S, XcT, U, peak, L)
+    return U, peak, L + peak, G, mass, entropy
+
+
+def cluster_sums(U, XcT):
+    """G = U Xc (c, D) and the masses (c,) of any (c, n) memberships U."""
+    return U @ XcT.T, U.sum(axis=1)
+
+
+def _sweep_of(views, model, delta, view_weights):
+    # fit's stacked memberships and logits at these view weights, and the
+    # scales and stack that rebuild the distances from them
     XcT, m, _, view_of = amvfcm._stack(_views_of(views))
     S = view_weights[view_of] * np.concatenate(model.feature_weights) * np.concatenate(delta)
-    return amvfcm._logits(np.hstack(model.centers) - m, S, XcT), S, XcT
+    U, _, L, _, _, _ = sweep(np.hstack(model.centers) - m, S, XcT)
+    return U, L, S, XcT
 
 
 def _distances(views, model, delta, view_weights):
-    L, S, XcT = _logits_of(views, model, delta, view_weights)
+    _, L, S, XcT = _sweep_of(views, model, delta, view_weights)
     return (S @ (XcT * XcT) - L).T
 
 
@@ -169,7 +189,7 @@ def _feature_costs(views, model, delta):
     # view index of each stacked column
     XcT, m, _, view_of = amvfcm._stack(_views_of(views))
     U = np.ascontiguousarray(model.membership.T)
-    G, mass = amvfcm._cluster_sums(U, XcT)
+    G, mass = cluster_sums(U, XcT)
     sq = (XcT * XcT) @ U.sum(axis=0)
     E = amvfcm._feature_costs(G, np.hstack(model.centers) - m, mass, sq, np.concatenate(delta))
     return E, view_of
@@ -202,9 +222,9 @@ def _xlogx(p):
 
 
 def _softmax_rows(logits):
-    """Softmax of each row of an (n, c) array, by fit's cluster-axis kernel."""
-    U, _, _ = amvfcm._softmax_clusters(np.array(logits.T, order="C"))
-    return U.T
+    """Softmax of each row of an (n, c) array, shifted by the row's largest entry."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def update_membership(views, model, delta):
@@ -213,9 +233,7 @@ def update_membership(views, model, delta):
     Max-subtraction keeps the exponentials stable, so adding a constant to
     every cluster's aggregate distance leaves the result unchanged.
     """
-    L, _, _ = _logits_of(views, model, delta, model.view_weights)
-    U, _, _ = amvfcm._softmax_clusters(L)
-    return U.T
+    return _sweep_of(views, model, delta, model.view_weights)[0].T
 
 
 def _centers_with_reseed(views, membership, agg_dist):
@@ -226,7 +244,7 @@ def _centers_with_reseed(views, membership, agg_dist):
     the smallest of ``agg_dist``, it ranks by ``agg_dist`` itself.
     """
     XcT, m, _, view_of = amvfcm._stack(_views_of(views))
-    G, mass = amvfcm._cluster_sums(np.ascontiguousarray(membership.T), XcT)
+    G, mass = cluster_sums(np.ascontiguousarray(membership.T), XcT)
     Ac = amvfcm._centers_with_reseed(G, mass, XcT, np.zeros(len(m)), -agg_dist.min(axis=1))
     return _split(Ac + m, view_of)
 

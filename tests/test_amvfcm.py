@@ -109,7 +109,7 @@ def test_per_view_distances_match_tensor_oracle(offset):
             scale = W.max()
             worst = max(worst, np.abs(G - W).max() / scale)
             XT = np.ascontiguousarray(X.T)
-            uncentred = ((w * dlt) @ (XT * XT) - amvfcm._logits(A, w * dlt, XT)).T
+            uncentred = ((w * dlt) @ (XT * XT) - support.sweep(A, w * dlt, XT)[2]).T
             uncentred_worst = max(uncentred_worst, np.abs(uncentred - W).max() / scale)
     assert worst <= 1e-12
     if offset:
@@ -117,16 +117,18 @@ def test_per_view_distances_match_tensor_oracle(offset):
 
 
 def test_stack_is_c_ordered_feature_major_with_the_variance_sums():
-    # the two products of each iteration stream its rows; its sums of squares
-    # give np.var's unbiased variances bit for bit, a one-column view included
+    # each iteration's pass streams its rows; its sums of squares give
+    # np.var's unbiased variances bit for bit, a one-column view included,
+    # across BLOCK_CELLS / (10 D) rows per block: two whole blocks and three rows
     rng = np.random.default_rng(45)
-    views = [rng.uniform(1, 9, (50, 3)), rng.uniform(1, 9, (50, 1)), rng.uniform(1, 9, (50, 2))]
+    n = 2 * (amvfcm.BLOCK_CELLS // (10 * 6)) + 3
+    views = [rng.uniform(1, 9, (n, 3)), rng.uniform(1, 9, (n, 1)), rng.uniform(1, 9, (n, 2))]
     XcT, m, ss, view_of = amvfcm._stack(views)
-    assert XcT.shape == (6, 50) and XcT.flags.c_contiguous
+    assert XcT.shape == (6, n) and XcT.flags.c_contiguous
     assert XcT.tobytes() == np.ascontiguousarray((np.hstack(views) - m).T).tobytes()
     np.testing.assert_array_equal(view_of, [0, 0, 0, 1, 2, 2])
     want = np.concatenate([X.var(axis=0, ddof=1) for X in views])
-    assert (ss / 49).tobytes() == want.tobytes()
+    assert (ss / (n - 1)).tobytes() == want.tobytes()
 
 
 def test_weight_and_distance_pass_needs_no_tensor():
@@ -139,11 +141,11 @@ def test_weight_and_distance_pass_needs_no_tensor():
     XcT, m, ss, view_of = amvfcm._stack(views)
     Ac = np.hstack(model.centers) - m
     dlt, v = np.concatenate(delta), model.view_weights
+    U, peak, L = np.empty((c, n)), np.empty(n), amvfcm._logit_buffer(c, XcT)
     tracemalloc.start()
     try:
         S = v[view_of] * np.concatenate(model.feature_weights) * dlt
-        U, peak, _ = amvfcm._softmax_clusters(amvfcm._logits(Ac, S, XcT))
-        G, mass = amvfcm._cluster_sums(U, XcT)
+        G, mass, _ = amvfcm._sweep(Ac, S, XcT, U, peak, L)
         Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
         E = amvfcm._feature_costs(G, Ac, mass, ss, dlt)
         w = amvfcm._feature_weights(E, dlt, view_of, v, eta=1.0)
@@ -152,6 +154,34 @@ def test_weight_and_distance_pass_needs_no_tensor():
     finally:
         tracemalloc.stop()
     assert peak_bytes < n * c * d * 8
+
+
+@pytest.mark.parametrize("solver", [fit_full, fit_pruning])
+def test_fit_holds_one_copy_of_the_data(solver):
+    # n = 40k, D = 12, c = 5: the (D, n) stack is 3.84 MB and a (c, n) array
+    # 1.6 MB. A fit holds the stack, the (c, n) memberships and blocks, then
+    # the memberships and their (n, c) copy once the stack is freed; a scaled
+    # copy of the stack for seeding, or a second stack from a pruning step,
+    # would not fit under the bound. One near-constant column per view is
+    # pruned in the first iteration
+    n, c = 40_000, 5
+    rng = np.random.default_rng(46)
+    ds = append_noise(generate(default_benchmark_spec(n, seed=0)),
+                      NoiseSpec(features_per_view=3), seed=0)
+    ds = MultiViewDataset([np.hstack([X, rng.uniform(1000.0, 1000.01, (n, 1))])
+                           for X in ds.views], ds.labels)
+    width = sum(ds.dims)
+    assert width == 12
+    # a first fit also imports numpy's lazily loaded modules
+    solver(MultiViewDataset([X[:500] for X in ds.views], ds.labels[:500]), HyperParams(c=c))
+    tracemalloc.start()
+    try:
+        res = solver(ds, HyperParams(c=c))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.mask.active_dims == ([6, 6] if solver is fit_full else [5, 5])
+    assert peak < (width + 2 * c) * n * 8
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -166,7 +196,7 @@ def test_feature_costs_match_tensor_oracle(offset):
         U = rng.dirichlet(np.ones(params.c), size=views[0].shape[0])
         delta = [rng.uniform(0.1, 10.0, X.shape[1]) for X in views]
         XcT, m, ss, view_of = amvfcm._stack(views)
-        G, mass = amvfcm._cluster_sums(np.ascontiguousarray(U.T), XcT)
+        G, mass = support.cluster_sums(np.ascontiguousarray(U.T), XcT)
         E = amvfcm._feature_costs(G, np.hstack(model.centers) - m, mass, ss,
                                   np.concatenate(delta))
         for X, A, dlt, got in zip(views, model.centers, delta, support._split(E, view_of),
@@ -191,12 +221,11 @@ def test_empty_clusters_reseed_at_the_worst_served_samples():
         XcT, m, _, view_of = amvfcm._stack(views)
         S = (model.view_weights[view_of] * np.concatenate(model.feature_weights)
              * np.concatenate(delta))
-        _, peak, _ = amvfcm._softmax_clusters(
-            amvfcm._logits(np.hstack(model.centers) - m, S, XcT))
+        peak = support.sweep(np.hstack(model.centers) - m, S, XcT)[1]
         # clusters 1 and 3 get no mass; the others split the samples
         U = np.zeros((c, n))
         U[rng.choice([0, 2], size=n), np.arange(n)] = 1.0
-        G, mass = amvfcm._cluster_sums(U, XcT)
+        G, mass = support.cluster_sums(U, XcT)
         Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
         centers = support._split(Ac + m, view_of)
         for slot, k in enumerate([1, 3]):
@@ -703,7 +732,7 @@ def replay_fit(dataset, params):
     v = np.full(len(views), 1.0 / len(views))
 
     def feature_costs(U, Ac):
-        G, mass = amvfcm._cluster_sums(U, XcT)
+        G, mass = support.cluster_sums(U, XcT)
         return amvfcm._feature_costs(G, Ac, mass, ss, dlt)
 
     def view_costs(U, Ac):
@@ -713,12 +742,12 @@ def replay_fit(dataset, params):
         return amvfcm._objective_given_costs(view_costs(U, Ac), entropy, v, w, dlt, beta, eta)
 
     Ac = np.hstack(centers) - m
-    U, _, entropy = amvfcm._softmax_clusters(amvfcm._logits(Ac, v[view_of] * w * dlt, XcT))
+    U, peak, L = np.empty((params.c, n)), np.empty(n), amvfcm._logit_buffer(params.c, XcT)
+    _, _, entropy = amvfcm._sweep(Ac, v[view_of] * w * dlt, XcT, U, peak, L)
     trace = [objective_of(U, entropy, Ac)]
     for _ in range(params.t_max):
         S = v[view_of] * w * dlt
-        U, peak, entropy = amvfcm._softmax_clusters(amvfcm._logits(Ac, S, XcT))
-        G, mass = amvfcm._cluster_sums(U, XcT)
+        G, mass, entropy = amvfcm._sweep(Ac, S, XcT, U, peak, L)
         Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
         w = amvfcm._feature_weights(feature_costs(U, Ac), dlt, view_of, v, eta)
         v = entropic_simplex_argmin(view_costs(U, Ac), beta)

@@ -105,6 +105,18 @@ def test_non_finite_or_negative_setting_is_a_data_error(tmp_path, capsys, flag):
     assert not (out / "report.jsonl").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", "50", "--seed", "-1"],
+    ["bench", "--algo", "amvfcm", "--synth-n", "50", "--synth-seed", "-1", "--clusters", "5"],
+])
+def test_negative_synthetic_seed_is_a_data_error(tmp_path, capsys, argv):
+    # rejected by the synthetic source, naming its field, before any data is drawn
+    code = main(argv + (["--out-dir", str(tmp_path / "synth")] if argv[0] == "synth" else []))
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "synth").exists()
+
+
 def test_failing_trial_is_a_trial_error(tmp_path, capsys):
     # five benchmark samples leave a class empty: a data fault of the source,
     # rejected before any trial runs, so it is not reported as a trial

@@ -1,11 +1,11 @@
-"""How often the solvers build logits and stack the views, and what seeding picks.
+"""How often the solvers pass over the data and stack the views, and what seeding picks.
 
-A fit stacks all views into one centred array once and takes the logits of
-all views from one call at initialization; each iteration then takes one
-more, whatever the view count; inside it, one product per block of samples,
-sized from one cell budget, gives the bits of one whole-width product at
-the benchmark's shape. A pruning step that removes columns restricts the
-stacked arrays instead of stacking again. Seeding ranks its candidates by a
+A fit stacks all views into one centred array once and takes the logits,
+memberships and cluster sums of all views from one pass at initialization;
+each iteration then takes one more, whatever the view count. A pass walks
+the samples in blocks sized from one cell budget and matches a whole-array
+computation. A pruning step that removes columns restricts the stacked
+arrays instead of stacking again. Seeding ranks its candidates by a
 Gram expansion and recomputes only the winner's distances exactly, which
 must not change a single pick.
 """
@@ -33,8 +33,8 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.fixture
-def logit_calls(monkeypatch):
-    return _count_calls(monkeypatch, "_logits")
+def sweep_calls(monkeypatch):
+    return _count_calls(monkeypatch, "_sweep")
 
 
 @pytest.fixture
@@ -43,52 +43,59 @@ def stack_calls(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_full_fit_takes_one_logits_product_per_iteration(logit_calls, stack_calls):
+def test_full_fit_takes_one_logits_product_per_iteration(sweep_calls, stack_calls):
     rng = np.random.default_rng(7)
     views = set()
     for _ in range(30):
         ds, params = support.random_instance(rng, n_max=120)
-        logit_calls.clear()
+        sweep_calls.clear()
         stack_calls.clear()
         res = fit_full(ds, params)
-        assert len(logit_calls) == 1 + res.iterations
+        assert len(sweep_calls) == 1 + res.iterations
         assert len(stack_calls) == 1
         views.add(ds.n_views)
     assert views == {1, 2, 3}
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_pruning_fit_stacks_once_per_fit(logit_calls, stack_calls):
+def test_pruning_fit_stacks_once_per_fit(sweep_calls, stack_calls):
     rng = np.random.default_rng(8)
     pruned = 0
     for _ in range(30):
         ds, params = support.random_instance(rng, n_max=120)
-        logit_calls.clear()
+        sweep_calls.clear()
         stack_calls.clear()
         res = fit_pruning(ds, params)
-        assert len(logit_calls) == 1 + res.iterations
+        assert len(sweep_calls) == 1 + res.iterations
         assert len(stack_calls) == 1
         pruned += bool(res.pruning_iterations)
     assert pruned >= 5
 
 
-@pytest.mark.parametrize("c, width, exact", [(5, 12, True), (20, 30, False)])
-def test_logit_blocks_follow_the_cell_budget(c, width, exact):
-    # BLOCK_CELLS / (c D) samples per block, two whole blocks and a ragged one.
-    # At the benchmark's shape (8,192 samples) the bits are those of one
-    # whole-width product; at c = 20, D = 30 the block (819) is no multiple of
-    # the BLAS kernel's column unroll, and a sum's last bit may differ
+@pytest.mark.parametrize("c, width", [(5, 12), (20, 30)])
+def test_sweep_blocks_match_a_whole_array_pass(c, width):
+    # BLOCK_CELLS / (c D) samples per block, two whole blocks and a ragged one
     rng = np.random.default_rng(12)
-    n = 2 * (amvfcm.BLOCK_CELLS // (c * width)) + 3
+    block = amvfcm.BLOCK_CELLS // (c * width)
+    n = 2 * block + 3
     XcT = rng.normal(size=(width, n))
     Ac, S = rng.normal(size=(c, width)), rng.uniform(0.1, 2.0, width)
-    want = (Ac * (2.0 * S)) @ XcT
-    want -= ((Ac * Ac) @ S)[:, None]
-    got = amvfcm._logits(Ac, S, XcT)
-    if exact:
-        np.testing.assert_array_equal(got, want)
-    else:
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    L = (Ac * (2.0 * S)) @ XcT - ((Ac * Ac) @ S)[:, None]
+    want_peak = L.max(axis=0)
+    L -= want_peak
+    want_U = np.exp(L)
+    total = want_U.sum(axis=0)
+    want_U /= total
+    want_entropy = float((want_U * L).sum() - np.log(total).sum())
+
+    U, peak, buf = np.empty((c, n)), np.empty(n), amvfcm._logit_buffer(c, XcT)
+    assert buf.shape == (c, block)
+    G, mass, entropy = amvfcm._sweep(Ac, S, XcT, U, peak, buf)
+    np.testing.assert_allclose(U, want_U, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(peak, want_peak, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(G, want_U @ XcT.T, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mass, want_U.sum(axis=1), rtol=1e-12, atol=0)
+    assert entropy == pytest.approx(want_entropy, rel=1e-12, abs=0)
 
 
 # row indices of the seeds on the noisy benchmark (4 noise columns per view,

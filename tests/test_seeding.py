@@ -106,9 +106,19 @@ def test_init_centers_needs_no_candidate_tensor():
     finally:
         tracemalloc.stop()
     assert peak < n * trials * width * 8
-    # the stacked views, their scaled copy, one (trials, block) Gram and a
-    # few (n,) buffers, not three copies at once
+    # the stacked views, seeding's blocks and a few (n,) buffers, not three
+    # copies at once
     assert peak < 3 * n * width * 8
+    # above the stack, seeding holds no scaled copy of it: one scaled block,
+    # one (trials, block) Gram and a few (n,) buffers
+    XcT, _, _, view_of = amvfcm._stack(views)
+    tracemalloc.start()
+    try:
+        amvfcm.init_centers(XcT, np.concatenate(delta), view_of, c, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * width * 8
 
 
 @pytest.mark.parametrize("n", [1500, 15000])
