@@ -16,11 +16,23 @@ through numpy's vectorized parser and fall back to a line scan for what it
 refuses, so errors still name the file and line; writes print %.17g, byte for
 byte what ``np.savetxt`` prints, a chunk of rows per call, or copy a view
 from the file it was read from while that file is unchanged.
+
+Each array the vectorized parser returns is kept as a ``.npy`` file in
+``$XDG_CACHE_HOME/mvclust`` (by default ``~/.cache/mvclust``), keyed by the
+SHA-256 of the file's bytes, the parse dtype, the numpy version and a format
+tag, so an unchanged file is parsed once. Input the line scan reads is never
+stored. Once the entries pass ``CACHE_BYTES`` the least recently used are
+deleted; ``rm -rf ~/.cache/mvclust`` clears the cache. A cache that cannot be
+read or written is skipped, and the file is parsed as if there were none.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
+import os
 import shutil
+import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -68,13 +80,13 @@ class LabelValueError(DatasetError):
     """Label vector violates the dense 0-based class contract."""
 
 
-def _freeze(arr):
-    # a read-only float array that owns its memory has no writable handle
-    # left to copy away from, so freshly built arrays are kept as they are
-    if (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.base is None
+def _freeze(arr, dtype=float):
+    # a read-only array that owns its memory has no writable handle left to
+    # copy away from, so freshly built arrays are kept as they are
+    if (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.base is None
             and arr.flags.c_contiguous and not arr.flags.writeable):
         return arr
-    out = np.array(arr, dtype=float, order="C")
+    out = np.array(arr, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -100,9 +112,7 @@ class MultiViewDataset:
     def __post_init__(self):
         object.__setattr__(self, "views", tuple(_freeze(v) for v in self.views))
         if self.labels is not None:
-            lab = np.array(self.labels, dtype=int)
-            lab.flags.writeable = False
-            object.__setattr__(self, "labels", lab)
+            object.__setattr__(self, "labels", _freeze(self.labels, int))
         if self.view_names is not None:
             object.__setattr__(self, "view_names", tuple(str(s) for s in self.view_names))
 
@@ -170,20 +180,83 @@ def _check_dense_labels(lab):
 _WRITE_CHUNK_CELLS = 1 << 14
 # labels are read into numpy's default integer type
 _LABEL_RANGE = np.iinfo(int)
+# total size of the parse cache's entries; the least recently used go first
+CACHE_BYTES = 512 << 20
+# part of every cache key: a new tag when what an entry holds changes
+_CACHE_FORMAT = "v1"
 
 
 def _loadtxt(path: Path, dtype):
     # numpy's C parser, or None when it refuses the file or the file has no
-    # content; the line scan then decides, and names the line of any error
+    # content; the line scan then decides, and names the line of any error.
+    # One read of the file both hashes it and looks for content.
+    digest, blank = hashlib.sha256(), True
     with open(path, "rb") as fh:
-        # loadtxt only warns about a file of blank lines
-        if not any(chunk.strip() for chunk in iter(lambda: fh.read(1 << 16), b"")):
-            return None
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+            blank = blank and not chunk.strip()
+    if blank:  # loadtxt only warns about a file of blank lines
+        return None
+    dtype = np.dtype(dtype)
+    key = (f"{digest.hexdigest()}-{dtype.kind}{dtype.itemsize}"
+           f"-numpy{np.__version__}-{_CACHE_FORMAT}.npy")
+    with suppress(OSError, ValueError, EOFError, RuntimeError):
+        X = _cache_load(_cache_dir() / key, dtype)
+        if X is not None:
+            return X
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype, comments=None,
-                          quotechar=None, encoding="utf-8")
+        X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype, comments=None,
+                       quotechar=None, encoding="utf-8")
     except ValueError:
         return None
+    with suppress(OSError, ValueError, RuntimeError):
+        _cache_store(key, X)
+    return X
+
+
+def _cache_dir():
+    # Path.home() raises RuntimeError when no home directory can be found
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    return Path(root if os.path.isabs(root) else Path.home() / ".cache") / "mvclust"
+
+
+def _cache_load(entry, dtype):
+    # the entry's array if it is 2-D, C-ordered and of the parse dtype, read
+    # into memory of its own (np.load hands back a reshaped view); else None
+    with open(entry, "rb") as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            return None
+        shape, fortran_order, stored = np.lib.format.read_array_header_1_0(fh)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if (len(shape) != 2 or fortran_order or stored != dtype
+                or size != math.prod(shape) * dtype.itemsize):
+            return None
+        X = np.empty(shape, dtype)
+        if fh.readinto(X) != size:
+            return None
+    os.utime(entry)  # a hit is a use: evicted last
+    return X
+
+
+def _cache_store(key, X):
+    # written under a temporary name and renamed, so a reader sees all of an
+    # entry or none of it; then the oldest entries go until CACHE_BYTES holds
+    directory = _cache_dir()
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".npy", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.lib.format.write_array(fh, X, version=(1, 0), allow_pickle=False)
+        os.replace(tmp, directory / key)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+    kept = 0
+    for p in sorted(directory.glob("*.npy"), key=lambda q: q.stat().st_mtime_ns, reverse=True):
+        kept += p.stat().st_size
+        if kept > CACHE_BYTES:
+            p.unlink(missing_ok=True)
 
 
 def _read_matrix(path: Path) -> np.ndarray:
@@ -246,10 +319,12 @@ def _read_labels(path: Path) -> np.ndarray:
         raise ManifestError(f"label file not found: {path}")
     lab = _loadtxt(path, int)
     # loadtxt splits "1,2" into two labels; the line scan rejects that line
-    lab = _scan_labels(path) if lab is None or lab.shape[1] != 1 else lab[:, 0]
+    lab = _scan_labels(path) if lab is None or lab.shape[1] != 1 else lab[:, 0].copy()
     # 1-based files are accepted and shifted down
     if lab.min() == 1:
         lab = lab - 1
+    # owned, contiguous and read-only, so the dataset keeps it without a copy
+    lab.flags.writeable = False
     return lab
 
 

@@ -412,3 +412,12 @@ def load_dataset_by_scan(manifest_path):
     dataset = MultiViewDataset(views, labels)
     validate(dataset)
     return dataset
+
+
+def count_loadtxt(monkeypatch):
+    """The list of paths ``np.loadtxt`` is called on from now on, kept current."""
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda path, *a, **k: calls.append(path) or loadtxt(path, *a, **k))
+    return calls

@@ -295,6 +295,15 @@ def test_fit_reduced_dataset_holds_the_surviving_columns():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fit_reduced_dataset_shares_the_input_labels():
+    # read-only labels are kept, not copied, by every dataset built from them
+    ds = noisy_benchmark(n=300, seed=17)
+    res = fit(ds, HyperParams(c=5, seed=0))
+    assert res.mask.reduction_pct > 0
+    assert res.reduced_dataset.labels is ds.labels
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_fit_restricts_weights_and_centers_to_the_survivors():
     # a fit that stops in its pruning iteration: each surviving view's weights
     # are the ones the hook was handed, restricted and renormalized to sum to

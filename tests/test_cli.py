@@ -16,6 +16,7 @@ from mvclust.cli import EXIT_DATA, EXIT_OK, EXIT_TRIAL, EXIT_USAGE, main
 from mvclust.data import load_dataset, save_dataset
 from mvclust.harness import METRIC_KEYS
 from mvclust.synth import NoiseSpec, append_noise, default_benchmark_spec, generate
+from support import count_loadtxt
 
 
 def make_manifest(tmp_path, n=120, seed=3, noise_features=0):
@@ -393,6 +394,40 @@ def test_refit_of_a_filtered_dataset_into_its_own_run_directory(tmp_path, capsys
     assert fit_filtered(out / "filtered" / "manifest.cfg", out) == EXIT_OK
     capsys.readouterr()
     assert {p.name: p.read_bytes() for p in (out / "filtered").iterdir()} == before
+
+
+def fit_outputs(out):
+    # the files a pruning fit writes, and its report without timings
+    files = [out / "predicted_labels.txt", *sorted((out / "filtered").iterdir())]
+    return ({p.relative_to(out).as_posix(): p.read_bytes() for p in files},
+            harness.strip_timing(harness.parse_records(out / "report.jsonl")))
+
+
+def test_fit_from_the_parse_cache_writes_the_same_outputs(tmp_path, capsys, monkeypatch,
+                                                          private_parse_cache):
+    manifest, _ = make_manifest(tmp_path, n=300, noise_features=1)
+    calls = count_loadtxt(monkeypatch)
+    outputs = []
+    for expected_calls in (3, 0):  # two views and the labels, then none
+        del calls[:]
+        assert fit_filtered(manifest, tmp_path / "run", "--seed", "4") == EXIT_OK
+        assert len(calls) == expected_calls
+        outputs.append(fit_outputs(tmp_path / "run"))
+    capsys.readouterr()
+    assert len(list((private_parse_cache / "mvclust").glob("*.npy"))) == 3
+    assert outputs[1] == outputs[0]
+
+
+def test_fit_without_a_usable_cache_directory_writes_the_same_outputs(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the suite may run as root, so a regular file, not a mode, stops the mkdir
+    manifest, _ = make_manifest(tmp_path, n=300, noise_features=1)
+    assert fit_filtered(manifest, tmp_path / "cached", "--seed", "4") == EXIT_OK
+    (tmp_path / "not-a-dir").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "not-a-dir"))
+    assert fit_filtered(manifest, tmp_path / "uncached", "--seed", "4") == EXIT_OK
+    capsys.readouterr()
+    assert fit_outputs(tmp_path / "uncached") == fit_outputs(tmp_path / "cached")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Dataset container, validation, and manifest I/O tests."""
 
+import io
+import os
 import time
 import tracemalloc
 import warnings
@@ -21,7 +23,7 @@ from mvclust.data import (
     save_dataset,
     validate,
 )
-from support import load_dataset_by_scan
+from support import count_loadtxt, load_dataset_by_scan
 
 
 def two_view_dataset(n=4, labels=True):
@@ -29,6 +31,11 @@ def two_view_dataset(n=4, labels=True):
     views = [rng.normal(size=(n, 2)), rng.normal(size=(n, 3))]
     lab = np.arange(n) % 2 if labels else None
     return MultiViewDataset(views, lab, ("left", "right"))
+
+
+def entries(cache):
+    # the parse cache's entries under the directory XDG_CACHE_HOME names
+    return sorted((cache / "mvclust").glob("*.npy")) if (cache / "mvclust").is_dir() else []
 
 
 # ------------------------------------------------------------------ container
@@ -67,18 +74,50 @@ def test_dataset_keeps_owned_read_only_arrays():
     assert MultiViewDataset([X]).views[0] is X
 
 
+def test_dataset_keeps_owned_read_only_labels():
+    lab = np.array([0, 1, 1])
+    lab.flags.writeable = False
+    assert MultiViewDataset([np.ones((3, 1))], lab).labels is lab
+
+
+@pytest.mark.parametrize("labels", [np.array([0, 1, 1]), [0, 1, 1]], ids=["writeable", "list"])
+def test_dataset_copies_other_labels(labels):
+    ds = MultiViewDataset([np.ones((3, 1))], labels)
+    assert ds.labels is not labels
+    assert ds.labels.base is None and not ds.labels.flags.writeable
+    labels[0] = 1
+    assert ds.labels.tolist() == [0, 1, 1]
+
+
+def test_loaded_labels_are_kept_without_a_copy(tmp_path, monkeypatch):
+    (tmp_path / "a.csv").write_text("1\n2\n")
+    (tmp_path / "m.cfg").write_text("view = a.csv\nlabels = y.txt\n")
+    parsed = []
+    read = data._read_labels
+    monkeypatch.setattr(data, "_read_labels", lambda path: parsed.append(read(path)) or parsed[-1])
+    for text in ("0\n1\n", "1\n2\n", "0\n\t\n1\n"):  # parsed, shifted, scanned
+        (tmp_path / "y.txt").write_text(text)
+        ds = load_dataset(tmp_path / "m.cfg")
+        assert ds.labels is parsed[-1] and ds.labels.base is None
+        assert not ds.labels.flags.writeable and ds.labels.tolist() == [0, 1]
+
+
 def test_loaded_views_are_kept_without_a_copy(tmp_path, monkeypatch):
-    # both reader paths hand over an owned read-only array; the dataset keeps it
+    # both reader paths, on a cache miss and on a hit, hand over an owned
+    # read-only array; the dataset keeps it
     (tmp_path / "fast.csv").write_text("1,2\n3,4\n")
     (tmp_path / "scan.csv").write_text("1_0\n2\n")
     (tmp_path / "m.cfg").write_text("view = fast.csv\nview = scan.csv\n")
+    calls = count_loadtxt(monkeypatch)
     parsed = []
     read = data._read_matrix
     monkeypatch.setattr(data, "_read_matrix", lambda path: parsed.append(read(path)) or parsed[-1])
-    ds = load_dataset(tmp_path / "m.cfg")
-    assert len(parsed) == 2
-    for X, Y in zip(ds.views, parsed, strict=True):
-        assert X is Y and X.base is None and not X.flags.writeable
+    for parsed_files in (["fast.csv", "scan.csv"], ["scan.csv"]):
+        del calls[:], parsed[:]
+        ds = load_dataset(tmp_path / "m.cfg")
+        assert [path.name for path in calls] == parsed_files and len(parsed) == 2
+        for X, Y in zip(ds.views, parsed, strict=True):
+            assert X is Y and X.base is None and not X.flags.writeable
 
 
 # ----------------------------------------------------------------- validation
@@ -283,6 +322,156 @@ def test_reader_scans_lines_only_when_loadtxt_refuses(tmp_path, monkeypatch):
         reader = data._read_matrix if name.endswith(".csv") else data._read_labels
         reader(tmp_path / name)
     assert scanned == ["odd.csv", "odd.txt"]
+
+
+# ---------------------------------------------------------------- parse cache
+
+
+def test_second_read_of_a_file_skips_the_parser(tmp_path, monkeypatch, private_parse_cache):
+    path = tmp_path / "a.csv"
+    path.write_text("1.5,2\n3,-4e-300\n0.1,7\n")
+    calls = count_loadtxt(monkeypatch)
+    first = data._read_matrix(path)
+    second = data._read_matrix(path)
+    assert calls == [path] and len(entries(private_parse_cache)) == 1
+    assert second is not first and second.dtype == first.dtype and second.shape == first.shape
+    assert second.tobytes() == first.tobytes()
+    assert second.base is None and second.flags.c_contiguous and not second.flags.writeable
+
+
+def test_cache_lives_under_the_home_directory_by_default(tmp_path, monkeypatch):
+    # an unset or relative XDG_CACHE_HOME means ~/.cache
+    (tmp_path / "a.csv").write_text("1,2\n")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for value in (None, "relative/cache"):
+        if value is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", value)
+        data._read_matrix(tmp_path / "a.csv")
+    cache = tmp_path / "home" / ".cache" / "mvclust"
+    assert len(list(cache.glob("*.npy"))) == 1
+    assert cache.stat().st_mode & 0o777 == 0o700
+
+
+def _no_home(tmp_path, monkeypatch):
+    def home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(data.Path, "home", home)
+
+
+def _file_for_directory(tmp_path, monkeypatch):
+    # the suite may run as root, so a regular file, not a mode, stops the mkdir
+    (tmp_path / "not-a-dir").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "not-a-dir"))
+
+
+@pytest.mark.parametrize("break_cache", [_no_home, _file_for_directory])
+def test_unusable_cache_means_a_parse_per_read(tmp_path, monkeypatch, break_cache):
+    break_cache(tmp_path, monkeypatch)
+    (tmp_path / "a.csv").write_text("1,2\n")
+    calls = count_loadtxt(monkeypatch)
+    for _ in range(2):
+        assert data._read_matrix(tmp_path / "a.csv").tolist() == [[1.0, 2.0]]
+    assert len(calls) == 2
+
+
+def test_edited_file_is_parsed_again(tmp_path, monkeypatch, private_parse_cache):
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n")
+    calls = count_loadtxt(monkeypatch)
+    data._read_matrix(path)
+    path.write_text("1,2\n3,5\n")
+    assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 5.0]]
+    assert len(calls) == 2 and len(entries(private_parse_cache)) == 2
+
+
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+DAMAGE = {
+    "truncated": lambda raw: raw[:-3],
+    "garbage": lambda raw: b"not an npy file",
+    "empty": lambda raw: b"",
+    "one_dimensional": lambda raw: _npy_bytes(np.arange(6.0)),
+    "integer": lambda raw: _npy_bytes(np.arange(6).reshape(3, 2)),
+    "fortran_order": lambda raw: _npy_bytes(np.asfortranarray(np.ones((3, 2)))),
+    "pickled": lambda raw: _npy_bytes(np.array([None] * 6, dtype=object).reshape(3, 2)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_entry_is_parsed_again_and_replaced(tmp_path, monkeypatch, private_parse_cache,
+                                                    damage):
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n5,6\n")
+    first = data._read_matrix(path)
+    (entry,) = entries(private_parse_cache)
+    raw = entry.read_bytes()
+    entry.write_bytes(DAMAGE[damage](raw))
+    calls = count_loadtxt(monkeypatch)
+    X = data._read_matrix(path)
+    assert calls == [path]
+    assert X.tobytes() == first.tobytes() and X.base is None and not X.flags.writeable
+    assert entries(private_parse_cache) == [entry] and entry.read_bytes() == raw
+
+
+def test_input_loadtxt_refuses_is_never_cached(tmp_path, private_parse_cache):
+    files = {"odd.csv": "1_0,2\n3,4\n", "bad.csv": "1,2\n3,x\n", "blank.csv": "\n \n",
+             "odd.txt": "1\n\t\n2\n", "bad.txt": "0\n1.5\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for _ in range(2):
+        assert data._read_matrix(tmp_path / "odd.csv").tolist() == [[10.0, 2.0], [3.0, 4.0]]
+        assert data._read_labels(tmp_path / "odd.txt").tolist() == [0, 1]
+        for name, line_no in (("bad.csv", 2), ("bad.txt", 2)):
+            reader = data._read_matrix if name.endswith(".csv") else data._read_labels
+            with pytest.raises(MatrixFormatError) as err:
+                reader(tmp_path / name)
+            assert (err.value.path, err.value.line_no) == (str(tmp_path / name), line_no)
+        with pytest.raises(EmptyDatasetError, match="blank.csv"):
+            data._read_matrix(tmp_path / "blank.csv")
+    assert entries(private_parse_cache) == []
+
+
+def test_labels_and_views_of_the_same_bytes_have_their_own_entries(tmp_path, monkeypatch,
+                                                                    private_parse_cache):
+    path = tmp_path / "a.txt"
+    path.write_text("1\n2\n2\n")
+    calls = count_loadtxt(monkeypatch)
+    for _ in range(2):
+        X, lab = data._read_matrix(path), data._read_labels(path)
+        assert X.dtype == float and X.tolist() == [[1.0], [2.0], [2.0]]
+        assert lab.dtype == int and lab.tolist() == [0, 1, 1]
+        assert lab.base is None and not lab.flags.writeable
+    assert len(calls) == 2 and len(entries(private_parse_cache)) == 2
+
+
+def test_cache_deletes_the_least_recently_used_entries_beyond_its_bound(
+        tmp_path, monkeypatch, private_parse_cache):
+    # room for three entries; v0 is read first, then read again after v1, v2
+    paths = [tmp_path / f"v{k}.csv" for k in range(5)]
+    owner = {}
+    for k, path in enumerate(paths):
+        path.write_text(f"{k},1\n2,3\n")
+    for path in paths[:3]:
+        data._read_matrix(path)
+        owner.update({e: path.name for e in entries(private_parse_cache) if e not in owner})
+    monkeypatch.setattr(data, "CACHE_BYTES", sum(e.stat().st_size for e in owner))
+    for age, e in enumerate(sorted(owner, key=owner.get)):  # clock ticks are coarse
+        os.utime(e, ns=(0, (1_000 + age) * 10**9))
+    data._read_matrix(paths[0])  # a hit: now the most recently used
+    for path, kept in ((paths[3], {"v0.csv", "v2.csv"}), (paths[4], {"v0.csv", "v3.csv"})):
+        data._read_matrix(path)
+        now = entries(private_parse_cache)
+        owner.update({e: path.name for e in now if e not in owner})
+        assert sum(e.stat().st_size for e in now) <= data.CACHE_BYTES
+        assert {owner[e] for e in now} == kept | {path.name}
 
 
 def _values_with_edge_cases(n, d, seed=0):
