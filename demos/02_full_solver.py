@@ -14,7 +14,7 @@ dataset = append_noise(
     generate(default_benchmark_spec(n=2000, seed=0)),
     NoiseSpec(features_per_view=1), seed=0,
 )
-params = HyperParams(c=5, eta=0.025, beta=None, seed=0)
+params = HyperParams(c=5, seed=0)
 result = fit_full(dataset, params)
 
 trace = result.objective_trace

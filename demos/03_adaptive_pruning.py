@@ -25,7 +25,7 @@ dataset = append_noise(
 print(f"input dims per view: {dataset.dims} (last two columns of each view "
       "are uniform noise)")
 
-params = HyperParams(c=5, eta=0.025, beta=None, seed=1)
+params = HyperParams(c=5, seed=1)
 result = fit_pruning(dataset, params)
 
 print(f"\nremoval events ({len(result.mask.removals)}):")

@@ -14,7 +14,7 @@ from mvclust.harness import parse_records, render_table, report_records, strip_t
 
 config = ExperimentConfig(
     algorithm="aamvfcm",
-    params=HyperParams(c=5, eta=0.025, beta=None),
+    params=HyperParams(c=5),
     trials=5,
     seed_base=0,
     synth=SynthSource(n=1500, seed=0, noise_features=1),

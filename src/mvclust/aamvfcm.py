@@ -12,10 +12,10 @@ descent's stacked state is then restricted to the survivors, so later
 iterations get cheaper as columns disappear.
 
 The objective is only comparable between eliminations: each pruning event
-changes the domain (and the automatic per-view beta), so the trace is
-non-increasing within stretches where nothing was pruned. The result is the
-plain solver's :class:`~mvclust.amvfcm.FitResult`; its mask and reduced
-dataset say what was eliminated and what survived.
+changes the domain (and the view temperatures, which follow the view
+widths), so the trace is non-increasing within stretches where nothing was
+pruned. The result is the plain solver's :class:`~mvclust.amvfcm.FitResult`;
+its mask and reduced dataset say what was eliminated and what survived.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 Block coordinate descent over four blocks: soft memberships (n x c), per-view
 cluster centers, per-view feature weights on the probability simplex, and view
-weights on the probability simplex. There is no fuzzifier exponent; membership
-softness comes from a negative-entropy term with unit temperature, and the two
-weight simplices are regularized by their own negative entropies scaled by
-``eta`` (features) and ``beta`` (views). Squared distances are premultiplied
-by fixed per-feature dispersion ratios (see :mod:`mvclust.snr`), so the solver
-expects columns with positive means; raw nonnegative coordinates are the
-intended regime.
+weights on the probability simplex. There is no fuzzifier exponent and no
+temperature to set: membership softness comes from a negative-entropy term
+with unit temperature, and the two weight simplices are regularized by their
+own negative entropies at temperatures fixed by the sample count and the
+view widths (see :func:`_temperatures`). Squared distances are premultiplied
+by fixed per-feature dispersion ratios (see :mod:`mvclust.snr`), so the
+solver expects columns with positive means; raw nonnegative coordinates are
+the intended regime.
 
 Every block update is the exact minimizer of the joint objective with the
 other blocks held fixed, which makes the objective trace non-increasing.
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +53,6 @@ EMPTY_CLUSTER_TOL = 1e-12
 # rows x D x samples of a block product, kept small enough that BLAS does not
 # thread it: 4,096 samples per seeding block at 10 candidates and 12 columns
 BLOCK_CELLS = 10 * 12 * 4096
-ETA_RANGE = (0.0015, 0.025)
 TEMP_CALIBRATION = 32.0
 
 
@@ -62,20 +61,13 @@ class HyperParams:
     """Solver settings shared by both the full and the pruning variant.
 
     The dispersion clamp is not one of them: it is :data:`mvclust.snr.CLAMP`.
+    Nor are the entropy temperatures of the two weight simplices: the solver
+    derives them from n and the view widths (see :func:`_temperatures`).
 
     Parameters
     ----------
     c : int
         Number of clusters, >= 2.
-    eta : float
-        Feature-weight entropy strength in per-sample units, finite and > 0 (see
-        :func:`resolve_regularization`). Values outside [0.0015, 0.025]
-        trigger a warning at fit time.
-    beta : float or None
-        View-weight entropy strength in per-sample units. None selects the
-        per-view automatic value d_h / n, which is not size-invariant (see
-        :func:`resolve_regularization`); a fixed scalar outside
-        [d_h/n, 3*d_h/n] for some view triggers a warning at fit time.
     t_max : int
         Iteration cap, >= 1.
     epsilon : float
@@ -85,8 +77,6 @@ class HyperParams:
     """
 
     c: int
-    eta: float = 0.025
-    beta: float | None = None
     t_max: int = 100
     epsilon: float = 1e-6
     seed: int = 0
@@ -94,10 +84,6 @@ class HyperParams:
     def __post_init__(self):
         if self.c < 2:
             raise ValueError("c must be >= 2")
-        if not 0 < self.eta < math.inf:
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
-        if self.beta is not None and not 0 < self.beta < math.inf:
-            raise ValueError(f"fixed beta must be finite and > 0, got {self.beta}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if not 0 <= self.epsilon < math.inf:
@@ -332,28 +318,26 @@ def entropic_simplex_argmin(costs, beta):
     return v / v.sum()
 
 
-def resolve_regularization(params, dims, n):
-    """Map user-facing (beta, eta) to the coefficients the solver iterates with.
+def _temperatures(dims, n):
+    """The entropy temperatures (per-view beta, eta) of a fit of n samples.
 
-    ``eta`` and a fixed ``beta`` are specified in per-sample units, but the
-    cost sums E_j and F_h that enter the weight softmax exponents grow
-    linearly with n, so both coefficients are multiplied by n; without it any
-    non-toy n collapses both weight vectors to one-hot. A fixed calibration
-    factor then lifts each temperature above the spread that soft-membership
-    tails induce in the per-feature and per-view cost sums, so elimination is
-    governed by the dispersion prefactor 1/delta_j and neither weight simplex
-    gets pinned to a corner by an early imperfect partition. Behaviour is flat
-    across at least a factor-of-four band around the chosen value. Auto beta
-    (d_h / n per view) is not size-invariant: it resolves to TEMP_CALIBRATION
-    * d_h at every n while the view costs grow, so the view weights harden
-    with n (0.49 / 0.51 on the benchmark at n = 1.5k, 7.8e-17 / 1.0 at 15k).
+    The cost sums E_j and F_h that enter the weight softmax exponents grow
+    linearly with n, so both temperatures are per-sample values multiplied
+    by n; without it any non-toy n collapses both weight vectors to one-hot.
+    A fixed calibration factor then lifts each temperature above the spread
+    that soft-membership tails induce in the per-feature and per-view cost
+    sums, so elimination is governed by the dispersion prefactor 1/delta_j
+    and neither weight simplex gets pinned to a corner by an early imperfect
+    partition. Behaviour is flat across at least a factor-of-four band
+    around the chosen value. The per-sample values are eta = 0.025 and
+    beta_h = d_h / n. The view temperature is not size-invariant: it
+    resolves to TEMP_CALIBRATION * d_h at every n while the view costs grow,
+    so the view weights harden with n (0.49 / 0.51 on the benchmark at
+    n = 1.5k, 7.8e-17 / 1.0 at 15k).
     """
+    # d / n * scale, not TEMP_CALIBRATION * d: the product rounds differently
     scale = TEMP_CALIBRATION * float(n)
-    if params.beta is None:
-        beta = np.array([d / n for d in dims]) * scale
-    else:
-        beta = np.full(len(dims), float(params.beta)) * scale
-    return beta, params.eta * scale
+    return np.array([d / n for d in dims]) * scale, 0.025 * scale
 
 
 def _objective_given_costs(costs, membership_entropy, v, w, dlt, beta, eta):
@@ -469,25 +453,6 @@ def _centers_with_reseed(G, mass, XcT, S, peak):
     return Ac
 
 
-def _warn_out_of_range(params, dims, n):
-    if params.beta is not None:
-        for h, d in enumerate(dims):
-            lo, hi = d / n, 3 * d / n
-            if not lo <= params.beta <= hi:
-                warnings.warn(
-                    f"beta={params.beta} is outside the recommended range "
-                    f"[{lo:.6g}, {hi:.6g}] for view {h} (d={d}, n={n})",
-                    stacklevel=4,
-                )
-                break
-    lo, hi = ETA_RANGE
-    if not lo <= params.eta <= hi:
-        warnings.warn(
-            f"eta={params.eta} is outside the recommended range [{lo}, {hi}]",
-            stacklevel=4,
-        )
-
-
 def _descend(dataset, params, step=None) -> FitResult:
     """Block descent shared by both solvers; ``step`` is the pruning hook.
 
@@ -504,10 +469,11 @@ def _descend(dataset, params, step=None) -> FitResult:
     removals in the mask and returns a boolean keep-vector over w; the descent
     then restricts every stacked array to the kept columns (the stack in
     place), renumbers the views, renormalizes each view's weights to sum to 1
-    and re-resolves beta and eta for the surviving widths, and the view-weight
-    update sizes the view weights to the surviving views. The per-view model,
-    ``delta`` and ``reduced_dataset`` are built from the mask when the descent
-    ends, so a fit that removed nothing hands back the input's arrays uncopied.
+    and re-derives the temperatures for the surviving widths, and the
+    view-weight update sizes the view weights to the surviving views. The
+    per-view model, ``delta`` and ``reduced_dataset`` are built from the mask
+    when the descent ends, so a fit that removed nothing hands back the
+    input's arrays uncopied.
     """
     validate(dataset)
     views = list(dataset.views)
@@ -516,11 +482,10 @@ def _descend(dataset, params, step=None) -> FitResult:
     mask = ActiveMask.full(dims)
     if n < params.c:
         raise ValueError(f"need at least c={params.c} samples, got {n}")
-    _warn_out_of_range(params, dims, n)
 
     XcT, m, ss, view_of = _stack(views)
     dlt = clamped_ratios(m, ss / (n - 1))
-    beta, eta = resolve_regularization(params, dims, n)
+    beta, eta = _temperatures(dims, n)
     tic = time.perf_counter()
     picks = init_centers(XcT, dlt, view_of, params.c, params.seed)
     seed_seconds = time.perf_counter() - tic
@@ -552,7 +517,7 @@ def _descend(dataset, params, step=None) -> FitResult:
             L = _logit_buffer(params.c, XcT)
             view_of = np.unique(view_of[keep], return_inverse=True)[1]
             w /= np.bincount(view_of, w)[view_of]
-            beta, eta = resolve_regularization(params, np.bincount(view_of), n)
+            beta, eta = _temperatures(np.bincount(view_of), n)
         costs = np.bincount(view_of, w * E)
         v = entropic_simplex_argmin(costs, beta)
         J = _objective_given_costs(costs, entropy, v, w, dlt, beta, eta)

@@ -40,23 +40,9 @@ EXIT_TRIAL = 4
 EXIT_UNEXPECTED = 1
 
 
-def _parse_beta(text):
-    if text == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a number, got {text!r}"
-        ) from None
-
-
 def _model_flags(parser):
     # hyperparameter and output flags shared by ``fit`` and ``bench``
     parser.add_argument("--clusters", required=True, type=int)
-    parser.add_argument("--eta", type=float, default=0.025)
-    parser.add_argument("--beta", type=_parse_beta, default=None,
-                        help="'auto' (per-view d/n) or a fixed positive value")
     parser.add_argument("--max-iters", type=int, default=100)
     parser.add_argument("--epsilon", type=float, default=1e-6)
     parser.add_argument("--dump-weights", action="store_true",
@@ -125,8 +111,6 @@ def _run(args, trials, seed_base, jobs=1, synth=None):
         algorithm=args.algo,
         params=HyperParams(
             c=args.clusters,
-            eta=args.eta,
-            beta=args.beta,
             t_max=args.max_iters,
             epsilon=args.epsilon,
             seed=seed_base,

@@ -179,8 +179,6 @@ def _resolved_config(config: ExperimentConfig, seed_base):
         "source": source,
         "hyperparams": {
             "c": p.c,
-            "eta": p.eta,
-            "beta": "auto" if p.beta is None else p.beta,
             "t_max": p.t_max,
             "epsilon": p.epsilon,
         },
@@ -194,12 +192,15 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     The MVCLUST_SEED environment variable, when set, overrides the configured
     seed base; the report's resolved config records the value actually used.
-    A failing trial aborts the whole run with a :class:`TrialError` naming its
-    seed.
+    A value that is not an integer >= 0 raises a ValueError naming the
+    variable. A failing trial aborts the whole run with a :class:`TrialError`
+    naming its seed.
     """
     seed_base = config.seed_base
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
+        if not env.strip().isdecimal():
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}")
         seed_base = int(env)
     dataset = build_dataset(config)
     seeds = [seed_base + i for i in range(config.trials)]
@@ -274,8 +275,7 @@ def render_table(report: RunReport) -> str:
         f"algorithm: {cfg['algorithm']}   trials: {cfg['trials']}   "
         f"seed_base: {cfg['seed_base']}",
         f"source: {json.dumps(cfg['source'])}",
-        f"c={hp['c']} eta={hp['eta']} beta={hp['beta']} "
-        f"t_max={hp['t_max']} epsilon={hp['epsilon']}",
+        f"c={hp['c']} t_max={hp['t_max']} epsilon={hp['epsilon']}",
         "",
     ]
     has_metrics = report.trials[0].metrics is not None

@@ -44,8 +44,8 @@ from mvclust.amvfcm import (
     EMPTY_CLUSTER_TOL,
     ClusterModel,
     HyperParams,
+    _temperatures,
     entropic_simplex_argmin,
-    resolve_regularization,
 )
 from mvclust.cli import EXIT_OK, main
 from mvclust.harness import (
@@ -60,7 +60,7 @@ from mvclust.metrics import pair_counts, score_all
 from mvclust.snr import compute_delta
 from mvclust.synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
-BENCH_PARAMS = dict(c=5, eta=0.025, beta=None)
+BENCH_PARAMS = dict(c=5)
 
 
 @pytest.fixture(autouse=True)
@@ -140,7 +140,7 @@ def _worst_block_decrease(dataset, params, rng, sweeps, n_pert=200):
     n, s = views[0].shape[0], len(views)
     dims = [X.shape[1] for X in views]
     delta = compute_delta(dataset)
-    beta, eta = resolve_regularization(params, dims, n)
+    beta, eta = _temperatures(dims, n)
     model = ClusterModel(
         membership=np.empty((n, params.c)),
         centers=init_centers(views, params.c, params.seed, delta),
@@ -202,7 +202,7 @@ def test_criterion_06_membership_gradient_closed_form():
     params = HyperParams(**BENCH_PARAMS, seed=0)
     result = amvfcm.fit(dataset, params)
     views = _views_of(dataset)
-    beta, eta = resolve_regularization(params, dataset.dims, dataset.n_samples)
+    beta, eta = _temperatures(dataset.dims, dataset.n_samples)
     U = result.model.membership
     closed = (aggregate_distances(views, result.model, result.delta)
               + np.log(np.clip(U, 1e-300, None)) + 1.0)

@@ -26,9 +26,9 @@ from mvclust import amvfcm, fit_full, fit_pruning
 from mvclust.amvfcm import (
     ClusterModel,
     HyperParams,
+    _temperatures,
     entropic_simplex_argmin,
     fit,
-    resolve_regularization,
 )
 from mvclust.data import MultiViewDataset
 from mvclust.metrics import score_all
@@ -465,31 +465,17 @@ def test_objective_handles_exact_zeros():
     assert J == pytest.approx(0.0, abs=1e-12)
 
 
-# ------------------------------------------------- regularization resolution
+# -------------------------------------------------------------- temperatures
 
 
-def test_beta_vector_auto_and_fixed():
-    # one beta per view before scaling: d_h / n when auto, the fixed value otherwise
-    from mvclust.amvfcm import TEMP_CALIBRATION
-
-    scale = TEMP_CALIBRATION * 100
-    auto, _ = resolve_regularization(HyperParams(c=2, beta=None), [3, 2], 100)
-    fixed, _ = resolve_regularization(HyperParams(c=2, beta=0.05), [3, 2], 100)
-    np.testing.assert_allclose(auto / scale, [0.03, 0.02])
-    np.testing.assert_allclose(fixed / scale, [0.05, 0.05])
-
-
-def test_resolve_regularization_scales_with_n():
-    from mvclust.amvfcm import TEMP_CALIBRATION
-
-    params = HyperParams(c=2, eta=0.01, beta=None)
-    beta_a, eta_a = resolve_regularization(params, [3, 3], 100)
-    beta_b, eta_b = resolve_regularization(params, [3, 3], 1000)
-    # auto beta resolves to the same effective temperature at any n
-    np.testing.assert_allclose(beta_a, beta_b)
-    np.testing.assert_allclose(beta_a, TEMP_CALIBRATION * 3.0)
-    assert eta_b == pytest.approx(10 * eta_a)
-    assert eta_a == pytest.approx(TEMP_CALIBRATION * 100 * 0.01)
+def test_temperatures_scale_with_n_except_the_views():
+    # per-sample values times 32 n: eta = 0.025 scales with n, beta_h = d_h / n
+    # does not, so the view temperatures stay at 32 d_h while the view costs
+    # grow with n and the view weights harden
+    for n in (100, 1000):
+        beta, eta = _temperatures([3, 2], n)
+        np.testing.assert_allclose(beta, [96.0, 64.0])
+        assert eta == pytest.approx(0.8 * n)
 
 
 # ------------------------------------------------------------------- seeding
@@ -542,38 +528,16 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         HyperParams(c=1)
     with pytest.raises(ValueError):
-        HyperParams(c=2, eta=0.0)
-    with pytest.raises(ValueError):
-        HyperParams(c=2, beta=-0.1)
-    with pytest.raises(ValueError):
         HyperParams(c=2, t_max=0)
     with pytest.raises(ValueError):
         HyperParams(c=2, epsilon=-1.0)
     # non-finite values and negative seeds are rejected by name
-    for field, bad in [("eta", math.inf), ("eta", math.nan), ("beta", math.inf),
-                       ("beta", math.nan), ("epsilon", math.inf),
-                       ("epsilon", math.nan), ("seed", -1)]:
+    for field, bad in [("epsilon", math.inf), ("epsilon", math.nan), ("seed", -1)]:
         with pytest.raises(ValueError, match=field):
             HyperParams(c=2, **{field: bad})
-    HyperParams(c=2, beta=None, epsilon=0.0, seed=0)  # the bounds themselves
-
-
-def test_fit_warns_on_out_of_range_beta():
-    ds = generate(default_benchmark_spec(60, seed=0))
-    for solver in (fit_full, fit_pruning):
-        with pytest.warns(UserWarning, match="beta") as record:
-            solver(ds, HyperParams(c=5, beta=1.0, t_max=1))
-        # the warning points at the caller of fit, not into the solver
-        assert record[0].filename == __file__
-
-
-def test_fit_warns_on_out_of_range_eta():
-    ds = generate(default_benchmark_spec(60, seed=0))
-    for solver in (fit_full, fit_pruning):
-        for eta in (1e-4, 0.03):
-            with pytest.warns(UserWarning, match="eta") as record:
-                solver(ds, HyperParams(c=5, eta=eta, t_max=1))
-            assert record[0].filename == __file__
+    HyperParams(c=2, epsilon=0.0, seed=0)  # the bounds themselves
+    with pytest.raises(TypeError):  # the temperatures are not settings
+        HyperParams(c=2, eta=0.1)
 
 
 def test_default_eta_quiet_on_views_of_unequal_width():
@@ -588,7 +552,7 @@ def test_fit_quiet_in_recommended_ranges():
     ds = generate(default_benchmark_spec(60, seed=0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit(ds, HyperParams(c=5, eta=0.02, t_max=2))
+        fit(ds, HyperParams(c=5, t_max=2))
 
 
 # ----------------------------------------------------------------------- fit
@@ -681,8 +645,7 @@ def test_fit_trace_ends_at_the_oracle_objective_of_its_model():
         for solver in (fit_full, fit_pruning):
             res = solver(ds, params)
             views = list(res.reduced_dataset.views)
-            beta, eta = resolve_regularization(params, [X.shape[1] for X in views],
-                                               ds.n_samples)
+            beta, eta = _temperatures([X.shape[1] for X in views], ds.n_samples)
             J = objective(views, res.model, res.delta, beta, eta)
             distortion = float(view_costs(views, res.model, res.delta) @ res.model.view_weights)
             scale = distortion + ds.n_samples * math.log(params.c)
@@ -724,7 +687,7 @@ def replay_fit(dataset, params):
     views = list(dataset.views)
     n, dims = dataset.n_samples, dataset.dims
     delta = compute_delta(dataset)
-    beta, eta = resolve_regularization(params, dims, n)
+    beta, eta = _temperatures(dims, n)
     centers = init_centers(views, params.c, params.seed, delta)
     XcT, m, ss, view_of = amvfcm._stack(views)
     dlt = np.concatenate(delta)

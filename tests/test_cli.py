@@ -47,8 +47,8 @@ def test_version_flag_exits_cleanly(capsys):
 
 
 def test_bad_flag_values_are_usage_errors(capsys):
-    assert main(["fit", "--algo", "amvfcm", "--config", "x", "--clusters", "5",
-                 "--beta", "banana"]) == EXIT_USAGE
+    assert main(["fit", "--algo", "amvfcm", "--config", "x", "--clusters",
+                 "five"]) == EXIT_USAGE
     assert main(["explode"]) == EXIT_USAGE
     capsys.readouterr()
 
@@ -56,6 +56,7 @@ def test_bad_flag_values_are_usage_errors(capsys):
 @pytest.mark.parametrize("flag", [
     ["--normalize"], ["--prune-warmup", "2"], ["--theta-scale", "0"],
     ["--noise-low", "0.1"], ["--noise-high", "0.2"], ["--delta-clamp", "1e-6,1e6"],
+    ["--eta", "0.1"], ["--beta", "auto"],
 ])
 def test_removed_tuning_flags_are_usage_errors(flag, capsys):
     argv = ["bench", "--algo", "aamvfcm", "--synth-n", "50", "--clusters", "5"]
@@ -92,7 +93,7 @@ def test_invalid_hyperparameter_is_a_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [
-    ["--beta", "inf"], ["--eta", "inf"], ["--epsilon", "nan"], ["--seed", "-1"],
+    ["--epsilon", "inf"], ["--epsilon", "-1"], ["--epsilon", "nan"], ["--seed", "-1"],
 ])
 def test_non_finite_or_negative_setting_is_a_data_error(tmp_path, capsys, flag):
     # rejected before any trial runs, naming the field, and no report is written
@@ -104,6 +105,15 @@ def test_non_finite_or_negative_setting_is_a_data_error(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{flag[0][2:]} must be" in err
     assert not (out / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_seed_variable_is_a_data_error_naming_it(monkeypatch, capsys, value):
+    monkeypatch.setenv(harness.SEED_ENV_VAR, value)
+    code = main(["bench", "--algo", "amvfcm", "--synth-n", "50", "--clusters", "5"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {harness.SEED_ENV_VAR} must be") and repr(value) in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,7 +282,6 @@ def test_fit_records_format_emits_json_lines(tmp_path, capsys):
     assert records[0]["kind"] == "meta"
     assert records[1]["kind"] == "trial"
     assert records[-1]["kind"] == "aggregate"
-    assert records[0]["config"]["hyperparams"]["beta"] == "auto"
     assert records[1]["metrics"]["ri"] > 0.9
 
 

@@ -143,8 +143,7 @@ def test_engine_and_resolved_config_fields():
     assert resolved["seed_base"] == 5
     assert resolved["source"] == {"synth": dataclasses.asdict(cfg.synth)}
     assert resolved["hyperparams"]["c"] == 5
-    assert resolved["hyperparams"]["beta"] == "auto"
-    assert list(resolved["hyperparams"]) == ["c", "eta", "beta", "t_max", "epsilon"]
+    assert list(resolved["hyperparams"]) == ["c", "t_max", "epsilon"]
 
 
 def test_aggregates_are_min_avg_max_of_trials():

@@ -15,6 +15,11 @@ for line:
     diff old.txt new.txt
 
 The script fingerprints whichever ``mvclust`` is first on ``PYTHONPATH``.
+
+A change that removes a setting is verified by running this script, with
+its own ``tests/support.py``, under both ``src/`` trees: the new script's
+cases leave the removed setting at the default the new code fixes, so the
+old code fits the same problems and every line must match.
 BLAS threading can change the last bits of matrix products, so it asks for
 one BLAS thread unless the environment already sets a count.
 
