@@ -468,14 +468,31 @@ def test_objective_handles_exact_zeros():
 # -------------------------------------------------------------- temperatures
 
 
-def test_temperatures_scale_with_n_except_the_views():
+def test_beta_vector_auto_and_fixed():
+    # one beta per view before scaling: d_h / n, always; a fixed value is no
+    # longer accepted
+    from mvclust.amvfcm import TEMP_CALIBRATION
+
+    scale = TEMP_CALIBRATION * 100
+    auto, _ = _temperatures([3, 2], 100)
+    np.testing.assert_allclose(auto / scale, [0.03, 0.02])
+    with pytest.raises(TypeError):
+        HyperParams(c=2, beta=0.05)
+
+
+def test_resolve_regularization_scales_with_n():
     # per-sample values times 32 n: eta = 0.025 scales with n, beta_h = d_h / n
     # does not, so the view temperatures stay at 32 d_h while the view costs
     # grow with n and the view weights harden
-    for n in (100, 1000):
-        beta, eta = _temperatures([3, 2], n)
-        np.testing.assert_allclose(beta, [96.0, 64.0])
-        assert eta == pytest.approx(0.8 * n)
+    from mvclust.amvfcm import TEMP_CALIBRATION
+
+    beta_a, eta_a = _temperatures([3, 2], 100)
+    beta_b, eta_b = _temperatures([3, 2], 1000)
+    np.testing.assert_allclose(beta_a, beta_b)
+    np.testing.assert_allclose(beta_a, [96.0, 64.0])
+    np.testing.assert_allclose(beta_a, TEMP_CALIBRATION * np.array([3.0, 2.0]))
+    assert eta_b == pytest.approx(10 * eta_a)
+    assert eta_a == pytest.approx(TEMP_CALIBRATION * 100 * 0.025)
 
 
 # ------------------------------------------------------------------- seeding
