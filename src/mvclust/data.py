@@ -21,14 +21,16 @@ Each array the vectorized parser returns is kept as a ``.npy`` file in
 ``$XDG_CACHE_HOME/mvclust`` (by default ``~/.cache/mvclust``), keyed by the
 SHA-256 of the file's bytes, the parse dtype, the numpy version and a format
 tag, so an unchanged file is parsed once. Input the line scan reads is never
-stored. Once the entries pass ``CACHE_BYTES`` the least recently used are
-deleted; ``rm -rf ~/.cache/mvclust`` clears the cache. A cache that cannot be
-read or written is skipped, and the file is parsed as if there were none.
+stored, nor is an entry larger than ``CACHE_BYTES``. Once the entries pass
+``CACHE_BYTES`` the least recently used are deleted; ``rm -rf ~/.cache/mvclust``
+clears the cache. A cache that cannot be read or written is skipped, and the
+file is parsed as if there were none.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import shutil
@@ -234,13 +236,19 @@ def _cache_load(entry, dtype):
         X = np.empty(shape, dtype)
         if fh.readinto(X) != size:
             return None
-    os.utime(entry)  # a hit is a use: evicted last
+    with suppress(OSError):  # a hit is a use: evicted last, where the entry allows
+        os.utime(entry)
     return X
 
 
 def _cache_store(key, X):
     # written under a temporary name and renamed, so a reader sees all of an
-    # entry or none of it; then the oldest entries go until CACHE_BYTES holds
+    # entry or none of it; then the oldest entries go until CACHE_BYTES holds.
+    # An entry above the bound is not stored: it would evict every entry.
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(X))
+    if header.tell() + X.nbytes > CACHE_BYTES:
+        return
     directory = _cache_dir()
     directory.mkdir(mode=0o700, parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".npy", dir=directory)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,7 +23,6 @@ from .data import load_dataset, validate
 from .metrics import score_all
 from .synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
-SEED_ENV_VAR = "MVCLUST_SEED"
 PRNG_NAME = "numpy.random.default_rng (PCG64)"
 METRIC_KEYS = ("ri", "ari", "ji", "fmi", "nmi")
 
@@ -165,7 +163,7 @@ def _stats(values):
     }
 
 
-def _resolved_config(config: ExperimentConfig, seed_base):
+def _resolved_config(config: ExperimentConfig):
     p = config.params
     source = (
         {"manifest": str(config.manifest)}
@@ -175,7 +173,7 @@ def _resolved_config(config: ExperimentConfig, seed_base):
     return {
         "algorithm": config.algorithm,
         "trials": config.trials,
-        "seed_base": seed_base,
+        "seed_base": config.seed_base,
         "source": source,
         "hyperparams": {
             "c": p.c,
@@ -190,20 +188,12 @@ def _resolved_config(config: ExperimentConfig, seed_base):
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run all trials and aggregate. Deterministic apart from timing fields.
 
-    The MVCLUST_SEED environment variable, when set, overrides the configured
-    seed base; the report's resolved config records the value actually used.
-    A value that is not an integer >= 0 raises a ValueError naming the
-    variable. A failing trial aborts the whole run with a :class:`TrialError`
-    naming its seed.
+    Trial i runs with seed ``config.seed_base + i``; nothing outside the
+    config chooses a seed. A failing trial aborts the whole run with a
+    :class:`TrialError` naming its seed.
     """
-    seed_base = config.seed_base
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        if not env.strip().isdecimal():
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}")
-        seed_base = int(env)
     dataset = build_dataset(config)
-    seeds = [seed_base + i for i in range(config.trials)]
+    seeds = [config.seed_base + i for i in range(config.trials)]
 
     tic = time.perf_counter()
     if config.jobs > 1:
@@ -222,7 +212,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     aggregates["reduction_pct"] = _stats(r.reduction_pct for r in records)
     return RunReport(
         engine={"name": "mvclust", "version": __version__, "prng": PRNG_NAME},
-        config=_resolved_config(config, seed_base),
+        config=_resolved_config(config),
         trials=records,
         aggregates=aggregates,
         total_seconds=total,

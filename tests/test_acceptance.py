@@ -49,7 +49,6 @@ from mvclust.amvfcm import (
 )
 from mvclust.cli import EXIT_OK, main
 from mvclust.harness import (
-    SEED_ENV_VAR,
     ExperimentConfig,
     SynthSource,
     parse_records,
@@ -61,11 +60,6 @@ from mvclust.snr import compute_delta
 from mvclust.synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
 BENCH_PARAMS = dict(c=5)
-
-
-@pytest.fixture(autouse=True)
-def _no_seed_override(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 @pytest.fixture(scope="module")

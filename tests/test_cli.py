@@ -107,15 +107,6 @@ def test_non_finite_or_negative_setting_is_a_data_error(tmp_path, capsys, flag):
     assert not (out / "report.jsonl").exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "-3"])
-def test_bad_seed_variable_is_a_data_error_naming_it(monkeypatch, capsys, value):
-    monkeypatch.setenv(harness.SEED_ENV_VAR, value)
-    code = main(["bench", "--algo", "amvfcm", "--synth-n", "50", "--clusters", "5"])
-    assert code == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {harness.SEED_ENV_VAR} must be") and repr(value) in err
-
-
 @pytest.mark.parametrize("argv", [
     ["synth", "--n", "50", "--seed", "-1"],
     ["bench", "--algo", "amvfcm", "--synth-n", "50", "--synth-seed", "-1", "--clusters", "5"],

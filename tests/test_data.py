@@ -474,6 +474,37 @@ def test_cache_deletes_the_least_recently_used_entries_beyond_its_bound(
         assert {owner[e] for e in now} == kept | {path.name}
 
 
+def test_entry_above_the_bound_is_not_stored(tmp_path, monkeypatch, private_parse_cache):
+    # stored, the 500-row entry would evict itself and every older entry
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    small.write_text("1,2,3\n" * 50)
+    large.write_text("1,2,3\n" * 500)
+    data._read_matrix(small)
+    (entry,) = entries(private_parse_cache)
+    monkeypatch.setattr(data, "CACHE_BYTES", 5000)
+    assert entry.stat().st_size < data.CACHE_BYTES < 500 * 3 * 8
+    calls = count_loadtxt(monkeypatch)
+    data._read_matrix(large)
+    assert list((private_parse_cache / "mvclust").iterdir()) == [entry]
+    data._read_matrix(small)
+    assert calls == [large]
+
+
+def test_hit_survives_a_failed_mtime_refresh(tmp_path, monkeypatch, private_parse_cache):
+    # a read-only cache or another user's entry refuses the refresh, not the read
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n")
+    first = data._read_matrix(path)
+
+    def utime(*args, **kwargs):
+        raise PermissionError("Operation not permitted")
+
+    monkeypatch.setattr(data.os, "utime", utime)
+    calls = count_loadtxt(monkeypatch)
+    assert data._read_matrix(path).tobytes() == first.tobytes()
+    assert calls == []
+
+
 def _values_with_edge_cases(n, d, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.lognormal(0.0, 20.0, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))

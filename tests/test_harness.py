@@ -16,7 +16,6 @@ from mvclust.data import MultiViewDataset, save_dataset
 from mvclust.harness import (
     METRIC_KEYS,
     PRNG_NAME,
-    SEED_ENV_VAR,
     ExperimentConfig,
     SynthSource,
     TrialError,
@@ -240,15 +239,15 @@ def test_thread_pool_matches_sequential_run():
     assert seq_cfg == thr_cfg
 
 
-def test_seed_env_var_overrides_config(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "11")
-    overridden = run_experiment(synth_config(trials=2, seed_base=0))
-    assert [r.seed for r in overridden.trials] == [11, 12]
-    assert overridden.config["seed_base"] == 11
-    monkeypatch.delenv(SEED_ENV_VAR)
-    direct = run_experiment(synth_config(trials=2, seed_base=11))
-    assert strip_timing(report_records(overridden)) == strip_timing(
-        report_records(direct)
+def test_seed_comes_from_the_config_alone(monkeypatch):
+    # the environment chooses no seed, not even under this name
+    monkeypatch.setenv("MVCLUST_SEED", "11")
+    with_variable = run_experiment(synth_config(trials=2, seed_base=0))
+    assert [r.seed for r in with_variable.trials] == [0, 1]
+    monkeypatch.delenv("MVCLUST_SEED")
+    without = run_experiment(synth_config(trials=2, seed_base=0))
+    assert strip_timing(report_records(with_variable)) == strip_timing(
+        report_records(without)
     )
 
 
