@@ -5,9 +5,10 @@ missing arguments, raised by the parser), 3 data or configuration errors
 (unreadable or inconsistent dataset files, invalid hyperparameters), 4 trial
 failures inside a run, 1 anything unexpected.
 
-``fit --algo aamvfcm`` writes the surviving data to ``filtered/``: a view
-that kept every column is copied from its input file if that file and the
-manifest are as they were before the load, other views print as %.17g.
+``fit --algo aamvfcm`` writes the surviving data to ``filtered/``: the label
+file and each view that kept every column are copied from their input files
+if those and the manifest keep the stamps they had before the load (see
+``data._file_stamp``); other views print as %.17g, other labels as %d.
 """
 
 from __future__ import annotations
@@ -146,24 +147,28 @@ def _cmd_fit(args):
 
 
 def _input_stamps(manifest):
-    # (path, stamp) of the manifest, then of each view file it lists, taken
-    # before the load; [] for a manifest that cannot be read (the load says why)
+    # (path, stamp) of the manifest, of each view file it lists and of its
+    # label file (None without one), taken before the load; [] for a manifest
+    # that cannot be read (the load says why)
     stamp = _file_stamp(manifest)
     try:
-        views = [manifest.parent / rel for rel in parse_manifest(manifest)["views"]]
+        spec = parse_manifest(manifest)
     except DatasetError:
         return []
-    return [(manifest, stamp)] + [(path, _file_stamp(path)) for path in views]
+    paths = [manifest.parent / rel if rel else None for rel in spec["views"] + [spec["labels"]]]
+    return [(manifest, stamp)] + [(p, _file_stamp(p)) if p else None for p in paths]
 
 
 def _write_filtered(result, out_dir, inputs):
     # surviving data plus a sidecar mapping kept columns to original positions;
-    # an intact view may be copied from its file in ``inputs`` (_input_stamps)
-    mask, sources = result.mask, None
+    # the labels and an intact view may be copied from their files in
+    # ``inputs`` (_input_stamps)
+    mask, sources, label_source = result.mask, None, None
     if inputs and _file_stamp(inputs[0][0]) == inputs[0][1]:
         sources = [inputs[1 + h] if mask.active_dims[h] == mask.original_dims[h] else None
                    for h in mask.active_views()]
-    save_dataset(result.reduced_dataset, out_dir, sources)
+        label_source = inputs[-1]
+    save_dataset(result.reduced_dataset, out_dir, sources, label_source)
     mapping = {
         "views": [
             {

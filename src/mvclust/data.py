@@ -13,28 +13,36 @@ truth labels are optional. On disk a dataset is described by a small manifest:
 resolved relative to the manifest's directory. View files are plain CSV (one
 sample per line, no header); label files hold one integer per line. Reads go
 through numpy's vectorized parser and fall back to a line scan for what it
-refuses, so errors still name the file and line; writes print %.17g, byte for
-byte what ``np.savetxt`` prints, a chunk of rows per call, or copy a view
-from the file it was read from while that file is unchanged.
+refuses, so errors still name the file and line; writes print what
+``np.savetxt`` prints (%.17g, labels %d) byte for byte, or copy a view or
+label file from the file it was read from while that file is unchanged.
 
 Each array the vectorized parser returns is kept as a ``.npy`` file in
 ``$XDG_CACHE_HOME/mvclust`` (by default ``~/.cache/mvclust``), keyed by the
 SHA-256 of the file's bytes, the parse dtype, the numpy version and a format
 tag, so an unchanged file is parsed once. Input the line scan reads is never
 stored, nor is an entry larger than ``CACHE_BYTES``. Once the entries pass
-``CACHE_BYTES`` the least recently used are deleted; ``rm -rf ~/.cache/mvclust``
-clears the cache. A cache that cannot be read or written is skipped, and the
-file is parsed as if there were none.
+``CACHE_BYTES`` the least recently used are deleted. An index beside them
+maps a file's stamp (``_file_stamp``) and the parse dtype to the digest, so
+an indexed file is not read at all. As in git, an index entry is trusted
+only if the file last changed more than ``_RACY_NS`` (2 s) before the entry
+was written; a file system whose clock runs behind by more can hide a
+same-size rewrite.
+``rm -rf ~/.cache/mvclust`` clears the cache and its index. A cache or index
+that cannot be read or written is skipped, and the file is hashed and parsed
+as if there were none.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import json
 import math
 import os
 import shutil
 import tempfile
+import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -165,10 +173,11 @@ def validate(dataset: MultiViewDataset) -> None:
 
 
 def _check_dense_labels(lab):
-    # every class id in 0..c-1 must occur at least once
+    # every class id in 0..c-1 must occur at least once. n labels fill at
+    # most n classes, so ids from n up count as n: the first empty class stays
     if lab.min() < 0:
         raise LabelValueError(f"negative label {lab.min()}")
-    present = np.unique(lab)
+    present = np.flatnonzero(np.bincount(np.minimum(lab, lab.size)))
     if present[-1] + 1 != present.size:
         missing = int(np.flatnonzero(present != np.arange(present.size))[0])
         raise LabelValueError(f"label classes are not dense: class {missing} is empty")
@@ -186,33 +195,47 @@ _LABEL_RANGE = np.iinfo(int)
 CACHE_BYTES = 512 << 20
 # part of every cache key: a new tag when what an entry holds changes
 _CACHE_FORMAT = "v1"
+# the stamp index, {"<stamp>-<dtype>": [digest, ns written]}, keeps its
+# newest entries. An entry is trusted only if the file last changed more
+# than _RACY_NS before it was written: a rewrite within one tick of a coarse
+# clock keeps the stamp, and FAT's 2 s is the coarsest tick in common use
+_INDEX, _INDEX_ENTRIES, _RACY_NS = "stamps.json", 256, 2 * 10**9
 
 
 def _loadtxt(path: Path, dtype):
     # numpy's C parser, or None when it refuses the file or the file has no
     # content; the line scan then decides, and names the line of any error.
-    # One read of the file both hashes it and looks for content.
-    digest, blank = hashlib.sha256(), True
+    # A file whose stamp the index trusts is not opened; any other is read
+    # once, both to hash it and to look for content. An entry's time is taken
+    # before the stat, so a change made during the read is never older.
+    dtype, written, stamp = np.dtype(dtype), time.time_ns(), _file_stamp(path)
+    slot = f"{stamp}-{dtype.kind}{dtype.itemsize}"
+    entry = f"-{dtype.kind}{dtype.itemsize}-numpy{np.__version__}-{_CACHE_FORMAT}.npy"
+    with suppress(OSError, ValueError, TypeError, LookupError, RuntimeError):
+        digest, since = json.loads((_cache_dir() / _INDEX).read_bytes())[slot]
+        if max(stamp[3:]) < since - _RACY_NS and bytes.fromhex(digest).hex() == digest:
+            X = _cache_load(digest + entry, dtype)
+            if X is not None:
+                return X
+    sha, blank = hashlib.sha256(), True
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+            sha.update(chunk)
             blank = blank and not chunk.strip()
     if blank:  # loadtxt only warns about a file of blank lines
         return None
-    dtype = np.dtype(dtype)
-    key = (f"{digest.hexdigest()}-{dtype.kind}{dtype.itemsize}"
-           f"-numpy{np.__version__}-{_CACHE_FORMAT}.npy")
-    with suppress(OSError, ValueError, EOFError, RuntimeError):
-        X = _cache_load(_cache_dir() / key, dtype)
-        if X is not None:
-            return X
-    try:
-        X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype, comments=None,
-                       quotechar=None, encoding="utf-8")
-    except ValueError:
-        return None
+    digest = sha.hexdigest()
+    X = _cache_load(digest + entry, dtype)
+    if X is None:
+        try:
+            X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype, comments=None,
+                           quotechar=None, encoding="utf-8")
+        except ValueError:
+            return None
+        with suppress(OSError, ValueError, RuntimeError):
+            _cache_store(digest + entry, X)
     with suppress(OSError, ValueError, RuntimeError):
-        _cache_store(key, X)
+        _index_store(slot, digest, written)
     return X
 
 
@@ -222,49 +245,69 @@ def _cache_dir():
     return Path(root if os.path.isabs(root) else Path.home() / ".cache") / "mvclust"
 
 
-def _cache_load(entry, dtype):
+def _cache_load(name, dtype):
     # the entry's array if it is 2-D, C-ordered and of the parse dtype, read
     # into memory of its own (np.load hands back a reshaped view); else None
-    with open(entry, "rb") as fh:
-        if np.lib.format.read_magic(fh) != (1, 0):
-            return None
-        shape, fortran_order, stored = np.lib.format.read_array_header_1_0(fh)
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if (len(shape) != 2 or fortran_order or stored != dtype
-                or size != math.prod(shape) * dtype.itemsize):
-            return None
-        X = np.empty(shape, dtype)
-        if fh.readinto(X) != size:
-            return None
-    with suppress(OSError):  # a hit is a use: evicted last, where the entry allows
-        os.utime(entry)
-    return X
+    with suppress(OSError, ValueError, EOFError, RuntimeError):
+        entry = _cache_dir() / name
+        with open(entry, "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, stored = np.lib.format.read_array_header_1_0(fh)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if (len(shape) != 2 or fortran_order or stored != dtype
+                    or size != math.prod(shape) * dtype.itemsize):
+                return None
+            X = np.empty(shape, dtype)
+            if fh.readinto(X) != size:
+                return None
+        with suppress(OSError):  # a hit is a use: evicted last, where the entry allows
+            os.utime(entry)
+        return X
+    return None
 
 
-def _cache_store(key, X):
-    # written under a temporary name and renamed, so a reader sees all of an
-    # entry or none of it; then the oldest entries go until CACHE_BYTES holds.
-    # An entry above the bound is not stored: it would evict every entry.
+def _cache_store(name, X):
+    # then the oldest entries go until CACHE_BYTES holds. An entry above the
+    # bound is not stored: it would evict every entry.
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(X))
     if header.tell() + X.nbytes > CACHE_BYTES:
         return
     directory = _cache_dir()
-    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".npy", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.lib.format.write_array(fh, X, version=(1, 0), allow_pickle=False)
-        os.replace(tmp, directory / key)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
+    _replace(directory / name,
+             lambda fh: np.lib.format.write_array(fh, X, version=(1, 0), allow_pickle=False))
     kept = 0
     for p in sorted(directory.glob("*.npy"), key=lambda q: q.stat().st_mtime_ns, reverse=True):
         kept += p.stat().st_size
         if kept > CACHE_BYTES:
             p.unlink(missing_ok=True)
+
+
+def _index_store(slot, digest, written):
+    # the newest _INDEX_ENTRIES entries by write time stay; an index that
+    # cannot be read is started afresh
+    path, index = _cache_dir() / _INDEX, {}
+    with suppress(OSError, ValueError, TypeError, LookupError, AttributeError):
+        index = dict(sorted(json.loads(path.read_bytes()).items(),
+                            key=lambda kv: kv[1][1])[1 - _INDEX_ENTRIES:])
+    index[slot] = [digest, written]
+    _replace(path, lambda fh: fh.write(json.dumps(index).encode()))
+
+
+def _replace(target, write):
+    # written under a temporary name and renamed, so a reader sees all of the
+    # file or none of it
+    target.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=target.suffix, dir=target.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_matrix(path: Path) -> np.ndarray:
@@ -425,28 +468,26 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     return dataset
 
 
-def save_dataset(dataset: MultiViewDataset, out_dir, sources=None) -> Path:
+def save_dataset(dataset: MultiViewDataset, out_dir, sources=None, label_source=None) -> Path:
     """Write views, labels, and a manifest into ``out_dir``; return manifest path.
 
     Values are printed with %.17g so a write/read round trip is exact.
-    ``sources`` may give per view None or ``(path, _file_stamp(path))`` from
-    before the view was read: a file whose stamp still matches is copied byte
-    for byte instead, which reads back exactly as well.
+    ``sources`` may give per view, and ``label_source`` for the labels, None
+    or ``(path, _file_stamp(path))`` from before the file was read: a file
+    whose stamp still matches is copied byte for byte instead, which reads
+    back exactly as well.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["# mvclust dataset manifest"]
     for h, X in enumerate(dataset.views, start=1):
         fname = f"view_{h}.csv"
-        path, stamp = sources[h - 1] if sources and sources[h - 1] else (None, None)
-        if stamp is not None and _file_stamp(path) == stamp:
-            with suppress(shutil.SameFileError):  # the file is already in place
-                shutil.copyfile(path, out_dir / fname)
-        else:
+        if not _copy_intact(sources[h - 1] if sources else None, out_dir / fname):
             _write_matrix(out_dir / fname, X)
         lines.append(f"view = {fname}")
     if dataset.labels is not None:
-        _write_labels(out_dir / "labels.txt", dataset.labels)
+        if not _copy_intact(label_source, out_dir / "labels.txt"):
+            _write_labels(out_dir / "labels.txt", dataset.labels)
         lines.append("labels = labels.txt")
     if dataset.view_names is not None:
         for h, name in enumerate(dataset.view_names, start=1):
@@ -456,14 +497,25 @@ def save_dataset(dataset: MultiViewDataset, out_dir, sources=None) -> Path:
     return manifest
 
 
+def _copy_intact(source, target):
+    # copies ``source``, None or (path, stamp), to ``target`` if the file
+    # still has that stamp; False when nothing was copied
+    if source is None or source[1] is None or _file_stamp(source[0]) != source[1]:
+        return False
+    with suppress(shutil.SameFileError):  # the file is already in place
+        shutil.copyfile(source[0], target)
+    return True
+
+
 def _file_stamp(path):
-    # (inode, size, modification time in ns), or None when stat fails: a file
-    # rewritten in place or replaced by another gets a new stamp
+    # (device, inode, size, modification and change times in ns), or None
+    # when stat fails: a file rewritten, replaced or given back an old mtime
+    # gets a new stamp, unless within one clock tick (see _RACY_NS)
     try:
-        st = Path(path).stat()
+        st = os.stat(path)
     except OSError:
         return None
-    return st.st_ino, st.st_size, st.st_mtime_ns
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
 def _write_matrix(path: Path, X, fmt="%.17g") -> None:
@@ -479,6 +531,17 @@ def _write_matrix(path: Path, X, fmt="%.17g") -> None:
 
 
 def _write_labels(path: Path, labels) -> None:
-    # the bytes of np.savetxt(fmt="%d") for an integer vector, in chunks:
-    # one Python int and string per label at once is ~14 MB at n = 150k
-    _write_matrix(path, labels[:, None], "%d")
+    # the bytes of np.savetxt(fmt="%d") for an integer vector. Non-negative
+    # ids are printed by numpy: one column per digit, leading zeros masked
+    # out, then a newline column; others one Python int at a time, in chunks
+    lab = np.asarray(labels)
+    if lab.dtype.kind not in "iu" or not lab.size or lab.min() < 0:
+        return _write_matrix(path, lab[:, None], "%d")
+    value = lab.astype(np.uint64)
+    cells = np.full((lab.size, len(str(value.max())) + 1), ord("\n"), np.uint8)
+    for k in range(cells.shape[1] - 2, -1, -1):
+        cells[:, k], value = value % 10 + ord("0"), value // 10
+    keep = np.logical_or.accumulate(cells != ord("0"), axis=1)
+    keep[:, -2] = True  # the last digit, a lone 0 included
+    with open(path, "wb") as fh:
+        fh.write(cells[keep].tobytes())

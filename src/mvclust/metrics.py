@@ -45,11 +45,19 @@ def contingency_table(truth, pred) -> np.ndarray:
         raise ValueError(
             f"label vectors differ in length: {truth.shape[0]} vs {pred.shape[0]}"
         )
-    rows, ti = np.unique(truth, return_inverse=True)
-    cols, pi = np.unique(pred, return_inverse=True)
-    table = np.zeros((rows.size, cols.size), dtype=np.int64)
-    np.add.at(table, (ti, pi), 1)
-    return table
+    (ti, r), (pi, s) = _codes(truth), _codes(pred)
+    table = np.bincount(ti * s + pi, minlength=r * s).reshape(r, s)
+    # an id that no sample carries leaves an empty row or column
+    return table[table.any(axis=1)][:, table.any(axis=0)]
+
+
+def _codes(lab):
+    # (codes in 0..count-1, count): integer ids below sqrt(n) are their own
+    # codes, in O(n) and at most n cells for two such vectors; others sorted
+    if lab.dtype.kind in "iu" and lab.size and lab.min() >= 0 and int(lab.max()) ** 2 < lab.size:
+        return lab.astype(np.int64), int(lab.max()) + 1
+    values, codes = np.unique(lab, return_inverse=True)
+    return codes, values.size
 
 
 def _comb2(x):

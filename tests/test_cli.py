@@ -384,6 +384,37 @@ def test_fit_prints_views_whose_input_changed_after_the_load(tmp_path, capsys, m
         assert (out / "filtered" / f"view_{h}.csv").read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("base, edited", [(0, False), (1, False), (1, True)],
+                         ids=["zero-based", "one-based", "edited-after-the-load"])
+def test_fit_copies_an_intact_label_file(tmp_path, capsys, monkeypatch, base, edited):
+    # a trailing blank line, so a copy differs from the %d text of the labels
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    manifest = short_text_manifest(tmp_path, dataset.views, dataset.labels)
+    labels_file = manifest.parent / "labels.txt"
+    labels_file.write_text("".join(f"{k + base}\n" for k in dataset.labels) + "\n")
+    original = labels_file.read_bytes()
+    real_run = cli._run
+
+    def run_then_edit(*args, **kwargs):
+        report = real_run(*args, **kwargs)
+        if edited:  # the same labels, other bytes: still not what was read
+            labels_file.write_text("".join(f"{k}\n" for k in dataset.labels))
+        return report
+
+    monkeypatch.setattr(cli, "_run", run_then_edit)
+    out = tmp_path / "run"
+    assert fit_filtered(manifest, out) == EXIT_OK
+    capsys.readouterr()
+    written = (out / "filtered" / "labels.txt").read_bytes()
+    if edited:
+        np.savetxt(tmp_path / "savetxt.txt", dataset.labels, fmt="%d")
+        assert written == (tmp_path / "savetxt.txt").read_bytes()
+    else:
+        assert written == original
+    np.testing.assert_array_equal(load_dataset(out / "filtered" / "manifest.cfg").labels,
+                                  dataset.labels)
+
+
 def test_refit_of_a_filtered_dataset_into_its_own_run_directory(tmp_path, capsys):
     dataset = generate(default_benchmark_spec(300, seed=3))
     manifest = short_text_manifest(tmp_path, dataset.views, dataset.labels)

@@ -1,6 +1,8 @@
 """Dataset container, validation, and manifest I/O tests."""
 
+import builtins
 import io
+import json
 import os
 import time
 import tracemalloc
@@ -8,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvclust import data
 from mvclust.data import (
@@ -172,6 +176,46 @@ def test_validate_names_missing_class_in_linear_time():
     with pytest.raises(LabelValueError, match=r"class 19999 is empty"):
         validate(dataset)
     assert time.perf_counter() - tic < 1.0
+
+
+def sorted_dense_check(lab):
+    # the reference: the present classes found by sorting
+    if lab.min() < 0:
+        raise LabelValueError(f"negative label {lab.min()}")
+    present = np.unique(lab)
+    if present[-1] + 1 != present.size:
+        missing = int(np.flatnonzero(present != np.arange(present.size))[0])
+        raise LabelValueError(f"label classes are not dense: class {missing} is empty")
+
+
+def _dense_check_outcome(check, lab):
+    try:
+        check(lab)
+    except LabelValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_dense_label_check_by_counting_equals_the_sorted_check_hypothesis(data_):
+    n = data_.draw(st.integers(1, 30))
+    lo, hi = data_.draw(st.sampled_from([(0, 3), (0, n - 1), (-2, 3), (0, 4 * n), (n - 1, n + 2)]))
+    lab = np.array(data_.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)))
+    labels = MultiViewDataset([np.ones((n, 1))], lab).labels
+    got = _dense_check_outcome(lambda x: validate(MultiViewDataset([np.ones((n, 1))], x)), labels)
+    assert got == _dense_check_outcome(sorted_dense_check, labels)
+
+
+def test_dense_label_check_sorts_nothing(monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(data.np, "unique", no_sort)
+    validate(MultiViewDataset([np.ones((6, 1))], [2, 0, 1, 1, 0, 2]))
+    for labels in ([2, 0, 3, 3, 0, 2], [2, 0, 9, 9, 0, 2]):  # ids below n, then one above
+        with pytest.raises(LabelValueError, match="class 1 is empty"):
+            validate(MultiViewDataset([np.ones((6, 1))], labels))
 
 
 # ------------------------------------------------------------------- file I/O
@@ -485,7 +529,9 @@ def test_entry_above_the_bound_is_not_stored(tmp_path, monkeypatch, private_pars
     assert entry.stat().st_size < data.CACHE_BYTES < 500 * 3 * 8
     calls = count_loadtxt(monkeypatch)
     data._read_matrix(large)
-    assert list((private_parse_cache / "mvclust").iterdir()) == [entry]
+    # no temporary file and no large entry: the small entry and the stamp index
+    assert sorted(p.name for p in (private_parse_cache / "mvclust").iterdir()) == sorted(
+        [entry.name, data._INDEX])
     data._read_matrix(small)
     assert calls == [large]
 
@@ -503,6 +549,153 @@ def test_hit_survives_a_failed_mtime_refresh(tmp_path, monkeypatch, private_pars
     calls = count_loadtxt(monkeypatch)
     assert data._read_matrix(path).tobytes() == first.tobytes()
     assert calls == []
+
+
+# ---------------------------------------------------------------- stamp index
+
+
+def count_opens(monkeypatch):
+    """The list of paths opened from now on through open, io.open or os.open."""
+    opened = []
+    for module in (builtins, io, os):
+        real = module.open
+
+        def spy(file, *args, real=real, **kwargs):
+            if isinstance(file, (str, bytes, os.PathLike)):
+                opened.append(os.path.abspath(os.fsdecode(file)))
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(module, "open", spy)
+    return opened
+
+
+def fine_clock(monkeypatch):
+    # where files are stamped to the nanosecond, a zero tick already tells a
+    # file's last change from a later index write; with the real tick, a
+    # file written moments ago is hashed on every read
+    monkeypatch.setattr(data, "_RACY_NS", 0)
+
+
+def index_entries(cache):
+    return json.loads((cache / "mvclust" / data._INDEX).read_text())
+
+
+def test_warm_load_opens_no_input_file(tmp_path, monkeypatch):
+    fine_clock(monkeypatch)
+    rng = np.random.default_rng(0)
+    n = 150_000
+    ds = MultiViewDataset([rng.normal(size=(n, 2)), rng.normal(size=(n, 1))], np.arange(n) % 5)
+    manifest = save_dataset(ds, tmp_path / "in")
+    cold = load_dataset(manifest)
+    opened = count_opens(monkeypatch)
+    calls = count_loadtxt(monkeypatch)
+    warm = load_dataset(manifest)
+    inputs = {str(manifest.parent / name) for name in ("view_1.csv", "view_2.csv", "labels.txt")}
+    assert calls == [] and inputs.isdisjoint(opened) and str(manifest) in opened
+    assert [X.tobytes() for X in warm.views] == [X.tobytes() for X in cold.views]
+    assert warm.labels.tobytes() == cold.labels.tobytes()
+
+
+def test_file_changed_within_the_tick_is_hashed_on_every_read(tmp_path, monkeypatch):
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n")
+    data._read_matrix(path)
+    calls = count_loadtxt(monkeypatch)
+    opened = count_opens(monkeypatch)
+    for _ in range(2):
+        assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert opened.count(str(path)) == 2 and calls == []
+
+
+def test_rewrite_with_the_old_size_and_mtime_is_parsed_again(tmp_path, monkeypatch):
+    # the change time, which no call can set back, tells the two files apart
+    fine_clock(monkeypatch)
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n")
+    data._read_matrix(path)
+    old = path.stat()
+    path.write_text("1,2\n3,5\n")
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (old.st_size, old.st_mtime_ns)
+    calls = count_loadtxt(monkeypatch)
+    assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 5.0]]
+    assert calls == [path]
+
+
+def test_racily_clean_entry_is_not_trusted(tmp_path, monkeypatch, private_parse_cache):
+    # a coarse clock: a same-size rewrite within one tick keeps the stamp
+    fine_clock(monkeypatch)
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n")
+    data._read_matrix(path)
+    stamp = data._file_stamp(path)
+    path.write_text("1,2\n3,5\n")
+    monkeypatch.setattr(data, "_file_stamp", lambda p: stamp if p == path else None)
+    # an entry written after the file's last change is trusted, stale or not
+    assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    index = index_entries(private_parse_cache)
+    for entry in index.values():
+        entry[1] = stamp[3]  # written in the tick the file last changed in
+    (private_parse_cache / "mvclust" / data._INDEX).write_text(json.dumps(index))
+    assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 5.0]]
+
+
+def _first_entry(change):
+    def damage(index):
+        entry = next(iter(index.values()))
+        entry[:] = change(entry)
+        return index
+    return damage
+
+
+INDEX_DAMAGE = {
+    "missing_index": None,
+    "garbage": lambda index: "not json {",
+    "list": lambda index: list(index),
+    "missing_entry": lambda index: {},
+    "short_entry": _first_entry(lambda entry: entry[:1]),
+    "time_as_text": _first_entry(lambda entry: [entry[0], "later"]),
+    "digest_not_hex": _first_entry(lambda entry: ["../" + entry[0], entry[1]]),
+    "digest_of_no_entry": _first_entry(lambda entry: ["0" * 64, entry[1]]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(INDEX_DAMAGE))
+def test_damaged_index_falls_back_to_the_hash(tmp_path, monkeypatch, private_parse_cache,
+                                              damage):
+    fine_clock(monkeypatch)
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n")
+    first = data._read_matrix(path)
+    index_file = private_parse_cache / "mvclust" / data._INDEX
+    if INDEX_DAMAGE[damage] is None:
+        index_file.unlink()
+    else:
+        damaged = INDEX_DAMAGE[damage](index_entries(private_parse_cache))
+        index_file.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+    calls = count_loadtxt(monkeypatch)
+    opened = count_opens(monkeypatch)
+    assert data._read_matrix(path).tobytes() == first.tobytes()
+    assert str(path) in opened and calls == []
+    del opened[:]
+    assert data._read_matrix(path).tobytes() == first.tobytes()  # the index is mended
+    assert str(path) not in opened and calls == []
+
+
+def test_index_keeps_its_newest_entries_within_its_bound(tmp_path, monkeypatch,
+                                                         private_parse_cache):
+    fine_clock(monkeypatch)
+    monkeypatch.setattr(data, "_INDEX_ENTRIES", 3)
+    paths = [tmp_path / f"v{k}.csv" for k in range(5)]
+    for k, path in enumerate(paths):
+        path.write_text(f"{k},1\n")
+        data._read_matrix(path)
+        assert len(index_entries(private_parse_cache)) == min(k + 1, 3)
+    opened = count_opens(monkeypatch)
+    for path in paths[2:] + paths[:1]:  # the newest three, then the oldest
+        data._read_matrix(path)
+    assert [p for p in map(str, paths) if p in opened] == [str(paths[0])]
+    assert len(index_entries(private_parse_cache)) == 3
 
 
 def _values_with_edge_cases(n, d, seed=0):
@@ -528,6 +721,33 @@ def test_save_writes_savetxt_bytes_and_round_trips(tmp_path, n, d):
     back = load_dataset(manifest)
     assert back.views[0].tobytes() == X.tobytes()
     assert back.labels.tolist() == labels.tolist()
+
+
+@pytest.mark.parametrize("labels", [
+    *([v] for v in (0, 9, 10, 99, 100, 2**63 - 1)),
+    np.array([0, 9, 10, 99, 100, 2**63 - 1, 5]),
+    np.array([7, 0, 10, 2**31 - 1, 100], dtype=np.int32),
+    np.array([0, 9, 10, 255, 100, 1], dtype=np.uint8),
+], ids=lambda labels: f"{np.asarray(labels).dtype}-{np.asarray(labels).tolist()}")
+def test_label_writer_prints_savetxt_bytes_without_python_ints(tmp_path, monkeypatch, labels):
+    def no_format(*args, **kwargs):
+        raise AssertionError("formatted one Python int at a time")
+
+    monkeypatch.setattr(data, "_write_matrix", no_format)
+    data._write_labels(tmp_path / "fast.txt", np.asarray(labels))
+    np.savetxt(tmp_path / "savetxt.txt", np.asarray(labels), fmt="%d")
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "savetxt.txt").read_bytes()
+
+
+def test_label_writer_prints_negative_labels_one_at_a_time(tmp_path, monkeypatch):
+    labels = np.array([3, -1, 0, -250, 12])
+    formatted = []
+    write = data._write_matrix
+    monkeypatch.setattr(data, "_write_matrix", lambda *a: formatted.append(a[0]) or write(*a))
+    data._write_labels(tmp_path / "labels.txt", labels)
+    np.savetxt(tmp_path / "savetxt.txt", labels, fmt="%d")
+    assert (tmp_path / "labels.txt").read_bytes() == (tmp_path / "savetxt.txt").read_bytes()
+    assert formatted == [tmp_path / "labels.txt"]
 
 
 def test_save_formats_views_in_bounded_chunks(tmp_path):

@@ -291,6 +291,48 @@ def test_scores_agree_with_oracles_hypothesis(data):
     assert scores["nmi"] == pytest.approx(direct_nmi(t, p), abs=1e-12)
 
 
+def sorted_table(truth, pred):
+    # the table by sorting, whatever the ids: the reference for the counting path
+    rows, ti = np.unique(truth, return_inverse=True)
+    cols, pi = np.unique(pred, return_inverse=True)
+    table = np.zeros((rows.size, cols.size), dtype=np.int64)
+    np.add.at(table, (ti, pi), 1)
+    return table
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_contingency_table_by_counting_equals_the_sorted_table_hypothesis(data):
+    n = data.draw(st.integers(1, 40))
+
+    def labels():
+        dtype = data.draw(st.sampled_from(["int64", "int32", "uint8", "uint64", "bool",
+                                           "float64"]))
+        lo, hi = data.draw(st.sampled_from([(0, 3), (0, n - 1), (-3, 3), (0, 10 * n),
+                                            (n, n + 3)]))
+        if dtype in ("uint8", "uint64", "bool"):
+            lo = max(lo, 0)
+        hi = {"uint8": min(hi, 255), "bool": min(hi, 1)}.get(dtype, hi)
+        values = data.draw(st.lists(st.integers(min(lo, hi), hi), min_size=n, max_size=n))
+        return np.array(values).astype(dtype)
+
+    truth, pred = labels(), labels()
+    got, want = contingency_table(truth, pred), sorted_table(truth, pred)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_contingency_table_of_few_ids_sorts_nothing(monkeypatch):
+    # ids below n whose (max + 1) products fit in n cells are counted directly
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(metrics.np, "unique", no_sort)
+    truth = np.array([0, 0, 2, 2, 2, 0, 2, 2, 0, 2, 0, 0])
+    pred = np.array([1, 1, 1, 3, 3, 3, 1, 3, 1, 1, 3, 3], dtype=np.uint8)
+    np.testing.assert_array_equal(contingency_table(truth, pred), [[3, 3], [3, 3]])
+
+
 def test_score_all_keys_and_types():
     scores = score_all([0, 0, 1], [0, 1, 1])
     assert set(scores) == {"ri", "ari", "ji", "fmi", "nmi"}
