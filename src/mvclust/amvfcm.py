@@ -14,28 +14,26 @@ the intended regime.
 Every block update is the exact minimizer of the joint objective with the
 other blocks held fixed, which makes the objective trace non-increasing.
 
-The weighted squared distances are never built, neither as an (n, c, d)
-tensor nor as (n, c) matrices, and a fit holds one copy of the data: the
-views centred, block by block, into a C-ordered, feature-major (D, n) array
-XcT = (X - m)^T. Its m and ss_j = sum_i xc_ij^2 give the dispersion ratios,
-its rows, scaled one block of samples at a time, the seeds
-(:func:`init_centers`). With S_j = v_h w_j delta_j and Ac = A - m the
-stacked centred centers, the memberships, held as a (c, n) array U, are the
-softmax over clusters of L = (2 Ac S) XcT - (Ac^2) S: the per-sample term
-sum_j S_j xc_ij^2 of the aggregate distances cancels there and is never
-formed. The sums G = U Xc give the centers G / (cluster masses) and the
-feature costs E_j = delta_j (ss_j - 2 sum_k ac_kj G_kj +
-sum_k mass_k ac_kj^2), hence the view costs w_h . E_h. Each iteration reads
-the stack once, in blocks of samples that take L, U and G together. The
-feature weights are one vector over the stacked columns, with view_of
-naming each column's view, so the per-view softmax, view costs and
-entropies are segment reductions over it. Pruning is a boolean keep-vector
-over the columns: the descent moves the kept rows of the stack up in place,
-never restacks, and builds the per-view model once, at the end. Centring
+A fit holds one copy of the data, the views centred into a C-ordered,
+feature-major (D, n) array XcT = (X - m)^T, and never builds the weighted
+squared distances. What the data alone decide, the column means m, ss_j =
+sum_i xc_ij^2, the dispersion ratios and the seeding norms, a dataset's
+first fit works out and the dataset keeps (O(n + D) numbers); later fits
+only centre. With S_j = v_h w_j delta_j and Ac = A - m, the memberships, a
+(c, n) array U, are the softmax over clusters of L = (2 Ac S) XcT - (Ac^2) S,
+normalized by one reciprocal per sample; the per-sample term of the
+aggregate distances cancels there. The sums G = U Xc give the centers
+G / (cluster masses), the feature costs E_j = delta_j (ss_j - 2 sum_k
+ac_kj G_kj + sum_k mass_k ac_kj^2), hence the view costs, and, as each
+membership row sums to 1, the membership entropy sum(U L) - sum(peaks) -
+sum(log totals) with no (c, n) product. Each iteration reads the stack once,
+in blocks of samples that take L, U and G together, and no pass repeats:
+the first iteration's is the initial one, same centers and scales. Centring
 keeps the rounding at the scale of the data's spread, not of its offset: on
 200 random instances, as given and shifted by 1e6, distances rebuilt from
 the logits are within 6.1e-16 of each view's largest distance (3.0e-3
-uncentred and shifted), feature costs within 1.8e-15.
+uncentred and shifted), feature costs within 1.8e-15, and the entropy
+within 2.9e-15 of sum |U L|.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiViewDataset, validate
+from .data import MultiViewDataset, _remember, validate
 from .snr import clamped_ratios
 
 EMPTY_CLUSTER_TOL = 1e-12
@@ -165,11 +163,10 @@ class FitResult:
     nondeterministic fields.
 
     ``mask`` records which original columns survived, one boolean per stacked
-    column, and every removal event. The per-view arrays are built once, at
-    the end, from the descent's stacked state and the mask: ``model`` and
-    ``delta`` are sized to the survivors, and ``model.membership`` is a
-    C-contiguous (n, c) copy of the descent's cluster-major (c, n)
-    membership buffer, made after the stacked data is freed.
+    column, and every removal event. ``model`` and ``delta`` are sized to the
+    survivors (``delta`` may be read-only views of the dataset's memo), and
+    ``model.membership`` is a C-contiguous (n, c) copy of the descent's
+    (c, n) memberships, made after the stacked data is freed.
     ``reduced_dataset`` holds the surviving views, names and the labels; pair
     it with ``mask.active_columns`` to map back to original column positions.
     A fit that removed nothing has a full mask and the input's own views.
@@ -236,23 +233,24 @@ def _sweep(Ac, S, XcT, U, peak, L):
     # one pass over the (D, n) stack in blocks of L.shape[1] samples. Per
     # block: the logits (2 Ac S) Xc - (Ac^2) S into L, minus the aggregate
     # distances less their per-sample term sum_j S_j xc_ij^2; their softmax
-    # over clusters into the (c, n) U and its per-sample peak into peak (L is
-    # left shifted by it); and the sums G = U Xc (c, D), the cluster masses
-    # and sum_ik u_ik log u_ik, accumulated. The entropy is an einsum: BLAS
-    # threads a dot this long, and a busy machine stalls it ~8ms against 20us
+    # over clusters into the (c, n) U, by one reciprocal per sample, and its
+    # peak into peak (L is left shifted by it); the sums G = U Xc (c, D) and
+    # the masses. Rows of U sum to 1, so sum u log u = sum U L - sum peak -
+    # sum log total takes sum U L from G and the masses, not a (c, n) product
     A2S, row = Ac * (2.0 * S), ((Ac * Ac) @ S)[:, None]
-    entropy, block = 0.0, L.shape[1]
+    log_totals, block = 0.0, L.shape[1]
     for lo in range(0, XcT.shape[1], block):
         X, Ub, top = XcT[:, lo:lo + block], U[:, lo:lo + block], peak[lo:lo + block]
         Lb = np.matmul(A2S, X, out=L[:, :X.shape[1]])
         Lb -= row
         Lb -= np.max(Lb, axis=0, out=top)
         total = np.exp(Lb, out=Ub).sum(axis=0)
-        Ub /= total
-        entropy += np.einsum("kn,kn->", Ub, Lb) - np.log(total).sum()
+        log_totals += np.log(total).sum()
+        Ub *= np.divide(1.0, total, out=total)
         # the first block's sums are taken as they are: with one block, no add
         G = Ub @ X.T if lo == 0 else G + Ub @ X.T
         mass = Ub.sum(axis=1) if lo == 0 else mass + Ub.sum(axis=1)
+    entropy = np.sum(A2S * G) - row[:, 0] @ mass - peak.sum() - log_totals
     return G, mass, float(entropy)
 
 
@@ -267,11 +265,13 @@ def _view_starts(view_of):
     return np.flatnonzero(np.diff(view_of, prepend=-1))
 
 
-def _feature_weights(E, dlt, view_of, v, eta):
+def _feature_weights(E, dlt, view_of, v, eta, starts=None, prior=None):
     # feature j of view h gets weight proportional to (1/delta_j) exp(-v_h E_j / eta):
-    # one softmax per view, shifted by the view's own largest exponent
-    x = -np.log(dlt) - v[view_of] * E / eta
-    e = np.exp(x - np.maximum.reduceat(x, _view_starts(view_of))[view_of])
+    # one softmax per view, shifted by its largest exponent; a fit passes the
+    # view starts and prior = -log(delta), which change only with pruning
+    starts = _view_starts(view_of) if starts is None else starts
+    x = (-np.log(dlt) if prior is None else prior) - v[view_of] * E / eta
+    e = np.exp(x - np.maximum.reduceat(x, starts)[view_of])
     return e / np.bincount(view_of, e)[view_of]
 
 
@@ -341,37 +341,45 @@ def _temperatures(dims, n):
 
 
 def _objective_given_costs(costs, membership_entropy, v, w, dlt, beta, eta):
-    # distortion plus the three entropy terms, the membership one given;
-    # 0*log(0) counts as 0
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), v.shape)
-    on, kept = v > 0, w > 0
-    view_entropy = float(np.sum(beta[on] * v[on] * np.log(v[on])))
-    feature_entropy = float(np.sum(w[kept] * np.log(dlt[kept] * w[kept])))
+    # distortion plus the three entropy terms, the membership one given; 0*log(0)
+    # counts as 0 by a gather of the positive weights, cheaper than a test for none
+    beta, on, kept = np.full(v.shape, beta, dtype=float), v > 0, w > 0
+    view_entropy = float((beta[on] * v[on] * np.log(v[on])).sum())
+    feature_entropy = float((w[kept] * np.log(dlt[kept] * w[kept])).sum())
     return float(v @ costs) + membership_entropy + view_entropy + eta * feature_entropy
 
 
-def _scaled_blocks(XcT, scale, Z):
-    # (first sample, block) of the stack scaled into the (D, block) buffer Z,
-    # by the products that would scale the whole stack; the last block ends
-    # at n and overlaps the one before, since a one-sample block would be
-    # summed over its rows pairwise, not row after row
-    n, b = XcT.shape[1], Z.shape[1]
-    for lo in range(0, n, b):
-        lo = min(lo, n - b)
-        yield lo, np.multiply(XcT[:, lo:lo + b], scale, out=Z)
+def _scaled_blocks(XcT, scale):
+    # (first sample, block) of the stack scaled, by the products that would
+    # scale it whole, into one buffer of about BLOCK_CELLS / 8 cells, which
+    # stays in cache; the last block ends at n and overlaps the one before,
+    # since a one-sample block would be summed over its rows pairwise
+    width, n = XcT.shape
+    Z = np.empty((width, math.ceil(n / math.ceil(n * width * 8 / BLOCK_CELLS))))
+    for lo in range(0, n, Z.shape[1]):
+        lo = min(lo, n - Z.shape[1])
+        yield lo, np.multiply(XcT[:, lo:lo + Z.shape[1]], scale, out=Z)
 
 
-def _sq_dists(XcT, scale, t, Z):
+def _sq_dists(XcT, scale, t):
     # exact squared distances of every sample to sample t in the scaled
     # metric, summed over the rows of each scaled block
     out, zt = np.empty(XcT.shape[1]), XcT[:, t] * scale[:, 0]
-    for lo, diff in _scaled_blocks(XcT, scale, Z):
+    for lo, diff in _scaled_blocks(XcT, scale):
         diff -= zt[:, None]
-        np.multiply(diff, diff, out=diff).sum(axis=0, out=out[lo:lo + Z.shape[1]])
+        np.multiply(diff, diff, out=diff).sum(axis=0, out=out[lo:lo + diff.shape[1]])
     return out
 
 
-def init_centers(XcT, dlt, view_of, c, seed):
+def _seeding_norms(XcT, dlt, view_of):
+    # |z_i|^2 of every sample in the seeding metric: data only, kept per dataset
+    sq, scale = np.empty(XcT.shape[1]), np.sqrt(dlt / np.bincount(view_of)[view_of])[:, None]
+    for lo, Zb in _scaled_blocks(XcT, scale):
+        np.einsum("ji,ji->i", Zb, Zb, out=sq[lo:lo + Zb.shape[1]])
+    return sq
+
+
+def init_centers(XcT, dlt, view_of, c, seed, sq=None):
     """Greedy spread seeding (k-means++ weighting) in the solver's own metric.
 
     One greedy pass over the samples of the fit's stacked, centred (D, n)
@@ -384,31 +392,24 @@ def init_centers(XcT, dlt, view_of, c, seed):
     Deterministic given the seed; with c = n every sample is chosen.
 
     Each step ranks its candidates by the Gram expansion |z_i|^2 - 2 z_i.z_t
-    + |z_t|^2, one (trials, block) product of the stack per block of samples
-    sized by BLOCK_CELLS, the metric folded into the (trials, D) candidate
-    matrix, so seeding holds no (n, trials) array and no scaled copy of the
-    stack. Candidates within a rounding bound of the lowest potential are
-    re-ranked by exact distances (lowest wins, first on ties); those and
-    |z_i|^2 come from one block at a time, scaled by the products that would
-    scale the whole stack. The winner's distances are exact, so the picks and
-    sampling weights are exact ranking's; the last pick's are not needed, and
-    are computed only to break a near-tie.
+    + |z_t|^2, one (trials, block) product per block of samples sized by
+    BLOCK_CELLS, the metric folded into the (trials, D) candidate matrix, so
+    seeding holds no (n, trials) array and no scaled copy of the stack.
+    Candidates within a rounding bound of the lowest potential are re-ranked
+    by exact distances (lowest wins, first on ties), so the picks and
+    sampling weights are exact ranking's. ``sq`` is |z_i|^2 as a fit keeps it.
     """
     width, n = XcT.shape
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
     metric = dlt / np.bincount(view_of)[view_of]
     scale = np.sqrt(metric)[:, None]
+    sq = _seeding_norms(XcT, dlt, view_of) if sq is None else sq
     rng = np.random.default_rng(seed)
     trials = max(10, 2 + int(math.log(c)))
     block = max(1, BLOCK_CELLS // (trials * width))
-    # the scaled blocks: equal in size, about BLOCK_CELLS / 8 cells, which
-    # stay in cache between the products that scale, subtract and square them
-    Z, sq = np.empty((width, math.ceil(n / math.ceil(n * width * 8 / BLOCK_CELLS)))), np.empty(n)
-    for lo, Zb in _scaled_blocks(XcT, scale, Z):
-        np.einsum("ji,ji->i", Zb, Zb, out=sq[lo:lo + Z.shape[1]])
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(XcT, scale, chosen[0], Z)
+    d2 = _sq_dists(XcT, scale, chosen[0])
     for _ in range(1, c):
         total = d2.sum()
         if total > 0:
@@ -427,7 +428,7 @@ def init_centers(XcT, dlt, view_of, c, seed):
             near = cand[pot <= pot.min() + 2 * slack]
             idx = int(near[0])
             if near.size > 1 or len(chosen) < c - 1:  # the last pick's distances go unused
-                cand_d2 = np.stack([np.minimum(d2, _sq_dists(XcT, scale, t, Z)) for t in near],
+                cand_d2 = np.stack([np.minimum(d2, _sq_dists(XcT, scale, t)) for t in near],
                                    axis=1)
                 best = int(np.argmin(cand_d2.sum(axis=0)))
                 idx, d2 = int(near[best]), cand_d2[:, best]
@@ -453,13 +454,26 @@ def _centers_with_reseed(G, mass, XcT, S, peak):
     return Ac
 
 
+def _hard_labels(U):
+    # np.argmax(U, axis=0) for finite U with no (n, c) copy: the last k whose
+    # U[k] exceeds all rows before it (first largest wins), by branch-free maxima
+    labels, best = np.zeros(U.shape[1], dtype=np.intp), U[0].copy()
+    for k in range(1, U.shape[0]):
+        np.maximum(labels, (U[k] > best) * k, out=labels)
+        np.maximum(best, U[k], out=best)
+    return labels
+
+
 def _descend(dataset, params, step=None) -> FitResult:
     """Block descent shared by both solvers; ``step`` is the pruning hook.
 
-    One centred (D, n) stack gives delta, the seeds and every iteration (see
-    the module notes): one pass for the logits, softmax and cluster sums,
-    then centers, feature costs and weights, the pruning hook, view costs
-    and weights, objective.
+    One centred (D, n) stack, with the moments, delta and seeding norms that
+    the dataset keeps from its first fit, gives the seeds and every iteration
+    (see the module notes): one pass for the logits, softmax and cluster sums
+    (the first iteration's is the initial one), then centers, feature costs and
+    weights, the pruning hook, view costs and weights, objective. The view
+    starts, -log delta and whether the view temperatures are equal are
+    computed per fit and again only after pruning.
 
     The descent owns an :class:`ActiveMask` sized to the input, full at the
     start. ``step(t, w, view_of, n, mask)`` runs in iteration t right after
@@ -475,7 +489,8 @@ def _descend(dataset, params, step=None) -> FitResult:
     when the descent ends, so a fit that removed nothing hands back the
     input's arrays uncopied.
     """
-    validate(dataset)
+    if not dataset._memo.get("valid"):
+        validate(dataset)
     views = list(dataset.views)
     n, s = views[0].shape[0], len(views)
     dims = [X.shape[1] for X in views]
@@ -483,43 +498,55 @@ def _descend(dataset, params, step=None) -> FitResult:
     if n < params.c:
         raise ValueError(f"need at least c={params.c} samples, got {n}")
 
-    XcT, m, ss, view_of = _stack(views)
-    dlt = clamped_ratios(m, ss / (n - 1))
+    if "moments" in dataset._memo:  # the stack _stack fills, by one centring pass
+        m, ss, dlt, view_of, sq = dataset._memo["moments"]
+        XcT, ends = np.empty((m.size, n)), _view_starts(view_of)[1:]
+        for X, rows, mean in zip(views, np.split(XcT, ends), np.split(m, ends)):
+            np.subtract(X.T, mean[:, None], out=rows)
+    else:
+        XcT, m, ss, view_of = _stack(views)
+        dlt = clamped_ratios(m, ss / (n - 1))
+        sq = _seeding_norms(XcT, dlt, view_of)
+        for a in (m, ss, dlt, view_of, sq):  # read-only: later fits share them
+            a.flags.writeable = False
+        _remember(dataset, moments=(m, ss, dlt, view_of, sq))
     beta, eta = _temperatures(dims, n)
     tic = time.perf_counter()
-    picks = init_centers(XcT, dlt, view_of, params.c, params.seed)
+    picks = init_centers(XcT, dlt, view_of, params.c, params.seed, sq)
     seed_seconds = time.perf_counter() - tic
     w = 1.0 / np.bincount(view_of)[view_of]
     v = np.full(s, 1.0 / s)
     Ac = XcT[:, picks].T.copy()
     U, peak, L = np.empty((params.c, n)), np.empty(n), _logit_buffer(params.c, XcT)
-    G, mass, entropy = _sweep(Ac, v[view_of] * w * dlt, XcT, U, peak, L)
+    S = v[view_of] * w * dlt
+    G, mass, entropy = _sweep(Ac, S, XcT, U, peak, L)
     costs = np.bincount(view_of, w * _feature_costs(G, Ac, mass, ss, dlt))
     trace = [_objective_given_costs(costs, entropy, v, w, dlt, beta, eta)]
+    starts, prior, equal = _view_starts(view_of), -np.log(dlt), np.ptp(beta) == 0
 
-    prev = math.inf
-    converged = False
-    iter_seconds = []
+    prev, converged, iter_seconds = math.inf, False, []
     for t in range(1, params.t_max + 1):
         tic = time.perf_counter()
-        S = v[view_of] * w * dlt
-        G, mass, entropy = _sweep(Ac, S, XcT, U, peak, L)
+        if t > 1:  # the first iteration's sweep, same centers and scales, is the one above
+            S = v[view_of] * w * dlt
+            G, mass, entropy = _sweep(Ac, S, XcT, U, peak, L)
         Ac = _centers_with_reseed(G, mass, XcT, S, peak)
         E = _feature_costs(G, Ac, mass, ss, dlt)
-        w = _feature_weights(E, dlt, view_of, v, eta)
+        w = _feature_weights(E, dlt, view_of, v, eta, starts, prior)
         keep = None if step is None else step(t, w, view_of, n, mask)
         if keep is not None:
             kept = np.flatnonzero(keep)
             for i, j in enumerate(kept):  # in place: no second stack
                 XcT[i] = XcT[j]
-            XcT, m, ss, dlt, E, w, Ac = (XcT[:kept.size], m[keep], ss[keep], dlt[keep],
-                                         E[keep], w[keep], Ac[:, keep])
+            XcT, m, ss, dlt, prior, E, w, Ac = (XcT[:kept.size], m[keep], ss[keep], dlt[keep],
+                                                prior[keep], E[keep], w[keep], Ac[:, keep])
             L = _logit_buffer(params.c, XcT)
             view_of = np.unique(view_of[keep], return_inverse=True)[1]
             w /= np.bincount(view_of, w)[view_of]
             beta, eta = _temperatures(np.bincount(view_of), n)
+            starts, equal = _view_starts(view_of), np.ptp(beta) == 0
         costs = np.bincount(view_of, w * E)
-        v = entropic_simplex_argmin(costs, beta)
+        v = _softmax(-costs / beta[0]) if equal else entropic_simplex_argmin(costs, beta)
         J = _objective_given_costs(costs, entropy, v, w, dlt, beta, eta)
         trace.append(J)
         iter_seconds.append(time.perf_counter() - tic)
@@ -530,7 +557,7 @@ def _descend(dataset, params, step=None) -> FitResult:
     # the stack goes before the (n, c) membership copy, the (c, n) buffer
     # before the surviving views are copied (read-only, so kept uncopied)
     del XcT, L, peak
-    membership, hard_labels = np.ascontiguousarray(U.T), np.argmax(U, axis=0)
+    membership, hard_labels = np.ascontiguousarray(U.T), _hard_labels(U)
     del U
     names = dataset.view_names
     if mask.removals:
@@ -540,7 +567,7 @@ def _descend(dataset, params, step=None) -> FitResult:
             X.flags.writeable = False
         if names is not None:
             names = [names[h] for h in active]
-    ends = _view_starts(view_of)[1:]
+    ends = starts[1:]
     return FitResult(
         model=ClusterModel(membership, np.split(Ac + m, ends, axis=1), np.split(w, ends), v),
         objective_trace=np.asarray(trace),

@@ -35,7 +35,6 @@ as if there were none.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -113,6 +112,12 @@ class MultiViewDataset:
         Ground truth cluster ids, dense 0-based.
     view_names : tuple of str or None
         Optional display names, one per view.
+
+    A private memo keeps what the data alone decide for later fits: that the
+    dataset passed :func:`validate`, and the moments, dispersion ratios and
+    seeding norms of :mod:`mvclust.amvfcm` (O(n + D) numbers, no copy of the
+    views). It cannot go stale: the instance is frozen, its arrays owned and
+    read-only, and a new instance starts with an empty memo.
     """
 
     views: tuple
@@ -125,6 +130,7 @@ class MultiViewDataset:
             object.__setattr__(self, "labels", _freeze(self.labels, int))
         if self.view_names is not None:
             object.__setattr__(self, "view_names", tuple(str(s) for s in self.view_names))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n_samples(self):
@@ -170,6 +176,12 @@ def validate(dataset: MultiViewDataset) -> None:
                 f"labels have {lab.shape[0] if lab.ndim == 1 else '?'} rows, expected {n}"
             )
         _check_dense_labels(lab)
+    _remember(dataset, valid=True)
+
+
+def _remember(dataset, **facts):
+    # the memo's one writer; fits in two threads may both write the same values: harmless
+    dataset._memo.update(facts)
 
 
 def _check_dense_labels(lab):
@@ -217,6 +229,7 @@ def _loadtxt(path: Path, dtype):
             X = _cache_load(digest + entry, dtype)
             if X is not None:
                 return X
+    import hashlib  # here, not at the top: a trusted stamp needs no hash
     sha, blank = hashlib.sha256(), True
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -197,6 +196,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     tic = time.perf_counter()
     if config.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(lambda s: _run_trial(dataset, config, s), seeds))
     else:

@@ -206,6 +206,43 @@ def test_feature_costs_match_tensor_oracle(offset):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_sweep_entropy_matches_the_einsum_form(offset):
+    # sum u log u from the sums G and the masses against the einsum over the
+    # (c, n) memberships and shifted logits. The error is taken relative to
+    # the scale of the logits, sum_ik u_ik |L_ik|: on a nearly hard partition
+    # the entropy itself is tiny beside the sums it is taken from
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for i in range(200):
+        ds, params = support.random_instance(rng, n_max=120)
+        views = [X + offset for X in ds.views]
+        model = _random_model(views, params.c, rng, seeded=i % 2 == 0)
+        delta = [rng.uniform(0.1, 10.0, X.shape[1]) for X in views]
+        XcT, m, _, view_of = amvfcm._stack(views)
+        S = (model.view_weights[view_of] * np.concatenate(model.feature_weights)
+             * np.concatenate(delta))
+        U, peak, L, _, _, entropy = support.sweep(np.hstack(model.centers) - m, S, XcT)
+        shifted = L - peak
+        want = np.einsum("kn,kn->", U, shifted) - np.log(np.exp(shifted).sum(axis=0)).sum()
+        worst = max(worst, abs(entropy - want) / np.abs(U * L).sum())
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("c", [2, 5, 20])
+def test_hard_labels_are_the_first_largest_membership(c):
+    rng = np.random.default_rng(48 + c)
+    for trial in range(30):
+        n = int(rng.integers(1, 400))
+        # a few distinct values in half the draws, so exact ties are common
+        U = (rng.integers(0, 3, size=(c, n)) / 3.0 if trial % 2
+             else rng.dirichlet(np.ones(c), size=n).T.copy())
+        want = np.argmax(U, axis=0)
+        got = amvfcm._hard_labels(U)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_empty_clusters_reseed_at_the_worst_served_samples():
     # worst served = largest smallest aggregate distance, from the tensor oracle
     rng = np.random.default_rng(44)
