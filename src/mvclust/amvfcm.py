@@ -16,9 +16,9 @@ other blocks held fixed, which makes the objective trace non-increasing.
 
 A fit holds one copy of the data, the views centred into a C-ordered,
 feature-major (D, n) array XcT = (X - m)^T, and never builds the weighted
-squared distances. What the data alone decide, the column means m, ss_j =
-sum_i xc_ij^2, the dispersion ratios and the seeding norms, a dataset's
-first fit works out and the dataset keeps (O(n + D) numbers); later fits
+squared distances. A dataset's first fit takes XcT, the column means m and
+ss_j = sum_i xc_ij^2 from :func:`mvclust.snr.moments`, as compute_delta does,
+and keeps m, ss, delta and the seeding norms (O(n + D) numbers); later fits
 only centre. With S_j = v_h w_j delta_j and Ac = A - m, the memberships, a
 (c, n) array U, are the softmax over clusters of L = (2 Ac S) XcT - (Ac^2) S,
 normalized by one reciprocal per sample; the per-sample term of the
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultiViewDataset, _remember, validate
-from .snr import clamped_ratios
+from .snr import centre as _centre, clamped_ratios, moments as _stack
 
 EMPTY_CLUSTER_TOL = 1e-12
 # rows x D x samples of a block product, kept small enough that BLAS does not
@@ -192,35 +192,6 @@ class FitResult:
 def _softmax(x):
     e = np.exp(x - x.max())
     return e / e.sum()
-
-
-def _stack(views):
-    # all views feature-major and column-centred in one C-ordered (D, n)
-    # array, with the column means m, ss_j = sum_i xc_ij^2 and each column's
-    # view, filled by blocks of rows with no (n, d) temporary. m and ss are
-    # what np.var takes, so ss / (n - 1) is its unbiased variance bit for bit:
-    # it sums a C-ordered view row after row, which each block repeats below
-    # the running sums carried as its row 0, and a one-column view pairwise
-    view_of = np.repeat(np.arange(len(views)), [X.shape[1] for X in views])
-    n = views[0].shape[0]
-    XcT, block = np.empty((view_of.size, n)), max(1, BLOCK_CELLS // (10 * view_of.size))
-    m, ss = [], []
-    for X, rows in zip(views, np.split(XcT, _view_starts(view_of)[1:])):
-        m.append(X.mean(axis=0))
-        if X.shape[1] == 1:
-            np.subtract(X[:, 0], m[-1], out=rows[0])
-            ss.append(np.square(rows).sum(axis=1))
-            continue
-        B, total = np.empty((min(block, n) + 1, X.shape[1])), np.zeros(X.shape[1])
-        for lo in range(0, n, block):
-            Bb = B[:min(block, n - lo) + 1]
-            Bb[0] = total
-            Xc = np.subtract(X[lo:lo + block], m[-1], out=Bb[1:])
-            rows[:, lo:lo + block] = Xc.T
-            Xc *= Xc
-            total = Bb.sum(axis=0)
-        ss.append(total)
-    return XcT, np.concatenate(m), np.concatenate(ss), view_of
 
 
 def _logit_buffer(c, XcT):
@@ -467,13 +438,15 @@ def _hard_labels(U):
 def _descend(dataset, params, step=None) -> FitResult:
     """Block descent shared by both solvers; ``step`` is the pruning hook.
 
-    One centred (D, n) stack, with the moments, delta and seeding norms that
-    the dataset keeps from its first fit, gives the seeds and every iteration
-    (see the module notes): one pass for the logits, softmax and cluster sums
-    (the first iteration's is the initial one), then centers, feature costs and
-    weights, the pruning hook, view costs and weights, objective. The view
-    starts, -log delta and whether the view temperatures are equal are
-    computed per fit and again only after pruning.
+    A dataset's first fit stacks the views with their moments (``_stack``) and
+    keeps the moments, delta and seeding norms; a later fit only centres the
+    views by the kept means (``_centre``). The stack gives the seeds and every
+    iteration (see the module notes): one pass for the logits, softmax and
+    cluster sums (the first iteration's is the initial one), then centers,
+    feature costs and weights, the pruning hook, view costs and weights,
+    objective. The view starts, -log delta and whether the view temperatures
+    are equal are computed per fit and again only after pruning. The stack is
+    freed before the (n, c) membership copy and the result build.
 
     The descent owns an :class:`ActiveMask` sized to the input, full at the
     start. ``step(t, w, view_of, n, mask)`` runs in iteration t right after
@@ -492,20 +465,17 @@ def _descend(dataset, params, step=None) -> FitResult:
     if not dataset._memo.get("valid"):
         validate(dataset)
     views = list(dataset.views)
-    n, s = views[0].shape[0], len(views)
-    dims = [X.shape[1] for X in views]
+    n, s, dims = views[0].shape[0], len(views), dataset.dims
     mask = ActiveMask.full(dims)
     if n < params.c:
         raise ValueError(f"need at least c={params.c} samples, got {n}")
 
-    if "moments" in dataset._memo:  # the stack _stack fills, by one centring pass
+    if "moments" in dataset._memo:
         m, ss, dlt, view_of, sq = dataset._memo["moments"]
-        XcT, ends = np.empty((m.size, n)), _view_starts(view_of)[1:]
-        for X, rows, mean in zip(views, np.split(XcT, ends), np.split(m, ends)):
-            np.subtract(X.T, mean[:, None], out=rows)
+        XcT = _centre(views, m)
     else:
         XcT, m, ss, view_of = _stack(views)
-        dlt = clamped_ratios(m, ss / (n - 1))
+        dlt = clamped_ratios(m, ss, n)
         sq = _seeding_norms(XcT, dlt, view_of)
         for a in (m, ss, dlt, view_of, sq):  # read-only: later fits share them
             a.flags.writeable = False

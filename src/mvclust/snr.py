@@ -8,14 +8,16 @@ computed once from the data and never from solver state. High-variance columns
 are damped, low-variance columns amplified. The ratio is clamped into the
 fixed interval :data:`CLAMP` = [1e-6, 1e6] so degenerate columns stay usable:
 a constant column (variance 0) hits the ceiling, a zero- or negative-mean
-column hits the floor. One rule, :func:`clamped_ratios`, maps the moments to
-delta, taken by :func:`column_deltas` from a view and by a fit from the
-centred moments of its one stacked array, bit for bit alike. The ratio has
-the units of 1/x, and min-max normalization maps every column, noise
-included, onto [0, 1], where mean over variance no longer singles the noise
-out: at n = 1.5k with one noise column per view (seed 0) the pruning solver
-keeps dims [2, 2] with ARI 1.0 on raw data, [3, 3] with ARI 0.379 after
-min-max rescaling, so views are used in their raw units.
+column hits the floor. One rule gives the moments, the two-pass variance of
+Chan, Golub & LeVeque (1983): :func:`moments` centres the views into one
+C-ordered, feature-major (D, n) stack (:func:`centre`) and sums each row's
+squares. A fit and :func:`compute_delta` both call it, so a fit's delta is
+compute_delta's by construction. The ratio has the units of 1/x, and min-max
+normalization maps every column, noise included, onto [0, 1], where mean over
+variance no longer singles the noise out: at n = 1.5k with one noise column
+per view (seed 0) the pruning solver keeps dims [2, 2] with ARI 1.0 on raw
+data, [3, 3] with ARI 0.379 after min-max rescaling, so views are used in
+their raw units.
 """
 
 from __future__ import annotations
@@ -27,24 +29,34 @@ from .data import MultiViewDataset
 CLAMP = (1e-6, 1e6)
 
 
-def clamped_ratios(mean, var):
-    """Clamped mean/variance ratios from column means and unbiased variances.
+def centre(views, m):
+    """The views less their column means m, stacked into one C-ordered (D, n) array."""
+    ends = np.cumsum([X.shape[1] for X in views])[:-1]
+    XcT = np.empty((m.size, views[0].shape[0]))
+    for X, rows, mean in zip(views, np.split(XcT, ends), np.split(m, ends)):
+        np.subtract(X.T, mean[:, None], out=rows)
+    return XcT
+
+
+def moments(views):
+    """The centred stack, its column means m, ss_j = sum_i xc_ij^2 and each column's view."""
+    m = np.concatenate([X.mean(axis=0) for X in views])
+    XcT = centre(views, m)
+    view_of = np.repeat(np.arange(len(views)), [X.shape[1] for X in views])
+    return XcT, m, np.einsum("ji,ji->j", XcT, XcT), view_of
+
+
+def clamped_ratios(m, ss, n):
+    """Clamped mean/variance ratios from the moments of n samples.
 
     Zero-variance columns map to the ceiling (checked first: zero spread reads
     as maximal confidence); other ratios at or below zero map to the floor.
     """
-    out = np.full(mean.shape, CLAMP[1])
+    var = ss / (n - 1)
+    out = np.full(m.shape, CLAMP[1])
     spread = var != 0
-    out[spread] = np.clip(mean[spread] / var[spread], *CLAMP)
+    out[spread] = np.clip(m[spread] / var[spread], *CLAMP)
     return out
-
-
-def column_deltas(view) -> np.ndarray:
-    """Clamped mean/variance ratio of every column of one view (:func:`clamped_ratios`)."""
-    view = np.asarray(view, dtype=float)
-    if view.shape[0] < 2:
-        raise ValueError("delta needs at least 2 samples")
-    return clamped_ratios(view.mean(axis=0), view.var(axis=0, ddof=1))
 
 
 def compute_delta(dataset: MultiViewDataset):
@@ -54,4 +66,7 @@ def compute_delta(dataset: MultiViewDataset):
     identical values, and restricting columns first commutes with computing
     deltas first.
     """
-    return [column_deltas(X) for X in dataset.views]
+    if dataset.n_samples < 2:
+        raise ValueError("delta needs at least 2 samples")
+    _, m, ss, _ = moments(dataset.views)
+    return np.split(clamped_ratios(m, ss, dataset.n_samples), np.cumsum(dataset.dims)[:-1])

@@ -31,7 +31,7 @@ from mvclust.data import (
     parse_manifest,
     validate,
 )
-from mvclust.snr import column_deltas
+from mvclust.snr import compute_delta
 
 
 def _views_of(data):
@@ -298,7 +298,7 @@ def _greedy_spread(Z, c, rng, trials):
 
 def deltas_of(views):
     """Default-clamp dispersion ratios of each view, as a fit computes them."""
-    return [column_deltas(X) for X in _views_of(views)]
+    return compute_delta(MultiViewDataset(_views_of(views)))
 
 
 def init_centers(data, c, seed, delta):

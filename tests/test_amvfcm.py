@@ -117,18 +117,21 @@ def test_per_view_distances_match_tensor_oracle(offset):
 
 
 def test_stack_is_c_ordered_feature_major_with_the_variance_sums():
-    # each iteration's pass streams its rows; its sums of squares give
-    # np.var's unbiased variances bit for bit, a one-column view included,
-    # across BLOCK_CELLS / (10 D) rows per block: two whole blocks and three rows
+    # each iteration's pass streams its rows; ss is the two-pass rule, each
+    # row's squares summed, exactly as recomputed from a fresh centred copy,
+    # and np.var's unbiased variances within rounding, a one-column view
+    # included, at two blocks of BLOCK_CELLS / (10 D) samples and three more
     rng = np.random.default_rng(45)
     n = 2 * (amvfcm.BLOCK_CELLS // (10 * 6)) + 3
     views = [rng.uniform(1, 9, (n, 3)), rng.uniform(1, 9, (n, 1)), rng.uniform(1, 9, (n, 2))]
     XcT, m, ss, view_of = amvfcm._stack(views)
     assert XcT.shape == (6, n) and XcT.flags.c_contiguous
-    assert XcT.tobytes() == np.ascontiguousarray((np.hstack(views) - m).T).tobytes()
+    fresh = np.ascontiguousarray((np.hstack(views) - m).T)
+    assert XcT.tobytes() == fresh.tobytes()
     np.testing.assert_array_equal(view_of, [0, 0, 0, 1, 2, 2])
+    assert ss.tobytes() == np.einsum("ji,ji->j", fresh, fresh).tobytes()
     want = np.concatenate([X.var(axis=0, ddof=1) for X in views])
-    assert (ss / (n - 1)).tobytes() == want.tobytes()
+    np.testing.assert_allclose(ss / (n - 1), want, rtol=1e-13)
 
 
 def test_weight_and_distance_pass_needs_no_tensor():

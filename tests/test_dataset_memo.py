@@ -9,6 +9,7 @@ must hold O(n + D) numbers, never a copy of the data.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,3 +113,26 @@ def test_the_memo_keeps_no_copy_of_the_data():
     assert sum(a.size for a in arrays) == n + 4 * width
     # a new instance over the same arrays starts afresh
     assert dataclasses.replace(ds)._memo == {}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("solver", [fit_full, fit_pruning])
+def test_a_later_fit_holds_no_more_memory_than_the_first(solver):
+    # n = 30k, D = 12: the (D, n) stack is 2.88 MB. The first fit stacks the
+    # views and keeps their moments, a later one centres them again; either
+    # frees its stack before the (n, c) membership copy and the result build
+    ds = append_noise(generate(default_benchmark_spec(30_000, seed=0)),
+                      NoiseSpec(features_per_view=4), seed=0)
+    params = HyperParams(c=5, t_max=5)
+    # a first fit also imports numpy's lazily loaded modules
+    solver(MultiViewDataset([X[:500] for X in ds.views], ds.labels[:500]), params)
+    peaks = []
+    for _ in ("first", "later"):
+        tracemalloc.start()
+        try:
+            solver(ds, params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    first, later = peaks
+    assert later <= first, f"later fit peaks at {later / 1e6:.2f} MB, first at {first / 1e6:.2f} MB"

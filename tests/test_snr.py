@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvclust.data import MultiViewDataset
-from mvclust.snr import CLAMP, column_deltas, compute_delta
+from mvclust.snr import CLAMP, compute_delta
+
+
+def column_deltas(X):
+    """The deltas of one view's columns, from a one-view dataset."""
+    (delta,) = compute_delta(MultiViewDataset([X]))
+    return delta
 
 
 def test_column_deltas_basic_ratio():

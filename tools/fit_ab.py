@@ -47,8 +47,8 @@ import numpy as np
 
 NEW_SRC = Path(__file__).resolve().parents[1] / "src"
 N, CLUSTERS, ITERATIONS, NOISE, COVARIANCE_SCALE = 15_000, 5, 30, 4, 4.0
-KERNELS = ("validate", "_stack", "clamped_ratios", "_seeding_norms", "init_centers", "_sweep",
-           "_centers_with_reseed", "_feature_costs", "_feature_weights", "_view_starts",
+KERNELS = ("validate", "_stack", "_centre", "clamped_ratios", "_seeding_norms", "init_centers",
+           "_sweep", "_centers_with_reseed", "_feature_costs", "_feature_weights", "_view_starts",
            "entropic_simplex_argmin", "_objective_given_costs", "_hard_labels")
 
 
