@@ -160,7 +160,9 @@ class FitResult:
     each iteration appends one more value, so the trace has ``iterations + 1``
     entries. ``iter_seconds`` holds per-iteration wall times and
     ``seed_seconds`` the wall time of center seeding; these two are the only
-    nondeterministic fields.
+    nondeterministic fields. ``iter_seconds[0]`` includes the initial sweep,
+    which is iteration 1's membership update, and the initial objective;
+    seeding is not in it.
 
     ``mask`` records which original columns survived, one boolean per stacked
     column, and every removal event. ``model`` and ``delta`` are sized to the
@@ -169,7 +171,8 @@ class FitResult:
     (c, n) memberships, made after the stacked data is freed.
     ``reduced_dataset`` holds the surviving views, names and the labels; pair
     it with ``mask.active_columns`` to map back to original column positions.
-    A fit that removed nothing has a full mask and the input's own views.
+    A fit that removed nothing has a full mask and the input's own views, and
+    any view that kept every column is the input's own array.
     """
 
     model: ClusterModel
@@ -459,8 +462,8 @@ def _descend(dataset, params, step=None) -> FitResult:
     and re-derives the temperatures for the surviving widths, and the
     view-weight update sizes the view weights to the surviving views. The
     per-view model, ``delta`` and ``reduced_dataset`` are built from the mask
-    when the descent ends, so a fit that removed nothing hands back the
-    input's arrays uncopied.
+    when the descent ends, so each view that kept every column is handed back
+    as the input's own array, uncopied.
     """
     if not dataset._memo.get("valid"):
         validate(dataset)
@@ -489,6 +492,7 @@ def _descend(dataset, params, step=None) -> FitResult:
     Ac = XcT[:, picks].T.copy()
     U, peak, L = np.empty((params.c, n)), np.empty(n), _logit_buffer(params.c, XcT)
     S = v[view_of] * w * dlt
+    tic = time.perf_counter()  # iteration 1's clock: this sweep is its membership update
     G, mass, entropy = _sweep(Ac, S, XcT, U, peak, L)
     costs = np.bincount(view_of, w * _feature_costs(G, Ac, mass, ss, dlt))
     trace = [_objective_given_costs(costs, entropy, v, w, dlt, beta, eta)]
@@ -496,8 +500,8 @@ def _descend(dataset, params, step=None) -> FitResult:
 
     prev, converged, iter_seconds = math.inf, False, []
     for t in range(1, params.t_max + 1):
-        tic = time.perf_counter()
         if t > 1:  # the first iteration's sweep, same centers and scales, is the one above
+            tic = time.perf_counter()
             S = v[view_of] * w * dlt
             G, mass, entropy = _sweep(Ac, S, XcT, U, peak, L)
         Ac = _centers_with_reseed(G, mass, XcT, S, peak)
@@ -531,8 +535,9 @@ def _descend(dataset, params, step=None) -> FitResult:
     del U
     names = dataset.view_names
     if mask.removals:
-        active = mask.active_views()
-        views = [np.take(views[h], mask.active_columns(h), axis=1) for h in active]
+        active, kept = mask.active_views(), mask.active_dims
+        views = [views[h] if kept[h] == dims[h]
+                 else np.take(views[h], mask.active_columns(h), axis=1) for h in active]
         for X in views:
             X.flags.writeable = False
         if names is not None:

@@ -5,10 +5,10 @@ missing arguments, raised by the parser), 3 data or configuration errors
 (unreadable or inconsistent dataset files, invalid hyperparameters), 4 trial
 failures inside a run, 1 anything unexpected.
 
-``fit --algo aamvfcm`` writes the surviving data to ``filtered/``: the label
-file and each view that kept every column are copied from their input files
-if those and the manifest keep the stamps they had before the load (see
-``data._file_stamp``); other views print as %.17g, other labels as %d.
+``fit --algo aamvfcm`` writes the surviving data to ``filtered/`` through
+:func:`mvclust.data.save_dataset`: the labels and each view that kept every
+column are the arrays the load read, so their files are copied while they
+are unchanged since the read; other views print as %.17g.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .amvfcm import HyperParams
-from .data import (DatasetError, _file_stamp, _read_labels, _write_labels,
-                   parse_manifest, save_dataset)
+from .data import DatasetError, _read_labels, _write_labels, save_dataset
 from .harness import (
     ExperimentConfig,
     SynthSource,
@@ -136,39 +135,18 @@ def _run(args, trials, seed_base, jobs=1, synth=None):
 
 
 def _cmd_fit(args):
-    filtered = args.out_dir is not None and args.algo == "aamvfcm"
-    inputs = _input_stamps(args.config) if filtered else []
     result = _run(args, trials=1, seed_base=args.seed).fit_results[0]
     if args.out_dir is not None:  # created by the report write
         _write_labels(args.out_dir / "predicted_labels.txt", result.hard_labels)
-        if filtered:
-            _write_filtered(result, args.out_dir / "filtered", inputs)
+        if args.algo == "aamvfcm":
+            _write_filtered(result, args.out_dir / "filtered")
     return EXIT_OK
 
 
-def _input_stamps(manifest):
-    # (path, stamp) of the manifest, of each view file it lists and of its
-    # label file (None without one), taken before the load; [] for a manifest
-    # that cannot be read (the load says why)
-    stamp = _file_stamp(manifest)
-    try:
-        spec = parse_manifest(manifest)
-    except DatasetError:
-        return []
-    paths = [manifest.parent / rel if rel else None for rel in spec["views"] + [spec["labels"]]]
-    return [(manifest, stamp)] + [(p, _file_stamp(p)) if p else None for p in paths]
-
-
-def _write_filtered(result, out_dir, inputs):
-    # surviving data plus a sidecar mapping kept columns to original positions;
-    # the labels and an intact view may be copied from their files in
-    # ``inputs`` (_input_stamps)
-    mask, sources, label_source = result.mask, None, None
-    if inputs and _file_stamp(inputs[0][0]) == inputs[0][1]:
-        sources = [inputs[1 + h] if mask.active_dims[h] == mask.original_dims[h] else None
-                   for h in mask.active_views()]
-        label_source = inputs[-1]
-    save_dataset(result.reduced_dataset, out_dir, sources, label_source)
+def _write_filtered(result, out_dir):
+    # surviving data plus a sidecar mapping kept columns to original positions
+    mask = result.mask
+    save_dataset(result.reduced_dataset, out_dir)
     mapping = {
         "views": [
             {

@@ -13,9 +13,11 @@ truth labels are optional. On disk a dataset is described by a small manifest:
 resolved relative to the manifest's directory. View files are plain CSV (one
 sample per line, no header); label files hold one integer per line. Reads go
 through numpy's vectorized parser and fall back to a line scan for what it
-refuses, so errors still name the file and line; writes print what
-``np.savetxt`` prints (%.17g, labels %d) byte for byte, or copy a view or
-label file from the file it was read from while that file is unchanged.
+refuses, so errors still name the file and line. Each array a read returns
+is registered with its file and the stamp (``_file_stamp``) the file had
+before the read, for as long as the array lives. Writes copy a registered
+array's file while it keeps that stamp, and print any other array as
+``np.savetxt`` prints it (%.17g, labels %d), byte for byte.
 
 Each array the vectorized parser returns is kept as a ``.npy`` file in
 ``$XDG_CACHE_HOME/mvclust`` (by default ``~/.cache/mvclust``), keyed by the
@@ -42,6 +44,7 @@ import os
 import shutil
 import tempfile
 import time
+import weakref
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -212,11 +215,16 @@ _CACHE_FORMAT = "v1"
 # than _RACY_NS before it was written: a rewrite within one tick of a coarse
 # clock keeps the stamp, and FAT's 2 s is the coarsest tick in common use
 _INDEX, _INDEX_ENTRIES, _RACY_NS = "stamps.json", 256, 2 * 10**9
+# id(array) -> (path, stamp before the read, weak reference) for each array
+# _read_matrix or _read_labels returned; the reference's callback removes the
+# entry when the array goes, before its id can be reused
+_SOURCES = {}
 
 
 def _loadtxt(path: Path, dtype):
-    # numpy's C parser, or None when it refuses the file or the file has no
-    # content; the line scan then decides, and names the line of any error.
+    # (array, stamp taken before the read): numpy's C parser, or None when it
+    # refuses the file or the file has no content; the line scan then decides,
+    # and names the line of any error.
     # A file whose stamp the index trusts is not opened; any other is read
     # once, both to hash it and to look for content. An entry's time is taken
     # before the stat, so a change made during the read is never older.
@@ -228,7 +236,7 @@ def _loadtxt(path: Path, dtype):
         if max(stamp[3:]) < since - _RACY_NS and bytes.fromhex(digest).hex() == digest:
             X = _cache_load(digest + entry, dtype)
             if X is not None:
-                return X
+                return X, stamp
     import hashlib  # here, not at the top: a trusted stamp needs no hash
     sha, blank = hashlib.sha256(), True
     with open(path, "rb") as fh:
@@ -236,7 +244,7 @@ def _loadtxt(path: Path, dtype):
             sha.update(chunk)
             blank = blank and not chunk.strip()
     if blank:  # loadtxt only warns about a file of blank lines
-        return None
+        return None, stamp
     digest = sha.hexdigest()
     X = _cache_load(digest + entry, dtype)
     if X is None:
@@ -244,12 +252,12 @@ def _loadtxt(path: Path, dtype):
             X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype, comments=None,
                            quotechar=None, encoding="utf-8")
         except ValueError:
-            return None
+            return None, stamp
         with suppress(OSError, ValueError, RuntimeError):
             _cache_store(digest + entry, X)
     with suppress(OSError, ValueError, RuntimeError):
         _index_store(slot, digest, written)
-    return X
+    return X, stamp
 
 
 def _cache_dir():
@@ -326,11 +334,18 @@ def _replace(target, write):
 def _read_matrix(path: Path) -> np.ndarray:
     if not path.is_file():
         raise ManifestError(f"view file not found: {path}")
-    X = _loadtxt(path, float)
+    X, stamp = _loadtxt(path, float)
     if X is None:
         X = _scan_matrix(path)
+    return _registered(X, path, stamp)
+
+
+def _registered(X, path, stamp):
     # owned, contiguous and read-only, so the dataset keeps it without a copy
+    # and it holds what the file held while the file keeps ``stamp``
     X.flags.writeable = False
+    key = id(X)
+    _SOURCES[key] = (path, stamp, weakref.ref(X, lambda _: _SOURCES.pop(key, None)))
     return X
 
 
@@ -381,15 +396,13 @@ def _is_number(token):
 def _read_labels(path: Path) -> np.ndarray:
     if not path.is_file():
         raise ManifestError(f"label file not found: {path}")
-    lab = _loadtxt(path, int)
+    lab, stamp = _loadtxt(path, int)
     # loadtxt splits "1,2" into two labels; the line scan rejects that line
     lab = _scan_labels(path) if lab is None or lab.shape[1] != 1 else lab[:, 0].copy()
-    # 1-based files are accepted and shifted down
+    # 1-based files are accepted and shifted down; save_dataset copies them as they are
     if lab.min() == 1:
         lab = lab - 1
-    # owned, contiguous and read-only, so the dataset keeps it without a copy
-    lab.flags.writeable = False
-    return lab
+    return _registered(lab, path, stamp)
 
 
 def _scan_labels(path: Path) -> np.ndarray:
@@ -481,25 +494,25 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     return dataset
 
 
-def save_dataset(dataset: MultiViewDataset, out_dir, sources=None, label_source=None) -> Path:
+def save_dataset(dataset: MultiViewDataset, out_dir) -> Path:
     """Write views, labels, and a manifest into ``out_dir``; return manifest path.
 
-    Values are printed with %.17g so a write/read round trip is exact.
-    ``sources`` may give per view, and ``label_source`` for the labels, None
-    or ``(path, _file_stamp(path))`` from before the file was read: a file
-    whose stamp still matches is copied byte for byte instead, which reads
-    back exactly as well.
+    A view or label array that :func:`load_dataset` read is copied byte for
+    byte from its file while that file keeps the stamp it had before the
+    read. Any other array, a slice or copy of a loaded one included, is
+    printed with %.17g (labels %d). Either way a write/read round trip is
+    exact.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["# mvclust dataset manifest"]
     for h, X in enumerate(dataset.views, start=1):
         fname = f"view_{h}.csv"
-        if not _copy_intact(sources[h - 1] if sources else None, out_dir / fname):
+        if not _copy_intact(X, out_dir / fname):
             _write_matrix(out_dir / fname, X)
         lines.append(f"view = {fname}")
     if dataset.labels is not None:
-        if not _copy_intact(label_source, out_dir / "labels.txt"):
+        if not _copy_intact(dataset.labels, out_dir / "labels.txt"):
             _write_labels(out_dir / "labels.txt", dataset.labels)
         lines.append("labels = labels.txt")
     if dataset.view_names is not None:
@@ -510,13 +523,14 @@ def save_dataset(dataset: MultiViewDataset, out_dir, sources=None, label_source=
     return manifest
 
 
-def _copy_intact(source, target):
-    # copies ``source``, None or (path, stamp), to ``target`` if the file
-    # still has that stamp; False when nothing was copied
-    if source is None or source[1] is None or _file_stamp(source[0]) != source[1]:
+def _copy_intact(X, target):
+    # copies the file X was read from to ``target`` if the file still has
+    # the stamp it had before the read; False when nothing was copied
+    path, stamp, _ = _SOURCES.get(id(X), (None, None, None))
+    if stamp is None or _file_stamp(path) != stamp:
         return False
     with suppress(shutil.SameFileError):  # the file is already in place
-        shutil.copyfile(source[0], target)
+        shutil.copyfile(path, target)
     return True
 
 

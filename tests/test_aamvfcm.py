@@ -304,6 +304,19 @@ def test_fit_reduced_dataset_shares_the_input_labels():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fit_hands_back_a_view_that_kept_every_column_uncopied():
+    # only the second view carries a noise column: the first keeps all of its
+    # columns and comes back as the input's own array, so a save can copy it
+    bench = generate(default_benchmark_spec(300, seed=3))
+    noise = np.random.default_rng(0).uniform(0.02, 0.05, (300, 1))
+    ds = MultiViewDataset([bench.views[0], np.hstack([bench.views[1], noise])], bench.labels)
+    res = fit(ds, HyperParams(c=5, seed=0))
+    assert res.mask.active_dims == [2, 2]
+    assert res.reduced_dataset.views[0] is ds.views[0]
+    assert res.reduced_dataset.views[1] is not ds.views[1]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_fit_restricts_weights_and_centers_to_the_survivors():
     # a fit that stops in its pruning iteration: each surviving view's weights
     # are the ones the hook was handed, restricted and renormalized to sum to

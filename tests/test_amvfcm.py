@@ -1,6 +1,7 @@
 """Unit tests for the full solver: block updates, objective, seeding, fit."""
 
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -630,6 +631,19 @@ def test_fit_single_iteration_contract():
     assert res.objective_trace.shape == (2,)
     assert not res.converged
     assert len(res.iter_seconds) == 1
+
+
+def test_first_iteration_time_covers_the_initial_sweep(monkeypatch):
+    # iteration 1's membership update is the sweep before the loop
+    pause, real_sweep = 0.05, amvfcm._sweep
+
+    def slow_sweep(*args):
+        time.sleep(pause)
+        return real_sweep(*args)
+
+    monkeypatch.setattr(amvfcm, "_sweep", slow_sweep)
+    res = fit(generate(default_benchmark_spec(50, seed=2)), HyperParams(c=5, t_max=2))
+    assert res.iter_seconds[0] >= pause
 
 
 def test_fit_converges_on_easy_data():

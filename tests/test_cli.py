@@ -5,15 +5,16 @@ artifacts (reports, predicted labels, filtered datasets) each command leaves
 behind.
 """
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
-from mvclust import cli, harness
+from mvclust import cli, data, harness
 from mvclust.amvfcm import HyperParams
 from mvclust.cli import EXIT_DATA, EXIT_OK, EXIT_TRIAL, EXIT_USAGE, main
-from mvclust.data import load_dataset, save_dataset
+from mvclust.data import MultiViewDataset, load_dataset, save_dataset
 from mvclust.harness import METRIC_KEYS
 from mvclust.synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 from support import count_loadtxt
@@ -353,7 +354,7 @@ def test_fit_prints_views_that_lost_columns_with_17_digits(tmp_path, capsys):
             == (tmp_path / "savetxt.csv").read_bytes())
 
 
-@pytest.mark.parametrize("changed, printed", [("v2.csv", [2]), ("data.cfg", [1, 2])],
+@pytest.mark.parametrize("changed, printed", [("v2.csv", [2]), ("data.cfg", [])],
                          ids=["view-file", "manifest"])
 def test_fit_prints_views_whose_input_changed_after_the_load(tmp_path, capsys, monkeypatch,
                                                              changed, printed):
@@ -367,7 +368,7 @@ def test_fit_prints_views_whose_input_changed_after_the_load(tmp_path, capsys, m
         if changed == "v2.csv":  # other data: a copy would not hold what the fit saw
             np.savetxt(manifest.parent / changed, source.views[1] + 1.0, fmt="%.5f",
                        delimiter=",")
-        else:  # the view list may differ from the one loaded
+        else:  # each array names its own file, so the manifest is not read again
             with open(manifest.parent / changed, "a") as fh:
                 fh.write("# edited\n")
         return report
@@ -425,6 +426,84 @@ def test_refit_of_a_filtered_dataset_into_its_own_run_directory(tmp_path, capsys
     assert fit_filtered(out / "filtered" / "manifest.cfg", out) == EXIT_OK
     capsys.readouterr()
     assert {p.name: p.read_bytes() for p in (out / "filtered").iterdir()} == before
+
+
+def test_save_dataset_copies_the_files_a_load_read(tmp_path):
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    manifest = short_text_manifest(tmp_path, dataset.views, dataset.labels)
+    save_dataset(load_dataset(manifest), tmp_path / "saved")
+    for saved, source in [("view_1.csv", "v1.csv"), ("view_2.csv", "v2.csv"),
+                          ("labels.txt", "labels.txt")]:
+        assert ((tmp_path / "saved" / saved).read_bytes()
+                == (manifest.parent / source).read_bytes())
+
+
+def read_only(X):
+    X.flags.writeable = False
+    return X
+
+
+DERIVED = {
+    # a slice is copied by the dataset, a read-only copy kept as it is
+    "column-slice": lambda ds: MultiViewDataset([X[:, :1] for X in ds.views], ds.labels[::-1]),
+    "copy": lambda ds: MultiViewDataset([read_only(X.copy()) for X in ds.views],
+                                        read_only(ds.labels.copy())),
+    "synthetic": lambda ds: generate(default_benchmark_spec(300, seed=3)),
+}
+
+
+@pytest.mark.parametrize("derive", DERIVED.values(), ids=DERIVED.keys())
+def test_save_dataset_prints_arrays_that_were_not_read(tmp_path, derive):
+    # no array of these came from a file, so each prints as np.savetxt would
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    manifest = short_text_manifest(tmp_path, dataset.views, dataset.labels)
+    loaded = load_dataset(manifest)
+    derived = derive(loaded)
+    save_dataset(derived, tmp_path / "saved")
+    for h, X in enumerate(derived.views, start=1):
+        np.savetxt(tmp_path / "savetxt.csv", X, fmt="%.17g", delimiter=",")
+        assert ((tmp_path / "saved" / f"view_{h}.csv").read_bytes()
+                == (tmp_path / "savetxt.csv").read_bytes())
+    np.savetxt(tmp_path / "savetxt.txt", derived.labels, fmt="%d")
+    assert ((tmp_path / "saved" / "labels.txt").read_bytes()
+            == (tmp_path / "savetxt.txt").read_bytes())
+
+
+def test_save_dataset_prints_a_view_whose_file_changed_after_the_load(tmp_path):
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    manifest = short_text_manifest(tmp_path, dataset.views, dataset.labels)
+    loaded = load_dataset(manifest)
+    np.savetxt(manifest.parent / "v2.csv", loaded.views[1] + 1.0, fmt="%.5f", delimiter=",")
+    save_dataset(loaded, tmp_path / "saved")
+    np.savetxt(tmp_path / "savetxt.csv", loaded.views[1], fmt="%.17g", delimiter=",")
+    for saved, want in [("view_1.csv", manifest.parent / "v1.csv"),
+                        ("view_2.csv", tmp_path / "savetxt.csv")]:
+        assert (tmp_path / "saved" / saved).read_bytes() == want.read_bytes()
+
+
+def test_a_dropped_dataset_leaves_nothing_in_the_source_registry(tmp_path):
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    loaded = load_dataset(short_text_manifest(tmp_path, dataset.views, dataset.labels))
+    keys = [id(X) for X in (*loaded.views, loaded.labels)]
+    assert all(key in data._SOURCES for key in keys)
+    del loaded
+    gc.collect()
+    assert not any(key in data._SOURCES for key in keys)
+
+
+def test_fit_parses_its_manifest_once(tmp_path, capsys, monkeypatch):
+    manifest, _ = make_manifest(tmp_path, n=300, noise_features=1)
+    calls, real_parse = [], data.parse_manifest
+
+    def counted(path):
+        calls.append(path)
+        return real_parse(path)
+
+    monkeypatch.setattr(data, "parse_manifest", counted)
+    monkeypatch.setattr(cli, "parse_manifest", counted, raising=False)
+    assert fit_filtered(manifest, tmp_path / "run") == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def fit_outputs(out):

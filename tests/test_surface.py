@@ -1,5 +1,6 @@
-"""The solver modules keep no public function that only tests call, and no
-setting that changes a run comes from the environment.
+"""The solver modules keep no public function that only tests call, no
+setting that changes a run comes from the environment, and one module owns
+the record of which file each loaded array came from.
 
 Block-by-block compositions that tests need as oracles live in
 ``tests/support.py``, built on the solvers' private kernels.
@@ -73,3 +74,12 @@ def test_only_the_cache_location_is_read_from_the_environment():
     reads = {f"{path.stem}:{key}" for path in SRC.glob("*.py")
              for key in _environment_reads(ast.parse(path.read_text(encoding="utf-8")))}
     assert reads == {"data:XDG_CACHE_HOME"}
+
+
+def test_only_data_knows_which_file_an_array_came_from():
+    # the stamp helper and the registry of loaded arrays stay in mvclust.data,
+    # so the rule for copying an input file lives in one module
+    owners = {path.stem for path in SRC.glob("*.py")
+              if {"_file_stamp", "_SOURCES"}
+              & _referenced_names(ast.parse(path.read_text(encoding="utf-8")), None)}
+    assert owners == {"data"}

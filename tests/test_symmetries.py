@@ -1,7 +1,10 @@
 """Symmetries that the model has by construction, checked on both solvers.
 
-Permuting the views, or the columns of one view, relabels the problem and
-nothing else, so a fit of the permuted problem is the permuted fit. The
+Permuting the views, the columns of one view, or the rows, relabels the
+problem and nothing else, so a fit of the permuted problem is the permuted
+fit. Seeding draws sample indices, so the row property seeds the permuted
+fit with the original fit's picks, mapped to where the permutation put
+them; the rest of the fit has no notion of a sample's position. The
 stacking order changes the order of the sums inside a fit, so weights,
 centers and δ are compared within a tolerance, not bitwise, and hard labels
 only where a sample's largest membership leads its next by MARGIN. Only the
@@ -10,13 +13,14 @@ row of the stack, so a column permutation permutes compute_delta bit for bit.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from mvclust import compute_delta, fit_full, fit_pruning
+from mvclust import amvfcm, compute_delta, fit_full, fit_pruning
 from mvclust.data import MultiViewDataset
 
 RTOL, ATOL = 1e-7, 1e-9
@@ -40,11 +44,12 @@ def _events(res, view=lambda h: h, feature=lambda h, j: j):
                   for ev in res.mask.removals)
 
 
-def _assert_labels_where_clear(got, want):
-    # hard labels agree wherever the leading membership is clear of the next
+def _assert_labels_where_clear(got, want, rows=slice(None)):
+    # hard labels agree wherever the leading membership is clear of the next;
+    # sample i of want is sample rows[i] of got
     top2 = np.sort(want.model.membership, axis=1)[:, -2:]
     clear = top2[:, 1] - top2[:, 0] > MARGIN
-    np.testing.assert_array_equal(got.hard_labels[clear], want.hard_labels[clear])
+    np.testing.assert_array_equal(got.hard_labels[rows][clear], want.hard_labels[clear])
 
 
 def _close(got, want):
@@ -110,3 +115,36 @@ def test_permuting_the_columns_of_a_view_permutes_the_fit(seed):
             _close(res_p.model.centers[i], res.model.centers[i][:, order])
         _close_traces(res_p, res)
         _assert_labels_where_clear(res_p, res)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_permuting_the_rows_permutes_the_fit(seed):
+    rng = np.random.default_rng(seed)
+    ds, params = support.random_instance(rng)
+    perm = rng.permutation(ds.n_samples)  # row i of the permuted problem is row perm[i]
+    permuted = MultiViewDataset([X[perm] for X in ds.views])
+    where = np.argsort(perm)  # row p of the problem is row where[p] of the permuted one
+    real_init, picks = amvfcm.init_centers, []
+
+    def recorded(*args):
+        picks[:] = real_init(*args)
+        return list(picks)
+
+    for solver in SOLVERS:
+        with mock.patch.object(amvfcm, "init_centers", recorded):
+            res = _fit(solver, ds, params)
+        with mock.patch.object(amvfcm, "init_centers",
+                               lambda *args: [int(where[p]) for p in picks]):
+            res_p = _fit(solver, permuted, params)
+        if res is None or res_p is None:
+            continue
+        assert _events(res_p) == _events(res)
+        assert res_p.mask.active_dims == res.mask.active_dims
+        _close(res_p.model.view_weights, res.model.view_weights)
+        for i in range(len(res.delta)):
+            _close(res_p.delta[i], res.delta[i])
+            _close(res_p.model.feature_weights[i], res.model.feature_weights[i])
+            _close(res_p.model.centers[i], res.model.centers[i])
+        _close_traces(res_p, res)
+        _assert_labels_where_clear(res_p, res, rows=where)
