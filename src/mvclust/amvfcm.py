@@ -239,12 +239,11 @@ def _view_starts(view_of):
     return np.flatnonzero(np.diff(view_of, prepend=-1))
 
 
-def _feature_weights(E, dlt, view_of, v, eta, starts=None, prior=None):
+def _feature_weights(E, dlt, view_of, v, eta, starts, prior):
     # feature j of view h gets weight proportional to (1/delta_j) exp(-v_h E_j / eta):
-    # one softmax per view, shifted by its largest exponent; a fit passes the
+    # one softmax per view, shifted by its largest exponent; starts are the
     # view starts and prior = -log(delta), which change only with pruning
-    starts = _view_starts(view_of) if starts is None else starts
-    x = (-np.log(dlt) if prior is None else prior) - v[view_of] * E / eta
+    x = prior - v[view_of] * E / eta
     e = np.exp(x - np.maximum.reduceat(x, starts)[view_of])
     return e / np.bincount(view_of, e)[view_of]
 
@@ -253,43 +252,32 @@ def entropic_simplex_argmin(costs, beta):
     """Minimize sum(v*costs) + sum(beta*v*log v) over the probability simplex.
 
     With a uniform ``beta`` the solution is the softmax of -costs/beta. With
-    per-component beta the normalizing multiplier enters each exponent through
-    its own beta, so the dual scalar is found by bisection on the monotone
-    log-sum constraint instead.
+    per-component beta the weights are v_h = exp((lam - costs_h)/beta_h - 1)
+    for the multiplier lam at which they sum to 1, the root of
+    g(lam) = log sum_h exp((lam - costs_h)/beta_h - 1). g is a log-sum-exp of
+    increasing affine functions of lam, so it is convex and increasing, with
+    g' = sum_h v_h / beta_h for v the softmax of the exponents. Newton's
+    method started right of the root, at lam = min_h(costs_h + beta_h) where
+    g >= 0, descends to it monotonically; it stops when a step no longer
+    lowers lam, which it must since lam strictly decreases over the doubles.
     """
     costs = np.asarray(costs, dtype=float)
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), costs.shape)
+    beta = np.asarray(beta, dtype=float)
     if (beta <= 0).any():
         raise ValueError("beta must be positive")
-    if costs.size == 1:
-        return np.ones(1)
-    if np.ptp(beta) == 0:
-        return _softmax(-costs / beta[0])
-
-    def log_total(lam):
+    if beta.min() == beta.max():
+        return _softmax(-costs / beta.max())
+    lam = np.min(costs + beta)
+    while True:
         t = (lam - costs) / beta - 1.0
-        m = t.max()
-        return m + np.log(np.sum(np.exp(t - m)))
-
-    lo = hi = float(costs.min())
-    step = float(max(1.0, beta.max()))
-    while log_total(lo) > 0:
-        lo -= step
-        step *= 2
-    step = float(max(1.0, beta.max()))
-    while log_total(hi) < 0:
-        hi += step
-        step *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if log_total(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    v = np.exp((0.5 * (lo + hi) - costs) / beta - 1.0)
-    return v / v.sum()
+        top = t.max()
+        e = np.exp(t - top)
+        total = e.sum()
+        v = e / total
+        step = (top + np.log(total)) / np.sum(v / beta)
+        if not lam - step < lam:
+            return v
+        lam -= step
 
 
 def _temperatures(dims, n):

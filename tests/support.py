@@ -197,7 +197,9 @@ def _feature_costs(views, model, delta):
 def update_feature_weights(views, model, delta, eta):
     """Exact W-block minimizer: weights proportional to (1/delta_j) exp(-v_h E_j / eta)."""
     E, view_of = _feature_costs(views, model, delta)
-    w = amvfcm._feature_weights(E, np.concatenate(delta), view_of, model.view_weights, eta)
+    dlt = np.concatenate(delta)
+    w = amvfcm._feature_weights(E, dlt, view_of, model.view_weights, eta,
+                                amvfcm._view_starts(view_of), -np.log(dlt))
     return _split(w, view_of)
 
 

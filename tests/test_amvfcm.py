@@ -152,7 +152,8 @@ def test_weight_and_distance_pass_needs_no_tensor():
         G, mass, _ = amvfcm._sweep(Ac, S, XcT, U, peak, L)
         Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
         E = amvfcm._feature_costs(G, Ac, mass, ss, dlt)
-        w = amvfcm._feature_weights(E, dlt, view_of, v, eta=1.0)
+        w = amvfcm._feature_weights(E, dlt, view_of, v, 1.0, amvfcm._view_starts(view_of),
+                                    -np.log(dlt))
         np.bincount(view_of, w * E)
         _, peak_bytes = tracemalloc.get_traced_memory()
     finally:
@@ -390,7 +391,8 @@ def test_feature_weights_kernel_is_a_softmax_per_view():
         dlt = rng.uniform(0.1, 10.0, view_of.size)
         E = rng.uniform(0.0, 5.0, view_of.size) + 1e3 * view_of
         v = rng.dirichlet(np.ones(len(widths)))
-        w = amvfcm._feature_weights(E, dlt, view_of, v, eta=0.3)
+        w = amvfcm._feature_weights(E, dlt, view_of, v, 0.3, amvfcm._view_starts(view_of),
+                                    -np.log(dlt))
         for h, got in enumerate(support._split(w, view_of)):
             on = view_of == h
             want = amvfcm._softmax(-np.log(dlt[on]) - v[h] * E[on] / 0.3)
@@ -450,6 +452,34 @@ def test_entropic_argmin_uniform_beta_matches_softmax():
     np.testing.assert_allclose(
         entropic_simplex_argmin(costs, 5.0), direct / direct.sum(), atol=1e-12
     )
+
+
+def test_entropic_argmin_tiny_temperature_is_finite():
+    # beta 1e-300 puts the multiplier at ~5e-301, so (lam - costs_h) / beta_h
+    # overflows unless the multiplier is found to that precision or shifted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = entropic_simplex_argmin([0.0, 0.0], [1e-300, 1.0])
+    np.testing.assert_allclose(v, [1 - math.exp(-1), math.exp(-1)], rtol=1e-12)
+
+
+def test_entropic_argmin_log_uniform_sweep():
+    # 2-7 views, costs scaled 1e-3 to 1e8, temperatures 1e-3 to 1e6: the
+    # weights are finite, on the simplex, and costs_h + beta_h (log v_h + 1)
+    # is one constant on every weight that is not negligible, relative to
+    # the size of its terms
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        m = int(rng.integers(2, 8))
+        costs = 10.0 ** rng.uniform(-3, 8) * rng.uniform(0, 1, m)
+        beta = 10.0 ** rng.uniform(-3, 6, m)
+        v = entropic_simplex_argmin(costs, beta)
+        assert np.isfinite(v).all()
+        assert abs(v.sum() - 1.0) <= 1e-15
+        on = v >= 1e-6
+        terms = costs[on] + beta[on] * (np.log(v[on]) + 1.0)
+        scale = np.max(costs[on] + beta[on] * (1.0 + np.abs(np.log(v[on]))))
+        assert np.ptp(terms) <= 1e-7 * scale
 
 
 def test_entropic_argmin_rejects_nonpositive_beta():
@@ -783,7 +813,8 @@ def replay_fit(dataset, params):
         S = v[view_of] * w * dlt
         G, mass, entropy = amvfcm._sweep(Ac, S, XcT, U, peak, L)
         Ac = amvfcm._centers_with_reseed(G, mass, XcT, S, peak)
-        w = amvfcm._feature_weights(feature_costs(U, Ac), dlt, view_of, v, eta)
+        w = amvfcm._feature_weights(feature_costs(U, Ac), dlt, view_of, v, eta,
+                                    amvfcm._view_starts(view_of), -np.log(dlt))
         v = entropic_simplex_argmin(view_costs(U, Ac), beta)
         trace.append(objective_of(U, entropy, Ac))
         if abs(trace[-1] - trace[-2]) <= params.epsilon:

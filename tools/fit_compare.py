@@ -8,8 +8,9 @@ script says how far apart they are when they do not:
 It runs every ``fit_digests.cases()`` fit, by both solvers, once under the
 old ``src/`` and once under this tree's ``src/``, each in its own process
 with one BLAS thread. For each fit it prints whether the hard labels and the
-removal events are equal, the largest relative difference of the two
-objective traces over their common prefix, and the two iteration counts;
+removal events are equal (with how many of the n samples are labelled
+differently when the labels are not), the largest relative difference of the
+two objective traces over their common prefix, and the two iteration counts;
 then a summary line. The relative difference of two entries a and b is
 |a - b| / max(|a|, |b|), and 0 when both are 0. A fit that raises on either
 side compares by its error message instead. The exit status is 1 when any
@@ -24,13 +25,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 TOOLS = Path(__file__).resolve().parent
 NEW_SRC = TOOLS.parent / "src"
 
 
 def emit():
     """Print one JSON line per fit for whichever ``mvclust`` is importable."""
-    import hashlib
     import warnings
 
     import fit_digests
@@ -48,7 +50,7 @@ def emit():
                     print(json.dumps(record), flush=True)
                     continue
             record.update(
-                labels=hashlib.sha256(res.hard_labels.astype("<i8").tobytes()).hexdigest(),
+                labels=res.hard_labels.astype("<i2").tobytes().hex(),
                 removals=[[ev.iteration, ev.kind, ev.view, ev.feature]
                           for ev in res.mask.removals],
                 trace=[float(x) for x in res.objective_trace],
@@ -74,6 +76,11 @@ def _relative_gap(a, b):
     return gap
 
 
+def _label_moves(old, new):
+    a, b = (np.frombuffer(bytes.fromhex(x), dtype="<i2") for x in (old, new))
+    return f"{np.count_nonzero(a != b)} of {a.size} samples"
+
+
 def main(argv):
     if len(argv) != 1:
         sys.exit("usage: python tools/fit_compare.py OLD_SRC")
@@ -94,6 +101,7 @@ def main(argv):
                   f"{old.get('error')} | {new.get('error')}")
             continue
         labels = old["labels"] == new["labels"]
+        moved = "" if labels else f" ({_label_moves(old['labels'], new['labels'])})"
         removals = old["removals"] == new["removals"]
         gap = _relative_gap(old["trace"], new["trace"])
         same_labels += labels
@@ -101,7 +109,7 @@ def main(argv):
         worst = max(worst, gap)
         if old["iterations"] != new["iterations"]:
             iteration_moves.append(old["epsilon"])
-        print(f"{old['case']} labels {'equal' if labels else 'DIFFER'} "
+        print(f"{old['case']} labels {'equal' if labels else 'DIFFER'}{moved} "
               f"removals {'equal' if removals else 'DIFFER'} "
               f"trace {gap:.3g} iterations {old['iterations']} {new['iterations']}")
     for proc in procs:
