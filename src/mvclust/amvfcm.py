@@ -341,7 +341,7 @@ def _seeding_norms(XcT, dlt, view_of):
     return sq
 
 
-def init_centers(XcT, dlt, view_of, c, seed, sq=None):
+def init_centers(XcT, dlt, view_of, c, seed, sq):
     """Greedy spread seeding (k-means++ weighting) in the solver's own metric.
 
     One greedy pass over the samples of the fit's stacked, centred (D, n)
@@ -366,7 +366,6 @@ def init_centers(XcT, dlt, view_of, c, seed, sq=None):
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
     metric = dlt / np.bincount(view_of)[view_of]
     scale = np.sqrt(metric)[:, None]
-    sq = _seeding_norms(XcT, dlt, view_of) if sq is None else sq
     rng = np.random.default_rng(seed)
     trials = max(10, 2 + int(math.log(c)))
     block = max(1, BLOCK_CELLS // (trials * width))

@@ -307,7 +307,9 @@ def init_centers(data, c, seed, delta):
     """Initial per-view centers: fit's seeding on the views' own stack."""
     views = _views_of(data)
     XcT, _, _, view_of = amvfcm._stack(views)
-    chosen = amvfcm.init_centers(XcT, np.concatenate(delta), view_of, c, seed)
+    dlt = np.concatenate(delta)
+    chosen = amvfcm.init_centers(XcT, dlt, view_of, c, seed,
+                                 amvfcm._seeding_norms(XcT, dlt, view_of))
     return [X[chosen].copy() for X in views]
 
 

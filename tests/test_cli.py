@@ -481,6 +481,18 @@ def test_save_dataset_prints_a_view_whose_file_changed_after_the_load(tmp_path):
         assert (tmp_path / "saved" / saved).read_bytes() == want.read_bytes()
 
 
+def test_save_dataset_prints_a_view_whose_file_was_deleted_after_the_load(tmp_path):
+    dataset = generate(default_benchmark_spec(300, seed=3))
+    manifest = short_text_manifest(tmp_path, dataset.views, dataset.labels)
+    loaded = load_dataset(manifest)
+    (manifest.parent / "v2.csv").unlink()
+    save_dataset(loaded, tmp_path / "saved")
+    np.savetxt(tmp_path / "savetxt.csv", loaded.views[1], fmt="%.17g", delimiter=",")
+    for saved, want in [("view_1.csv", manifest.parent / "v1.csv"),
+                        ("view_2.csv", tmp_path / "savetxt.csv")]:
+        assert (tmp_path / "saved" / saved).read_bytes() == want.read_bytes()
+
+
 def test_a_dropped_dataset_leaves_nothing_in_the_source_registry(tmp_path):
     dataset = generate(default_benchmark_spec(300, seed=3))
     loaded = load_dataset(short_text_manifest(tmp_path, dataset.views, dataset.labels))

@@ -141,6 +141,11 @@ def test_validate_rejects_zero_column_view():
         validate(MultiViewDataset([np.ones((3, 1)), np.ones((3, 0))]))
 
 
+def test_validate_rejects_views_without_rows():
+    with pytest.raises(EmptyDatasetError, match="views have no rows"):
+        validate(MultiViewDataset([np.ones((0, 2)), np.ones((0, 1))]))
+
+
 def test_validate_rejects_row_count_mismatch():
     with pytest.raises(RowCountMismatchError):
         validate(MultiViewDataset([np.ones((4, 2)), np.ones((5, 2))]))
@@ -268,6 +273,13 @@ def test_load_reports_missing_file_with_path(tmp_path):
     assert "gone.csv" in str(err.value)
 
 
+def test_load_reports_missing_label_file_with_path(tmp_path):
+    (tmp_path / "a.csv").write_text("1\n2\n")
+    (tmp_path / "m.cfg").write_text("view = a.csv\nlabels = gone.txt\n")
+    with pytest.raises(ManifestError, match="label file not found: .*gone.txt"):
+        load_dataset(tmp_path / "m.cfg")
+
+
 def test_load_reports_ragged_row_with_line_number(tmp_path):
     (tmp_path / "a.csv").write_text("1,2\n3\n")
     (tmp_path / "m.cfg").write_text("view = a.csv\n")
@@ -303,6 +315,7 @@ PARSE_CASES = {
     "label_underscore": ("1\n" * 11, "".join(f"{k}\n" for k in range(10)) + "1_0\n", None),
     "label_plus_sign": ("1\n" * 4, "0\n1\n2\n+3\n", None),
     "label_two_per_line": ("1\n", "0,1\n", MatrixFormatError),
+    "label_blank_lines": ("1\n2\n", "\n \n\n", EmptyDatasetError),
 }
 
 
@@ -432,9 +445,9 @@ def test_edited_file_is_parsed_again(tmp_path, monkeypatch, private_parse_cache)
     assert len(calls) == 2 and len(entries(private_parse_cache)) == 2
 
 
-def _npy_bytes(arr):
+def _npy_bytes(arr, version=None):
     buf = io.BytesIO()
-    np.save(buf, arr)
+    np.lib.format.write_array(buf, arr, version=version)
     return buf.getvalue()
 
 
@@ -446,6 +459,7 @@ DAMAGE = {
     "integer": lambda raw: _npy_bytes(np.arange(6).reshape(3, 2)),
     "fortran_order": lambda raw: _npy_bytes(np.asfortranarray(np.ones((3, 2)))),
     "pickled": lambda raw: _npy_bytes(np.array([None] * 6, dtype=object).reshape(3, 2)),
+    "version_2": lambda raw: _npy_bytes(np.load(io.BytesIO(raw)), version=(2, 0)),
 }
 
 
@@ -463,6 +477,19 @@ def test_damaged_entry_is_parsed_again_and_replaced(tmp_path, monkeypatch, priva
     assert calls == [path]
     assert X.tobytes() == first.tobytes() and X.base is None and not X.flags.writeable
     assert entries(private_parse_cache) == [entry] and entry.read_bytes() == raw
+
+
+def test_failed_entry_write_leaves_no_temporary_file(tmp_path, monkeypatch, private_parse_cache):
+    # a write that fails halfway (a full disk) costs the entry, not the read
+    def write_array(fh, *args, **kwargs):
+        fh.write(b"\x93NUMPY")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np.lib.format, "write_array", write_array)
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n")
+    assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert [p.name for p in (private_parse_cache / "mvclust").iterdir()] == [data._INDEX]
 
 
 def test_input_loadtxt_refuses_is_never_cached(tmp_path, private_parse_cache):
@@ -798,6 +825,16 @@ def test_manifest_rejects_repeated_view_name(tmp_path):
         "view = a.csv\nname.1 = first\nname.1 = second\n"
     )
     with pytest.raises(ManifestError, match="m.cfg:3: repeated 'name.1'"):
+        parse_manifest(tmp_path / "m.cfg")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("view a.csv", "expected 'key = value'"),
+    ("name.x = first", "bad view index in 'name.x'"),
+], ids=["no-equals", "name-not-a-number"])
+def test_manifest_rejects_malformed_line(tmp_path, line, message):
+    (tmp_path / "m.cfg").write_text(f"view = a.csv\n{line}\n")
+    with pytest.raises(ManifestError, match=f"m.cfg:2: {message}"):
         parse_manifest(tmp_path / "m.cfg")
 
 

@@ -114,7 +114,8 @@ def test_init_centers_needs_no_candidate_tensor():
     XcT, _, _, view_of = amvfcm._stack(views)
     tracemalloc.start()
     try:
-        amvfcm.init_centers(XcT, np.concatenate(delta), view_of, c, 0)
+        dlt = np.concatenate(delta)
+        amvfcm.init_centers(XcT, dlt, view_of, c, 0, amvfcm._seeding_norms(XcT, dlt, view_of))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -55,6 +55,16 @@ def test_spec_validation():
         )
 
 
+@pytest.mark.parametrize("mixing, means, message", [
+    ((1.0,), (), "at least one view of means"),
+    ((0.5, 0.5), (np.zeros((3, 2)),), "mixing length must equal the cluster count"),
+], ids=["no-means", "mixing-length"])
+def test_spec_rejects_missing_means_and_mismatched_mixing(mixing, means, message):
+    # the mixing is checked first, so each case's mixing sums to 1
+    with pytest.raises(ValueError, match=message):
+        GmmSpec(n=5, mixing=mixing, means=means, covariance_scale=1.0)
+
+
 # ------------------------------------------------------------------- generate
 
 
