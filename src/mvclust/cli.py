@@ -5,6 +5,10 @@ missing arguments, raised by the parser), 3 data or configuration errors
 (unreadable or inconsistent dataset files, invalid hyperparameters), 4 trial
 failures inside a run, 1 anything unexpected.
 
+The solver names come from :data:`mvclust.harness.SOLVERS`, and every flag
+default is the default of the field it sets in :class:`HyperParams`,
+:class:`ExperimentConfig` or :class:`SynthSource`.
+
 ``fit --algo aamvfcm`` writes the surviving data to ``filtered/`` through
 :func:`mvclust.data.save_dataset`: the labels and each view that kept every
 column are the arrays the load read, so their files are copied while they
@@ -22,6 +26,7 @@ from . import __version__
 from .amvfcm import HyperParams
 from .data import DatasetError, _read_labels, _write_labels, save_dataset
 from .harness import (
+    SOLVERS,
     ExperimentConfig,
     SynthSource,
     TrialError,
@@ -41,13 +46,14 @@ EXIT_UNEXPECTED = 1
 
 
 def _model_flags(parser):
-    # hyperparameter and output flags shared by ``fit`` and ``bench``
+    # solver, hyperparameter and output flags shared by ``fit`` and ``bench``
+    parser.add_argument("--algo", choices=tuple(SOLVERS), required=True)
     parser.add_argument("--clusters", required=True, type=int)
-    parser.add_argument("--max-iters", type=int, default=100)
-    parser.add_argument("--epsilon", type=float, default=1e-6)
+    parser.add_argument("--max-iters", type=int, default=HyperParams.t_max)
+    parser.add_argument("--epsilon", type=float, default=HyperParams.epsilon)
     parser.add_argument("--dump-weights", action="store_true",
                         help="include dispersion ratios and learned weights in the report")
-    parser.add_argument("--out-dir", type=Path, default=None,
+    parser.add_argument("--out-dir", type=Path,
                         help="directory for report and dataset files")
     parser.add_argument("--format", choices=("table", "records"), default="table",
                         help="stdout format for run summaries")
@@ -62,36 +68,37 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate the synthetic benchmark")
+    p_synth.set_defaults(run=_cmd_synth)
     p_synth.add_argument("--n", required=True, type=int)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--noise-features", type=int, default=0)
+    p_synth.add_argument("--seed", type=int, default=SynthSource.seed)
+    p_synth.add_argument("--noise-features", type=int, default=SynthSource.noise_features)
     p_synth.add_argument("--out-dir", type=Path, required=True,
                          help="directory for the dataset files")
 
     p_fit = sub.add_parser("fit", help="fit one model on a dataset manifest")
-    p_fit.add_argument("--algo", choices=("amvfcm", "aamvfcm"), required=True)
+    p_fit.set_defaults(run=_cmd_fit)
     p_fit.add_argument("--config", required=True, type=Path,
                        help="dataset manifest path")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=int, default=HyperParams.seed)
     _model_flags(p_fit)
 
     p_score = sub.add_parser("score", help="compare two label files")
+    p_score.set_defaults(run=_cmd_score)
     p_score.add_argument("--truth", required=True, type=Path)
     p_score.add_argument("--pred", required=True, type=Path)
 
     p_bench = sub.add_parser("bench", help="multi-trial benchmark run")
-    p_bench.add_argument("--algo", choices=("amvfcm", "aamvfcm"), required=True)
+    p_bench.set_defaults(run=_cmd_bench)
     source = p_bench.add_mutually_exclusive_group(required=True)
-    source.add_argument("--config", type=Path, default=None,
-                        help="dataset manifest path")
-    source.add_argument("--synth-n", type=int, default=None,
+    source.add_argument("--config", type=Path, help="dataset manifest path")
+    source.add_argument("--synth-n", type=int,
                         help="use the synthetic benchmark with this sample count")
-    p_bench.add_argument("--synth-seed", type=int, default=0)
-    p_bench.add_argument("--noise-features", type=int, default=0)
-    p_bench.add_argument("--trials", type=int, default=1)
-    p_bench.add_argument("--seed-base", type=int, default=0)
+    p_bench.add_argument("--synth-seed", type=int, default=SynthSource.seed)
+    p_bench.add_argument("--noise-features", type=int, default=SynthSource.noise_features)
+    p_bench.add_argument("--trials", type=int, default=ExperimentConfig.trials)
+    p_bench.add_argument("--seed-base", type=int, default=ExperimentConfig.seed_base)
     _model_flags(p_bench)
-    p_bench.add_argument("--jobs", type=int, default=1,
+    p_bench.add_argument("--jobs", type=int, default=ExperimentConfig.jobs,
                          help="parallel trials (threads)")
     return parser
 
@@ -105,22 +112,15 @@ def _cmd_synth(args):
     return EXIT_OK
 
 
-def _run(args, trials, seed_base, jobs=1, synth=None):
-    # the one run path of ``fit`` and ``bench``: build, run, print, write
+def _run(args, **run):
+    # the one run path of ``fit`` and ``bench``: build, run, print, write;
+    # ``run`` holds the trial count, seed base, jobs and synthetic source
     config = ExperimentConfig(
         algorithm=args.algo,
-        params=HyperParams(
-            c=args.clusters,
-            t_max=args.max_iters,
-            epsilon=args.epsilon,
-            seed=seed_base,
-        ),
-        trials=trials,
-        seed_base=seed_base,
+        params=HyperParams(c=args.clusters, t_max=args.max_iters, epsilon=args.epsilon),
         manifest=str(args.config) if args.config is not None else None,
-        synth=synth,
-        jobs=jobs,
         dump_weights=args.dump_weights,
+        **run,
     )
     report = run_experiment(config)
     if args.format == "table":
@@ -176,7 +176,7 @@ def _cmd_bench(args):
     if args.synth_n is not None:
         synth = SynthSource(n=args.synth_n, seed=args.synth_seed,
                             noise_features=args.noise_features)
-    _run(args, args.trials, args.seed_base, args.jobs, synth)
+    _run(args, trials=args.trials, seed_base=args.seed_base, jobs=args.jobs, synth=synth)
     return EXIT_OK
 
 
@@ -186,14 +186,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    handlers = {
-        "synth": _cmd_synth,
-        "fit": _cmd_fit,
-        "score": _cmd_score,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except TrialError as exc:
         print(f"error: {exc}: {exc.__cause__}", file=sys.stderr)
         return EXIT_TRIAL

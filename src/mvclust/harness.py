@@ -23,6 +23,9 @@ from .metrics import score_all
 from .synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
 PRNG_NAME = "numpy.random.default_rng (PCG64)"
+# algorithm name -> solver module; a trial looks up the module's ``fit`` when
+# it runs, so a ``fit`` rebound after import is the one that runs
+SOLVERS = {"amvfcm": amvfcm, "aamvfcm": aamvfcm}
 METRIC_KEYS = ("ri", "ari", "ji", "fmi", "nmi")
 
 
@@ -53,9 +56,12 @@ class SynthSource:
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce a run. Exactly one data source is set."""
+    """Everything needed to reproduce a run. Exactly one data source is set.
 
-    algorithm: str                      # "amvfcm" or "aamvfcm"
+    ``params.seed`` is not used: trial i replaces it with ``seed_base + i``.
+    """
+
+    algorithm: str                      # a key of SOLVERS
     params: HyperParams
     trials: int = 1
     seed_base: int = 0
@@ -65,7 +71,8 @@ class ExperimentConfig:
     dump_weights: bool = False
 
     def __post_init__(self):
-        if self.algorithm not in ("amvfcm", "aamvfcm"):
+        dataclasses.replace(self.params, seed=self.seed_base)  # HyperParams checks seeds
+        if self.algorithm not in SOLVERS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -119,10 +126,9 @@ def build_dataset(config: ExperimentConfig):
 
 def _run_trial(dataset, config, seed):
     params = dataclasses.replace(config.params, seed=seed)
-    solver = amvfcm.fit if config.algorithm == "amvfcm" else aamvfcm.fit
     tic = time.perf_counter()
     try:
-        result = solver(dataset, params)
+        result = SOLVERS[config.algorithm].fit(dataset, params)
     except Exception as exc:
         raise TrialError(seed) from exc
     elapsed = time.perf_counter() - tic
@@ -163,7 +169,6 @@ def _stats(values):
 
 
 def _resolved_config(config: ExperimentConfig):
-    p = config.params
     source = (
         {"manifest": str(config.manifest)}
         if config.manifest is not None
@@ -174,11 +179,8 @@ def _resolved_config(config: ExperimentConfig):
         "trials": config.trials,
         "seed_base": config.seed_base,
         "source": source,
-        "hyperparams": {
-            "c": p.c,
-            "t_max": p.t_max,
-            "epsilon": p.epsilon,
-        },
+        "hyperparams": {f.name: getattr(config.params, f.name)
+                        for f in dataclasses.fields(config.params) if f.name != "seed"},
         "jobs": config.jobs,
         "dump_weights": config.dump_weights,
     }
@@ -257,7 +259,6 @@ def strip_timing(records):
 def render_table(report: RunReport) -> str:
     """Human-readable aligned summary of a run."""
     cfg = report.config
-    hp = cfg["hyperparams"]
     lines = [
         "mvclust run report",
         f"engine: {report.engine['name']} {report.engine['version']}   "
@@ -265,7 +266,7 @@ def render_table(report: RunReport) -> str:
         f"algorithm: {cfg['algorithm']}   trials: {cfg['trials']}   "
         f"seed_base: {cfg['seed_base']}",
         f"source: {json.dumps(cfg['source'])}",
-        f"c={hp['c']} t_max={hp['t_max']} epsilon={hp['epsilon']}",
+        " ".join(f"{k}={v}" for k, v in cfg["hyperparams"].items()),
         "",
     ]
     has_metrics = report.trials[0].metrics is not None

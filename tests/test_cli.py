@@ -5,6 +5,7 @@ artifacts (reports, predicted labels, filtered datasets) each command leaves
 behind.
 """
 
+import dataclasses
 import gc
 import json
 
@@ -31,6 +32,35 @@ def make_manifest(tmp_path, n=120, seed=3, noise_features=0):
 
 def records_from(stdout):
     return [json.loads(line) for line in stdout.strip().splitlines()]
+
+
+# ---------------------------------------------------------------------------
+# flag defaults
+# ---------------------------------------------------------------------------
+
+def _field_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+def test_flag_defaults_are_the_dataclass_defaults():
+    # a changed library default reaches the command line, which keeps no copy
+    hp, run, src = map(_field_defaults, (HyperParams, harness.ExperimentConfig,
+                                         harness.SynthSource))
+    parser = cli.build_parser()
+    model = ["--algo", "aamvfcm", "--clusters", "5"]
+    fit = parser.parse_args(["fit", "--config", "m.cfg", *model])
+    bench = parser.parse_args(["bench", "--synth-n", "50", *model])
+    synth = parser.parse_args(["synth", "--n", "50", "--out-dir", "d"])
+    for args in (fit, bench):
+        assert (args.max_iters, args.epsilon) == (hp["t_max"], hp["epsilon"])
+        assert args.dump_weights == run["dump_weights"]
+    assert fit.seed == hp["seed"]
+    assert (bench.trials, bench.seed_base, bench.jobs) == (
+        run["trials"], run["seed_base"], run["jobs"])
+    for seed, noise in ((bench.synth_seed, bench.noise_features),
+                        (synth.seed, synth.noise_features)):
+        assert (seed, noise) == (src["seed"], src["noise_features"])
 
 
 # ---------------------------------------------------------------------------

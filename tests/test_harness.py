@@ -62,6 +62,8 @@ def test_config_rejects_bad_trial_and_job_counts():
         synth_config(trials=0)
     with pytest.raises(ValueError, match="jobs"):
         synth_config(jobs=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        synth_config(seed_base=-1)
 
 
 def test_config_requires_exactly_one_source(tmp_path):
@@ -214,6 +216,21 @@ def test_failing_trial_raises_trial_error_with_seed():
     with pytest.raises(TrialError, match="seed 41"):
         run_experiment(cfg)
     assert str(TrialError(5)) == "trial with seed 5 failed"
+
+
+def test_trials_call_the_solver_fit_bound_at_run_time(monkeypatch):
+    # a ``fit`` rebound after import (a timing span, a spy) is the one each
+    # trial runs, so the harness holds solver modules, not their functions
+    from mvclust import aamvfcm
+    fit, seeds = aamvfcm.fit, []
+
+    def spy(dataset, params):
+        seeds.append(params.seed)
+        return fit(dataset, params)
+
+    monkeypatch.setattr(aamvfcm, "fit", spy)
+    report = run_experiment(synth_config(algorithm="aamvfcm", trials=2))
+    assert seeds == [5, 6] == [r.seed for r in report.trials]
 
 
 # ---------------------------------------------------------------------------

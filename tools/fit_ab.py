@@ -44,6 +44,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from fit_compare import _relative_gap
 
 NEW_SRC = Path(__file__).resolve().parents[1] / "src"
 N, CLUSTERS, ITERATIONS, NOISE, COVARIANCE_SCALE = 15_000, 5, 30, 4, 4.0
@@ -99,15 +100,6 @@ class Side:
         return timed
 
 
-def _trace_gap(a, b):
-    gap = 0.0
-    for x, y in zip(a, b):
-        scale = max(abs(x), abs(y))
-        if scale:
-            gap = max(gap, abs(x - y) / scale)
-    return gap
-
-
 def _alternate(sides, pairs, seed):
     # yields (pair, [(seconds, result) of old, of new])
     for k in range(pairs):
@@ -149,7 +141,7 @@ def main(argv):
             times[1].append(t_new)
             wins += t_new < t_old
             same_labels += np.array_equal(r_old.hard_labels, r_new.hard_labels)
-            gap = max(gap, _trace_gap(r_old.objective_trace, r_new.objective_trace))
+            gap = max(gap, _relative_gap(r_old.objective_trace, r_new.objective_trace))
         old_ms, new_ms = (statistics.median(t) * 1e3 for t in times)
         print(f"{args.pairs} pairs: old median {old_ms:.2f} ms, new median {new_ms:.2f} ms "
               f"({(new_ms / old_ms - 1) * 100:+.1f}%); new faster in {wins}/{args.pairs}, "

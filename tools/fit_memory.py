@@ -33,7 +33,14 @@ import warnings
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-PHASES = ("stack", "seed", "iterations", "result")
+# phase -> (the ``mvclust.amvfcm`` names whose calls end it, whether a call
+# also opens it); a name that a tree does not have is skipped
+PHASES = {
+    "stack": (("_stack", "_centre"), True),
+    "seed": (("init_centers",), True),
+    "iterations": (("entropic_simplex_argmin", "_objective_given_costs"), False),
+    "result": (("FitResult",), False),
+}
 
 
 def _trace(amvfcm):
@@ -55,11 +62,7 @@ def _trace(amvfcm):
             return out
         setattr(amvfcm, attr, traced)
 
-    for name, attrs, opens in (("stack", ("_stack", "_centre"), True),
-                               ("seed", ("init_centers",), True),
-                               ("iterations", ("entropic_simplex_argmin",
-                                               "_objective_given_costs"), False),
-                               ("result", ("FitResult",), False)):
+    for name, (attrs, opens) in PHASES.items():
         for attr in attrs:
             if hasattr(amvfcm, attr):
                 phase(name, attr, opens)
