@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiViewDataset, _remember, validate
+from .data import DatasetError, MultiViewDataset, _remember, validate
 from .snr import centre as _centre, clamped_ratios, moments as _stack
 
 EMPTY_CLUSTER_TOL = 1e-12
@@ -467,6 +467,11 @@ def _descend(dataset, params, step=None) -> FitResult:
         XcT, m, ss, view_of = _stack(views)
         dlt = clamped_ratios(m, ss, n)
         sq = _seeding_norms(XcT, dlt, view_of)
+        # a kernel term of column j is at most max(2, delta_j) ss_j: the costs'
+        # 2 sum_k ac_kj G_kj and delta_j ss_j; it must be a finite float64
+        if not np.isfinite(bound := np.maximum(dlt, 2.0) * ss).all():
+            raise DatasetError("view %d column %d: its squares overflow float64; rescale it"
+                               % mask.locate(np.argmin(np.isfinite(bound))))
         for a in (m, ss, dlt, view_of, sq):  # read-only: later fits share them
             a.flags.writeable = False
         _remember(dataset, moments=(m, ss, dlt, view_of, sq))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, aamvfcm, amvfcm
 from .amvfcm import HyperParams
-from .data import load_dataset, validate
+from .data import DatasetError, load_dataset, validate
 from .metrics import score_all
 from .synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
@@ -27,6 +27,10 @@ PRNG_NAME = "numpy.random.default_rng (PCG64)"
 # it runs, so a ``fit`` rebound after import is the one that runs
 SOLVERS = {"amvfcm": amvfcm, "aamvfcm": aamvfcm}
 METRIC_KEYS = ("ri", "ari", "ji", "fmi", "nmi")
+# fewest (c, n) membership cells per fit for pool threads: below it numpy calls last
+# microseconds and threads trade the GIL. On 2 cores jobs=2 over 1 read 1.5-1.8 at
+# c n <= 15k, 1.0-1.6 at 24-30k, 0.8-1.2 at 40-50k, 0.7-1.0 from 75k (trial_threads.py)
+POOL_MIN_CELLS = 40_000
 
 
 class TrialError(RuntimeError):
@@ -59,6 +63,7 @@ class ExperimentConfig:
     """Everything needed to reproduce a run. Exactly one data source is set.
 
     ``params.seed`` is not used: trial i replaces it with ``seed_base + i``.
+    ``jobs`` bounds the trial threads; small runs use one (:data:`POOL_MIN_CELLS`).
     """
 
     algorithm: str                      # a key of SOLVERS
@@ -129,6 +134,8 @@ def _run_trial(dataset, config, seed):
     tic = time.perf_counter()
     try:
         result = SOLVERS[config.algorithm].fit(dataset, params)
+    except DatasetError:  # a data fault fails every seed alike
+        raise
     except Exception as exc:
         raise TrialError(seed) from exc
     elapsed = time.perf_counter() - tic
@@ -191,15 +198,18 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     Trial i runs with seed ``config.seed_base + i``; nothing outside the
     config chooses a seed. A failing trial aborts the whole run with a
-    :class:`TrialError` naming its seed.
+    :class:`TrialError` naming its seed; a data fault raises its own error.
+    ``jobs`` bounds the trial threads; runs below :data:`POOL_MIN_CELLS` use one.
     """
     dataset = build_dataset(config)
     seeds = [config.seed_base + i for i in range(config.trials)]
+    big = config.params.c * dataset.n_samples >= POOL_MIN_CELLS
+    workers = min(config.jobs, config.trials) if big else 1
 
     tic = time.perf_counter()
-    if config.jobs > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(lambda s: _run_trial(dataset, config, s), seeds))
     else:
         outcomes = [_run_trial(dataset, config, s) for s in seeds]

@@ -19,6 +19,7 @@ the model.
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 
@@ -424,3 +425,24 @@ def count_loadtxt(monkeypatch):
     monkeypatch.setattr(np, "loadtxt",
                         lambda path, *a, **k: calls.append(path) or loadtxt(path, *a, **k))
     return calls
+
+
+def fit_threads(monkeypatch, solver, meet=1):
+    """The thread ident of each ``solver.fit`` call from now on, kept current.
+
+    The first ``meet`` calls wait for each other before they fit, so a pool
+    that runs every trial on one thread fails at the barrier instead of
+    passing on one thread.
+    """
+    idents, lock, barrier, fit = [], threading.Lock(), threading.Barrier(meet), solver.fit
+
+    def recording(*args):
+        with lock:
+            idents.append(threading.get_ident())
+            first = len(idents) <= meet
+        if first:
+            barrier.wait(timeout=60)
+        return fit(*args)
+
+    monkeypatch.setattr(solver, "fit", recording)
+    return idents

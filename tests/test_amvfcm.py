@@ -31,7 +31,7 @@ from mvclust.amvfcm import (
     entropic_simplex_argmin,
     fit,
 )
-from mvclust.data import MultiViewDataset
+from mvclust.data import DatasetError, MultiViewDataset
 from mvclust.metrics import score_all
 from mvclust.snr import CLAMP, compute_delta
 from mvclust.synth import GmmSpec, NoiseSpec, append_noise, default_benchmark_spec, generate
@@ -771,6 +771,39 @@ def test_fit_rejects_fewer_samples_than_clusters():
     ds = MultiViewDataset([np.random.default_rng(0).uniform(1, 2, (3, 2))])
     with pytest.raises(ValueError):
         fit(ds, HyperParams(c=4))
+
+
+def overflow_scale_dataset(scale, n):
+    # view 0: three uniform columns on [scale, 1.5 scale], every entry finite;
+    # view 1: two uniform columns on [1, 2]
+    rng = np.random.default_rng(0)
+    return MultiViewDataset([rng.uniform(scale, 1.5 * scale, size=(n, 3)),
+                             rng.uniform(1, 2, size=(n, 2))])
+
+
+# a scale below the overflow bound at each n, with the iterations and final
+# objective of the full and the pruning solver's fits, as before the check
+BELOW_OVERFLOW = {1_500: (1e153, (17, -14341.811982816385), (17, -13023.477236414656)),
+                  15_000: (1e152, (23, -143061.62285045712), (23, -129878.2753864398))}
+
+
+@pytest.mark.parametrize("n", sorted(BELOW_OVERFLOW))
+def test_fit_below_overflow_is_finite_and_above_it_names_the_column(n):
+    scale, *expected = BELOW_OVERFLOW[n]
+    below = overflow_scale_dataset(scale, n)
+    for solver, (iterations, final) in zip((fit_full, fit_pruning), expected):
+        res = solver(below, HyperParams(c=2))
+        assert res.iterations == iterations and res.objective_trace[-1] == final
+        assert np.isfinite(res.model.membership).all()
+        assert np.isfinite(res.model.view_weights).all()
+    # ten times the scale overflows a column's sum of squares; both solvers
+    # used to return NaN fits there, and to fail in seeding with
+    # "Probabilities contain NaN" at 1e300
+    for above in (10 * scale, 1e300):
+        ds = overflow_scale_dataset(above, n)
+        for solver in (fit_full, fit_pruning):
+            with pytest.raises(DatasetError, match="^view 0 column 0: .*overflow"):
+                solver(ds, HyperParams(c=2))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -166,6 +166,18 @@ def test_failing_trial_is_a_trial_error(tmp_path, capsys):
         "error: trial with seed 0 failed: need at least c=25 samples, got 20\n")
 
 
+def test_data_that_overflows_the_fit_is_a_data_error(tmp_path, capsys):
+    # every entry is finite, so the load accepts it, but the fit's sums of
+    # squares are not: a data fault, the same for every seed, not a trial's
+    rng = np.random.default_rng(0)
+    manifest = save_dataset(MultiViewDataset([rng.uniform(1e300, 1.5e300, (1500, 3)),
+                                              rng.uniform(1, 2, (1500, 1))]), tmp_path)
+    code = main(["fit", "--algo", "aamvfcm", "--config", str(manifest), "--clusters", "2"])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.endswith(
+        "error: view 0 column 0: its squares overflow float64; rescale it\n")
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import support
-from mvclust import amvfcm, fit_full, fit_pruning
+from mvclust import aamvfcm, amvfcm, fit_full, fit_pruning, harness
 from mvclust.amvfcm import HyperParams
 from mvclust.data import MultiViewDataset, validate
 from mvclust.harness import (
@@ -58,13 +58,19 @@ def test_a_later_fit_is_the_fit_of_a_fresh_dataset(first, second):
     assert pruned >= 3
 
 
-def test_two_threads_filling_one_memo_fit_as_one_thread():
+def test_two_threads_filling_one_memo_fit_as_one_thread(monkeypatch):
+    # 5 x 300 membership cells are below the pool's bound, lowered here so that
+    # two threads do share the memo; the first two trials start together
+    monkeypatch.setattr(harness, "POOL_MIN_CELLS", 0)
+
     def run(jobs):
+        threads = support.fit_threads(monkeypatch, aamvfcm, meet=jobs)
         # each run builds its own dataset, so its first trials fill the memo
         report = run_experiment(ExperimentConfig(
             algorithm="aamvfcm", params=HyperParams(c=5), trials=8, seed_base=3,
             synth=SynthSource(n=300, seed=4, noise_features=2), jobs=jobs,
             dump_weights=True))
+        assert len(set(threads)) == jobs
         records = strip_timing(report_records(report))
         assert records[0]["config"].pop("jobs") == jobs
         return records, [_bits(res) for res in report.fit_results]

@@ -7,10 +7,13 @@ since wall-clock fields legitimately differ between repeat runs.
 
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
 
+import support
+from mvclust import amvfcm, harness
 from mvclust.amvfcm import HyperParams
 from mvclust.data import MultiViewDataset, save_dataset
 from mvclust.harness import (
@@ -243,9 +246,14 @@ def test_repeat_runs_identical_modulo_timing():
     assert first == second
 
 
-def test_thread_pool_matches_sequential_run():
+def test_thread_pool_matches_sequential_run(monkeypatch):
+    # these runs are far below the pool's cell bound, which is lowered so that
+    # their trials still share the pool
+    monkeypatch.setattr(harness, "POOL_MIN_CELLS", 0)
     sequential = run_experiment(synth_config(jobs=1))
+    threads = support.fit_threads(monkeypatch, amvfcm, meet=2)
     threaded = run_experiment(synth_config(jobs=3))
+    assert len(set(threads)) >= 2
     seq_records = strip_timing(report_records(sequential))
     thr_records = strip_timing(report_records(threaded))
     # meta lines differ only in the recorded jobs count
@@ -254,6 +262,27 @@ def test_thread_pool_matches_sequential_run():
     thr_cfg = dict(thr_records[0]["config"])
     assert seq_cfg.pop("jobs") == 1 and thr_cfg.pop("jobs") == 3
     assert seq_cfg == thr_cfg
+
+
+def test_small_runs_and_single_trials_run_on_the_calling_thread(monkeypatch):
+    # five clusters over 120 samples are 600 membership cells, far below the
+    # bound, and one trial needs no pool at any size
+    here = threading.get_ident()
+    threads = support.fit_threads(monkeypatch, amvfcm)
+    run_experiment(synth_config(jobs=2))
+    assert threads == [here] * 3
+    monkeypatch.setattr(harness, "POOL_MIN_CELLS", 0)
+    run_experiment(synth_config(trials=1, jobs=2))
+    assert threads == [here] * 4
+
+
+@pytest.mark.parametrize("bound, pooled", [(5 * 120, True), (5 * 120 + 1, False)])
+def test_trials_share_the_pool_from_the_cell_bound_on(monkeypatch, bound, pooled):
+    monkeypatch.setattr(harness, "POOL_MIN_CELLS", bound)
+    threads = support.fit_threads(monkeypatch, amvfcm, meet=2 if pooled else 1)
+    run_experiment(synth_config(jobs=2))
+    assert (threading.get_ident() not in threads) == pooled
+    assert len(set(threads)) == (2 if pooled else 1)
 
 
 def test_seed_comes_from_the_config_alone(monkeypatch):

@@ -35,3 +35,18 @@ def test_the_names_the_timing_tools_rebind_exist_in_this_tree():
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[] []\n"
+
+
+def test_trial_threads_measures_one_cell_and_its_rebound_name_exists():
+    # the tool lowers harness.POOL_MIN_CELLS by name: a rename would leave the
+    # real bound in place and time one thread on both sides
+    from mvclust import harness
+    assert hasattr(harness, "POOL_MIN_CELLS")
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "trial_threads.py"),
+                          "--cell", "3", "6", "300", "2", "--repeats", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    header, *rows = run.stdout.splitlines()
+    assert header.split()[:4] == ["c", "D", "n", "trials"]
+    assert len(rows) == 1 and rows[0].split()[:4] == ["3", "6", "300", "2"]
+    assert rows[0].endswith("one thread")
