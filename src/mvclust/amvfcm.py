@@ -80,6 +80,7 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, "c", "t_max", "seed")
         if self.c < 2:
             raise ValueError("c must be >= 2")
         if self.t_max < 1:
@@ -88,6 +89,15 @@ class HyperParams:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def _require_integers(settings, *names):
+    # a float or a bool where a count or a seed is due would truncate, or fail
+    # deep inside a fit; numpy integers are integers
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass

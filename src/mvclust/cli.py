@@ -99,7 +99,8 @@ def build_parser():
     p_bench.add_argument("--seed-base", type=int, default=ExperimentConfig.seed_base)
     _model_flags(p_bench)
     p_bench.add_argument("--jobs", type=int, default=ExperimentConfig.jobs,
-                         help="at most this many trial threads; small runs use one")
+                         help="at most this many trial threads, and no more than the CPUs "
+                              "the process may run on; small runs use one")
     return parser
 
 

@@ -20,29 +20,27 @@ array's file while it keeps that stamp, and print any other array as
 ``np.savetxt`` prints it (%.17g, labels %d), byte for byte.
 
 Each array the vectorized parser returns is kept as a ``.npy`` file in
-``$XDG_CACHE_HOME/mvclust`` (by default ``~/.cache/mvclust``), keyed by the
+``$XDG_CACHE_HOME/mvclust`` (by default ``~/.cache/mvclust``), named by the
 SHA-256 of the file's bytes, the parse dtype, the numpy version and a format
 tag, so an unchanged file is parsed once. Input the line scan reads is never
 stored, nor is an entry larger than ``CACHE_BYTES``. Once the entries pass
-``CACHE_BYTES`` the least recently used are deleted. An index beside them
-maps a file's stamp (``_file_stamp``) and the parse dtype to the digest, so
-an indexed file is not read at all. As in git, an index entry is trusted
-only if the file last changed more than ``_RACY_NS`` (2 s) before the entry
-was written; a file system whose clock runs behind by more can hide a
-same-size rewrite.
-``rm -rf ~/.cache/mvclust`` clears the cache and its index. A cache or index
-that cannot be read or written is skipped, and the file is hashed and parsed
-as if there were none.
+``CACHE_BYTES`` the least recently used are deleted. A load that begins more
+than ``_RACY_NS`` (2 s) after the file last changed also hard-links the entry
+to a name built from the file's stamp (``_file_stamp``) and the parse dtype,
+and a later load of a file with that stamp opens only that name. As in git,
+a younger file is hashed on every read: a rewrite within one clock tick can
+keep the stamp, and a file system whose clock runs behind by more than 2 s
+can hide a same-size rewrite. ``rm -rf ~/.cache/mvclust`` clears the cache.
+A cache that cannot be read or written, or that cannot hold hard links, is
+skipped, and the file is hashed, and parsed, as if there were none.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import math
 import os
 import shutil
-import tempfile
 import time
 import weakref
 from contextlib import suppress
@@ -210,11 +208,10 @@ _LABEL_RANGE = np.iinfo(int)
 CACHE_BYTES = 512 << 20
 # part of every cache key: a new tag when what an entry holds changes
 _CACHE_FORMAT = "v1"
-# the stamp index, {"<stamp>-<dtype>": [digest, ns written]}, keeps its
-# newest entries. An entry is trusted only if the file last changed more
-# than _RACY_NS before it was written: a rewrite within one tick of a coarse
+# a load trusts a file's stamp only if the file last changed more than
+# _RACY_NS before the load began: a rewrite within one tick of a coarse
 # clock keeps the stamp, and FAT's 2 s is the coarsest tick in common use
-_INDEX, _INDEX_ENTRIES, _RACY_NS = "stamps.json", 256, 2 * 10**9
+_RACY_NS = 2 * 10**9
 # id(array) -> (path, stamp before the read, weak reference) for each array
 # _read_matrix or _read_labels returned; the reference's callback removes the
 # entry when the array goes, before its id can be reused
@@ -225,18 +222,17 @@ def _loadtxt(path: Path, dtype):
     # (array, stamp taken before the read): numpy's C parser, or None when it
     # refuses the file or the file has no content; the line scan then decides,
     # and names the line of any error.
-    # A file whose stamp the index trusts is not opened; any other is read
-    # once, both to hash it and to look for content. An entry's time is taken
-    # before the stat, so a change made during the read is never older.
-    dtype, written, stamp = np.dtype(dtype), time.time_ns(), _file_stamp(path)
-    slot = f"{stamp}-{dtype.kind}{dtype.itemsize}"
+    # A file whose trusted stamp names an entry is not opened; any other is
+    # read once, both to hash it and to look for content. The entry and its
+    # stamp name are kept only if the file still has its stamp after the
+    # reads: a change between them would file new bytes under an old digest.
+    dtype, now, stamp = np.dtype(dtype), time.time_ns(), _file_stamp(path)
     entry = f"-{dtype.kind}{dtype.itemsize}-numpy{np.__version__}-{_CACHE_FORMAT}.npy"
-    with suppress(OSError, ValueError, TypeError, LookupError, RuntimeError):
-        digest, since = json.loads((_cache_dir() / _INDEX).read_bytes())[slot]
-        if max(stamp[3:]) < since - _RACY_NS and bytes.fromhex(digest).hex() == digest:
-            X = _cache_load(digest + entry, dtype)
-            if X is not None:
-                return X, stamp
+    trusted = stamp is not None and max(stamp[3:]) < now - _RACY_NS
+    named = "-".join(map(str, stamp or ())) + entry
+    X = _cache_load(named, dtype) if trusted else None
+    if X is not None:
+        return X, stamp
     import hashlib  # here, not at the top: a trusted stamp needs no hash
     sha, blank = hashlib.sha256(), True
     with open(path, "rb") as fh:
@@ -245,18 +241,20 @@ def _loadtxt(path: Path, dtype):
             blank = blank and not chunk.strip()
     if blank:  # loadtxt only warns about a file of blank lines
         return None, stamp
-    digest = sha.hexdigest()
-    X = _cache_load(digest + entry, dtype)
+    digest = sha.hexdigest() + entry
+    X = hit = _cache_load(digest, dtype)
     if X is None:
         try:
             X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=dtype, comments=None,
                            quotechar=None, encoding="utf-8")
         except ValueError:
             return None, stamp
+    if _file_stamp(path) == stamp:
         with suppress(OSError, ValueError, RuntimeError):
-            _cache_store(digest + entry, X)
-    with suppress(OSError, ValueError, RuntimeError):
-        _index_store(slot, digest, written)
+            if hit is None:
+                _cache_store(digest, X)
+            if trusted:  # the stamp name becomes a second name for the entry
+                _replace(_cache_dir() / named, partial(os.link, _cache_dir() / digest))
     return X, stamp
 
 
@@ -289,41 +287,35 @@ def _cache_load(name, dtype):
 
 
 def _cache_store(name, X):
-    # then the oldest entries go until CACHE_BYTES holds. An entry above the
-    # bound is not stored: it would evict every entry.
+    # X under name; then the least recently used go until CACHE_BYTES holds.
+    # An entry above the bound is not stored: it would evict every entry.
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(X))
     if header.tell() + X.nbytes > CACHE_BYTES:
         return
     directory = _cache_dir()
-    _replace(directory / name,
-             lambda fh: np.lib.format.write_array(fh, X, version=(1, 0), allow_pickle=False))
-    kept = 0
-    for p in sorted(directory.glob("*.npy"), key=lambda q: q.stat().st_mtime_ns, reverse=True):
-        kept += p.stat().st_size
+
+    def write(tmp):
+        with open(tmp, "xb") as fh:
+            np.lib.format.write_array(fh, X, version=(1, 0), allow_pickle=False)
+
+    _replace(directory / name, write)
+    kept, seen = 0, set()
+    for st, p in sorted(((p.stat(), p) for p in directory.glob("*.npy")),
+                        key=lambda e: e[0].st_mtime_ns, reverse=True):
+        kept += 0 if st.st_ino in seen else st.st_size  # an entry's names share one inode
+        seen.add(st.st_ino)
         if kept > CACHE_BYTES:
             p.unlink(missing_ok=True)
 
 
-def _index_store(slot, digest, written):
-    # the newest _INDEX_ENTRIES entries by write time stay; an index that
-    # cannot be read is started afresh
-    path, index = _cache_dir() / _INDEX, {}
-    with suppress(OSError, ValueError, TypeError, LookupError, AttributeError):
-        index = dict(sorted(json.loads(path.read_bytes()).items(),
-                            key=lambda kv: kv[1][1])[1 - _INDEX_ENTRIES:])
-    index[slot] = [digest, written]
-    _replace(path, lambda fh: fh.write(json.dumps(index).encode()))
-
-
-def _replace(target, write):
-    # written under a temporary name and renamed, so a reader sees all of the
-    # file or none of it
+def _replace(target, make):
+    # make(tmp) makes the file under a fresh temporary name, which is then
+    # renamed, so a reader sees all of the file or none of it
     target.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=target.suffix, dir=target.parent)
+    tmp = target.with_name(f"tmp{os.urandom(8).hex()}.npy")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            write(fh)
+        make(tmp)
         os.replace(tmp, target)
     except BaseException:
         with suppress(OSError):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, aamvfcm, amvfcm
-from .amvfcm import HyperParams
+from .amvfcm import HyperParams, _require_integers
 from .data import DatasetError, load_dataset, validate
 from .metrics import score_all
 from .synth import NoiseSpec, append_noise, default_benchmark_spec, generate
@@ -54,6 +55,7 @@ class SynthSource:
     noise_features: int = 0
 
     def __post_init__(self):
+        _require_integers(self, "n", "seed", "noise_features")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -63,7 +65,8 @@ class ExperimentConfig:
     """Everything needed to reproduce a run. Exactly one data source is set.
 
     ``params.seed`` is not used: trial i replaces it with ``seed_base + i``.
-    ``jobs`` bounds the trial threads; small runs use one (:data:`POOL_MIN_CELLS`).
+    ``jobs`` bounds the trial threads, as does the count of CPUs the process
+    may run on; small runs use one (:data:`POOL_MIN_CELLS`).
     """
 
     algorithm: str                      # a key of SOLVERS
@@ -76,6 +79,7 @@ class ExperimentConfig:
     dump_weights: bool = False
 
     def __post_init__(self):
+        _require_integers(self, "trials", "jobs")
         dataclasses.replace(self.params, seed=self.seed_base)  # HyperParams checks seeds
         if self.algorithm not in SOLVERS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
@@ -199,12 +203,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     Trial i runs with seed ``config.seed_base + i``; nothing outside the
     config chooses a seed. A failing trial aborts the whole run with a
     :class:`TrialError` naming its seed; a data fault raises its own error.
-    ``jobs`` bounds the trial threads; runs below :data:`POOL_MIN_CELLS` use one.
+    ``jobs`` and the CPUs the process may run on bound the trial threads;
+    runs below :data:`POOL_MIN_CELLS` use one.
     """
     dataset = build_dataset(config)
     seeds = [config.seed_base + i for i in range(config.trials)]
     big = config.params.c * dataset.n_samples >= POOL_MIN_CELLS
-    workers = min(config.jobs, config.trials) if big else 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.jobs, config.trials, cpus or 1) if big else 1
 
     tic = time.perf_counter()
     if workers > 1:

@@ -2,11 +2,12 @@
 
 import builtins
 import io
-import json
 import os
+import shutil
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -489,7 +490,7 @@ def test_failed_entry_write_leaves_no_temporary_file(tmp_path, monkeypatch, priv
     path = tmp_path / "a.csv"
     path.write_text("1,2\n3,4\n")
     assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert [p.name for p in (private_parse_cache / "mvclust").iterdir()] == [data._INDEX]
+    assert [p.name for p in (private_parse_cache / "mvclust").iterdir()] == []
 
 
 def test_input_loadtxt_refuses_is_never_cached(tmp_path, private_parse_cache):
@@ -556,9 +557,8 @@ def test_entry_above_the_bound_is_not_stored(tmp_path, monkeypatch, private_pars
     assert entry.stat().st_size < data.CACHE_BYTES < 500 * 3 * 8
     calls = count_loadtxt(monkeypatch)
     data._read_matrix(large)
-    # no temporary file and no large entry: the small entry and the stamp index
-    assert sorted(p.name for p in (private_parse_cache / "mvclust").iterdir()) == sorted(
-        [entry.name, data._INDEX])
+    # no temporary file and no large entry: the small entry alone
+    assert sorted(p.name for p in (private_parse_cache / "mvclust").iterdir()) == [entry.name]
     data._read_matrix(small)
     assert calls == [large]
 
@@ -578,7 +578,7 @@ def test_hit_survives_a_failed_mtime_refresh(tmp_path, monkeypatch, private_pars
     assert calls == []
 
 
-# ---------------------------------------------------------------- stamp index
+# ---------------------------------------------------------------- stamp names
 
 
 def count_opens(monkeypatch):
@@ -598,13 +598,16 @@ def count_opens(monkeypatch):
 
 def fine_clock(monkeypatch):
     # where files are stamped to the nanosecond, a zero tick already tells a
-    # file's last change from a later index write; with the real tick, a
-    # file written moments ago is hashed on every read
+    # file's last change from a later load; with the real tick, a file
+    # written moments ago is hashed on every read
     monkeypatch.setattr(data, "_RACY_NS", 0)
 
 
-def index_entries(cache):
-    return json.loads((cache / "mvclust" / data._INDEX).read_text())
+def stamp_name(cache, path):
+    # the name a trusted load of ``path`` opens first
+    prefix = "-".join(map(str, data._file_stamp(path))) + "-"
+    (named,) = [e for e in entries(cache) if e.name.startswith(prefix)]
+    return named
 
 
 def test_warm_load_opens_no_input_file(tmp_path, monkeypatch):
@@ -649,80 +652,137 @@ def test_rewrite_with_the_old_size_and_mtime_is_parsed_again(tmp_path, monkeypat
     assert calls == [path]
 
 
-def test_racily_clean_entry_is_not_trusted(tmp_path, monkeypatch, private_parse_cache):
-    # a coarse clock: a same-size rewrite within one tick keeps the stamp
-    fine_clock(monkeypatch)
+@pytest.mark.parametrize("late", [False, True])
+def test_only_a_load_after_the_tick_makes_a_stamp_name(tmp_path, monkeypatch,
+                                                       private_parse_cache, late):
+    # a racy load hashes the file and gives its entry no second name
     path = tmp_path / "a.csv"
     path.write_text("1,2\n3,4\n")
-    data._read_matrix(path)
-    stamp = data._file_stamp(path)
-    path.write_text("1,2\n3,5\n")
-    monkeypatch.setattr(data, "_file_stamp", lambda p: stamp if p == path else None)
-    # an entry written after the file's last change is trusted, stale or not
-    assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    index = index_entries(private_parse_cache)
-    for entry in index.values():
-        entry[1] = stamp[3]  # written in the tick the file last changed in
-    (private_parse_cache / "mvclust" / data._INDEX).write_text(json.dumps(index))
-    assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 5.0]]
+    changed = max(data._file_stamp(path)[3:])
+    now = changed + data._RACY_NS + late
+    monkeypatch.setattr(data, "time", SimpleNamespace(time_ns=lambda: now))
+    for _ in range(2):
+        assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    names = entries(private_parse_cache)
+    assert len(names) == 1 + late and {e.stat().st_nlink for e in names} == {1 + late}
+    if late:
+        assert os.path.samefile(*names) and stamp_name(private_parse_cache, path) in names
 
 
-def _first_entry(change):
-    def damage(index):
-        entry = next(iter(index.values()))
-        entry[:] = change(entry)
-        return index
-    return damage
-
-
-INDEX_DAMAGE = {
-    "missing_index": None,
-    "garbage": lambda index: "not json {",
-    "list": lambda index: list(index),
-    "missing_entry": lambda index: {},
-    "short_entry": _first_entry(lambda entry: entry[:1]),
-    "time_as_text": _first_entry(lambda entry: [entry[0], "later"]),
-    "digest_not_hex": _first_entry(lambda entry: ["../" + entry[0], entry[1]]),
-    "digest_of_no_entry": _first_entry(lambda entry: ["0" * 64, entry[1]]),
+STAMP_NAME_DAMAGE = {
+    "missing": None,
+    "garbage": lambda raw: b"not an npy file",
+    "truncated": lambda raw: raw[:-3],
+    "integer": lambda raw: _npy_bytes(np.arange(6).reshape(3, 2)),
 }
 
 
-@pytest.mark.parametrize("damage", sorted(INDEX_DAMAGE))
-def test_damaged_index_falls_back_to_the_hash(tmp_path, monkeypatch, private_parse_cache,
-                                              damage):
+@pytest.mark.parametrize("damage", sorted(STAMP_NAME_DAMAGE))
+def test_damaged_stamp_name_is_hashed_then_replaced(tmp_path, monkeypatch, private_parse_cache,
+                                                    damage):
+    # the damage is a file of its own under the stamp name; the entry it
+    # named keeps its digest name
     fine_clock(monkeypatch)
     path = tmp_path / "a.csv"
-    path.write_text("1,2\n3,4\n")
+    path.write_text("1,2\n3,4\n5,6\n")
     first = data._read_matrix(path)
-    index_file = private_parse_cache / "mvclust" / data._INDEX
-    if INDEX_DAMAGE[damage] is None:
-        index_file.unlink()
-    else:
-        damaged = INDEX_DAMAGE[damage](index_entries(private_parse_cache))
-        index_file.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+    named = stamp_name(private_parse_cache, path)
+    raw = named.read_bytes()
+    named.unlink()
+    if STAMP_NAME_DAMAGE[damage] is not None:
+        named.write_bytes(STAMP_NAME_DAMAGE[damage](raw))
     calls = count_loadtxt(monkeypatch)
     opened = count_opens(monkeypatch)
     assert data._read_matrix(path).tobytes() == first.tobytes()
     assert str(path) in opened and calls == []
+    # the stamp name is the entry's second name again, and no temporary file is left
+    (digest,) = [e for e in entries(private_parse_cache) if e != named]
+    assert os.path.samefile(named, digest) and named.read_bytes() == raw
+    assert len(list((private_parse_cache / "mvclust").iterdir())) == 2
     del opened[:]
-    assert data._read_matrix(path).tobytes() == first.tobytes()  # the index is mended
+    assert data._read_matrix(path).tobytes() == first.tobytes()
     assert str(path) not in opened and calls == []
 
 
-def test_index_keeps_its_newest_entries_within_its_bound(tmp_path, monkeypatch,
-                                                         private_parse_cache):
+def test_cache_that_cannot_link_hashes_every_load(tmp_path, monkeypatch, private_parse_cache):
+    def link(*args, **kwargs):
+        raise PermissionError(1, "Operation not permitted")
+
     fine_clock(monkeypatch)
-    monkeypatch.setattr(data, "_INDEX_ENTRIES", 3)
-    paths = [tmp_path / f"v{k}.csv" for k in range(5)]
-    for k, path in enumerate(paths):
-        path.write_text(f"{k},1\n")
-        data._read_matrix(path)
-        assert len(index_entries(private_parse_cache)) == min(k + 1, 3)
+    monkeypatch.setattr(data.os, "link", link)
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3,4\n")
+    calls = count_loadtxt(monkeypatch)
     opened = count_opens(monkeypatch)
-    for path in paths[2:] + paths[:1]:  # the newest three, then the oldest
+    for _ in range(2):
+        assert data._read_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert opened.count(str(path)) == 2 and calls == [path]
+    assert list((private_parse_cache / "mvclust").iterdir()) == entries(private_parse_cache)
+    assert len(entries(private_parse_cache)) == 1
+
+
+def test_cache_bound_counts_a_linked_entry_once(tmp_path, monkeypatch, private_parse_cache):
+    # as in the bound test above, with a stamp name beside each digest name:
+    # room for three entries, six names
+    fine_clock(monkeypatch)
+    paths = [tmp_path / f"v{k}.csv" for k in range(5)]
+    owner = {}
+    for k, path in enumerate(paths):
+        path.write_text(f"{k},1\n2,3\n")
+    for path in paths[:3]:
         data._read_matrix(path)
-    assert [p for p in map(str, paths) if p in opened] == [str(paths[0])]
-    assert len(index_entries(private_parse_cache)) == 3
+        owner.update({e: path.name for e in entries(private_parse_cache) if e not in owner})
+    sizes = {e.stat().st_ino: e.stat().st_size for e in owner}
+    assert (len(owner), len(sizes)) == (6, 3)
+    monkeypatch.setattr(data, "CACHE_BYTES", sum(sizes.values()))
+    for age, e in enumerate(sorted(owner, key=owner.get)):  # clock ticks are coarse
+        os.utime(e, ns=(0, (1_000 + age) * 10**9))
+    data._read_matrix(paths[0])  # a hit: now the most recently used
+    for path, kept in ((paths[3], {"v0.csv", "v2.csv"}), (paths[4], {"v0.csv", "v3.csv"})):
+        data._read_matrix(path)
+        now = entries(private_parse_cache)
+        owner.update({e: path.name for e in now if e not in owner})
+        sizes = {e.stat().st_ino: e.stat().st_size for e in now}
+        assert sum(sizes.values()) <= data.CACHE_BYTES and len(now) == 2 * len(sizes)
+        assert {owner[e] for e in now} == kept | {path.name}
+
+
+def test_copy_under_a_new_path_is_hashed_not_parsed(tmp_path, monkeypatch, private_parse_cache):
+    fine_clock(monkeypatch)
+    path, copy = tmp_path / "a.csv", tmp_path / "b.csv"
+    path.write_text("1,2\n3,4\n")
+    first = data._read_matrix(path)
+    shutil.copyfile(path, copy)
+    calls = count_loadtxt(monkeypatch)
+    opened = count_opens(monkeypatch)
+    assert data._read_matrix(copy).tobytes() == first.tobytes()
+    assert str(copy) in opened and calls == []
+    # the copy's stamp names the same entry: three names, one file
+    assert len({e.stat().st_ino for e in entries(private_parse_cache)}) == 1
+    assert stamp_name(private_parse_cache, copy).stat().st_nlink == 3
+    del opened[:]
+    assert data._read_matrix(copy).tobytes() == first.tobytes()
+    assert str(copy) not in opened and calls == []
+
+
+def test_file_rewritten_during_the_read_is_not_cached(tmp_path, monkeypatch, private_parse_cache):
+    # stored, the parse of the new bytes would be filed under the digest of
+    # the old ones, and every later file holding the old bytes would read it
+    path, later = tmp_path / "a.csv", tmp_path / "c.csv"
+    path.write_text("1,2\n3,4\n")
+    os.utime(path, ns=(0, 0))  # so the rewrite's mtime differs at any clock tick
+    loadtxt = np.loadtxt
+
+    def rewriting(file, *args, **kwargs):
+        if file == path:
+            path.write_text("9,9\n9,9\n")
+        return loadtxt(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", rewriting)
+    assert data._read_matrix(path).tolist() == [[9.0, 9.0], [9.0, 9.0]]
+    assert entries(private_parse_cache) == []
+    later.write_text("1,2\n3,4\n")
+    assert data._read_matrix(later).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def _values_with_edge_cases(n, d, seed=0):

@@ -5,8 +5,10 @@ Determinism checks compare machine-readable records with timing stripped,
 since wall-clock fields legitimately differ between repeat runs.
 """
 
+import concurrent.futures
 import dataclasses
 import json
+import os
 import threading
 
 import numpy as np
@@ -67,6 +69,33 @@ def test_config_rejects_bad_trial_and_job_counts():
         synth_config(jobs=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         synth_config(seed_base=-1)
+
+
+INTEGER_FIELDS = {
+    "c": lambda v: HyperParams(c=v),
+    "t_max": lambda v: small_params(t_max=v),
+    "seed": lambda v: small_params(seed=v),
+    "trials": lambda v: synth_config(trials=v),
+    "jobs": lambda v: synth_config(jobs=v),
+    "n": lambda v: SynthSource(n=v),
+    "synth seed": lambda v: SynthSource(n=10, seed=v),
+    "noise_features": lambda v: SynthSource(n=10, noise_features=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_settings_refuse_floats_and_bools(field, value):
+    with pytest.raises(ValueError, match=f"{field.split()[-1]} must be an integer"):
+        INTEGER_FIELDS[field](value)
+
+
+def test_integer_settings_take_numpy_integers():
+    config = synth_config(params=small_params(c=np.int64(5), t_max=np.int32(3), seed=np.uint8(1)),
+                          trials=np.int64(2), jobs=np.int16(1),
+                          synth=SynthSource(n=np.int64(10), seed=np.int64(0),
+                                            noise_features=np.int64(1)))
+    assert config.trials == 2
 
 
 def test_config_requires_exactly_one_source(tmp_path):
@@ -283,6 +312,38 @@ def test_trials_share_the_pool_from_the_cell_bound_on(monkeypatch, bound, pooled
     run_experiment(synth_config(jobs=2))
     assert (threading.get_ident() not in threads) == pooled
     assert len(set(threads)) == (2 if pooled else 1)
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_pool_threads_never_exceed_the_usable_cpus(monkeypatch, affinity):
+    # three CPUs, counted where the platform can tell which ones the process
+    # may use and by os.cpu_count where it cannot; the pool here starts no
+    # thread and runs the trials on the calling thread
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "POOL_MIN_CELLS", 0)
+    for jobs, trials in ((64, 64), (2, 4), (64, 2)):
+        run_experiment(synth_config(jobs=jobs, trials=trials, params=small_params(t_max=2)))
+    assert sizes == [3, 2, 2]
 
 
 def test_seed_comes_from_the_config_alone(monkeypatch):

@@ -50,3 +50,18 @@ def test_trial_threads_measures_one_cell_and_its_rebound_name_exists():
     assert header.split()[:4] == ["c", "D", "n", "trials"]
     assert len(rows) == 1 and rows[0].split()[:4] == ["3", "6", "300", "2"]
     assert rows[0].endswith("one thread")
+
+
+def test_fit_io_waits_out_the_parse_cache_tick(tmp_path, monkeypatch):
+    # the warm-up child makes stamp names only for inputs older than the tick
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import fit_io
+    from mvclust import data
+    assert fit_io.RACY_S * 1e9 == data._RACY_NS
+    (tmp_path / "v.csv").write_text("1,2\n")
+    (tmp_path / "m.cfg").write_text("# two views\nview = v.csv\n view=w.csv\nname.1 = a\n")
+    (tmp_path / "w.csv").write_text("3,4\n")
+    slept = []
+    monkeypatch.setattr(fit_io.time, "sleep", slept.append)
+    fit_io._settle(tmp_path / "m.cfg")
+    assert len(slept) == 1 and fit_io.RACY_S - 0.5 < slept[0] <= fit_io.RACY_S + 0.01
