@@ -28,12 +28,12 @@ ac_kj G_kj + sum_k mass_k ac_kj^2), hence the view costs, and, as each
 membership row sums to 1, the membership entropy sum(U L) - sum(peaks) -
 sum(log totals) with no (c, n) product. Each iteration reads the stack once,
 in blocks of samples that take L, U and G together, and no pass repeats:
-the first iteration's is the initial one, same centers and scales. Centring
-keeps the rounding at the scale of the data's spread, not of its offset: on
-200 random instances, as given and shifted by 1e6, distances rebuilt from
-the logits are within 6.1e-16 of each view's largest distance (3.0e-3
-uncentred and shifted), feature costs within 1.8e-15, and the entropy
-within 2.9e-15 of sum |U L|.
+the first iteration's, at the seeded centers, also gives the initial
+objective. Centring keeps the rounding at the scale of the data's spread,
+not of its offset: on 200 random instances, as given and shifted by 1e6,
+distances rebuilt from the logits are within 6.1e-16 of each view's largest
+distance (3.0e-3 uncentred and shifted), feature costs within 1.8e-15, and
+the entropy within 2.9e-15 of sum |U L|.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
-from .data import DatasetError, MultiViewDataset, _remember, validate
+from .data import DatasetError, MultiViewDataset, _remember, _require_numbers, validate
 from .snr import centre as _centre, clamped_ratios, moments as _stack
 
 EMPTY_CLUSTER_TOL = 1e-12
@@ -80,7 +81,8 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "c", "t_max", "seed")
+        _require_numbers(self, Integral, "c", "t_max", "seed")
+        _require_numbers(self, Real, "epsilon")
         if self.c < 2:
             raise ValueError("c must be >= 2")
         if self.t_max < 1:
@@ -89,15 +91,6 @@ class HyperParams:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-def _require_integers(settings, *names):
-    # a float or a bool where a count or a seed is due would truncate, or fail
-    # deep inside a fit; numpy integers are integers
-    for name in names:
-        value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -425,6 +418,12 @@ def _centers_with_reseed(G, mass, XcT, S, peak):
     return Ac
 
 
+def _of_columns(c, XcT, dlt, view_of):
+    # what follows from the columns a fit holds, after seeding and each pruning
+    L, (beta, eta) = _logit_buffer(c, XcT), _temperatures(np.bincount(view_of), XcT.shape[1])
+    return L, _view_starts(view_of), -np.log(dlt), beta, eta, np.ptp(beta) == 0
+
+
 def _hard_labels(U):
     # np.argmax(U, axis=0) for finite U with no (n, c) copy: the last k whose
     # U[k] exceeds all rows before it (first largest wins), by branch-free maxima
@@ -442,11 +441,11 @@ def _descend(dataset, params, step=None) -> FitResult:
     keeps the moments, delta and seeding norms; a later fit only centres the
     views by the kept means (``_centre``). The stack gives the seeds and every
     iteration (see the module notes): one pass for the logits, softmax and
-    cluster sums (the first iteration's is the initial one), then centers,
-    feature costs and weights, the pruning hook, view costs and weights,
-    objective. The view starts, -log delta and whether the view temperatures
-    are equal are computed per fit and again only after pruning. The stack is
-    freed before the (n, c) membership copy and the result build.
+    cluster sums (iteration 1's also gives the initial objective), then
+    centers, feature costs and weights, the pruning hook, view costs and
+    weights, objective. What follows from the held columns comes from
+    ``_of_columns``, after seeding and each pruning. The stack is freed
+    before the (n, c) membership copy and the result build.
 
     The descent owns an :class:`ActiveMask` sized to the input, full at the
     start. ``step(t, w, view_of, n, mask)`` runs in iteration t right after
@@ -456,11 +455,11 @@ def _descend(dataset, params, step=None) -> FitResult:
     removals in the mask and returns a boolean keep-vector over w; the descent
     then restricts every stacked array to the kept columns (the stack in
     place), renumbers the views, renormalizes each view's weights to sum to 1
-    and re-derives the temperatures for the surviving widths, and the
-    view-weight update sizes the view weights to the surviving views. The
-    per-view model, ``delta`` and ``reduced_dataset`` are built from the mask
-    when the descent ends, so each view that kept every column is handed back
-    as the input's own array, uncopied.
+    and re-derives what follows from the columns, and the view-weight update
+    sizes the view weights to the surviving views. The per-view model,
+    ``delta`` and ``reduced_dataset`` are built from the mask when the
+    descent ends, so each view that kept every column is handed back as the
+    input's own array, uncopied.
     """
     if not dataset._memo.get("valid"):
         validate(dataset)
@@ -485,27 +484,23 @@ def _descend(dataset, params, step=None) -> FitResult:
         for a in (m, ss, dlt, view_of, sq):  # read-only: later fits share them
             a.flags.writeable = False
         _remember(dataset, moments=(m, ss, dlt, view_of, sq))
-    beta, eta = _temperatures(dims, n)
     tic = time.perf_counter()
     picks = init_centers(XcT, dlt, view_of, params.c, params.seed, sq)
     seed_seconds = time.perf_counter() - tic
     w = 1.0 / np.bincount(view_of)[view_of]
     v = np.full(s, 1.0 / s)
     Ac = XcT[:, picks].T.copy()
-    U, peak, L = np.empty((params.c, n)), np.empty(n), _logit_buffer(params.c, XcT)
-    S = v[view_of] * w * dlt
-    tic = time.perf_counter()  # iteration 1's clock: this sweep is its membership update
-    G, mass, entropy = _sweep(Ac, S, XcT, U, peak, L)
-    costs = np.bincount(view_of, w * _feature_costs(G, Ac, mass, ss, dlt))
-    trace = [_objective_given_costs(costs, entropy, v, w, dlt, beta, eta)]
-    starts, prior, equal = _view_starts(view_of), -np.log(dlt), np.ptp(beta) == 0
+    U, peak = np.empty((params.c, n)), np.empty(n)
+    L, starts, prior, beta, eta, equal = _of_columns(params.c, XcT, dlt, view_of)
 
-    prev, converged, iter_seconds = math.inf, False, []
+    prev, converged, trace, iter_seconds = math.inf, False, [], []
     for t in range(1, params.t_max + 1):
-        if t > 1:  # the first iteration's sweep, same centers and scales, is the one above
-            tic = time.perf_counter()
-            S = v[view_of] * w * dlt
-            G, mass, entropy = _sweep(Ac, S, XcT, U, peak, L)
+        tic = time.perf_counter()
+        S = v[view_of] * w * dlt
+        G, mass, entropy = _sweep(Ac, S, XcT, U, peak, L)
+        if t == 1:  # this sweep at the seeded centers also gives the initial objective
+            costs = np.bincount(view_of, w * _feature_costs(G, Ac, mass, ss, dlt))
+            trace.append(_objective_given_costs(costs, entropy, v, w, dlt, beta, eta))
         Ac = _centers_with_reseed(G, mass, XcT, S, peak)
         E = _feature_costs(G, Ac, mass, ss, dlt)
         w = _feature_weights(E, dlt, view_of, v, eta, starts, prior)
@@ -514,13 +509,11 @@ def _descend(dataset, params, step=None) -> FitResult:
             kept = np.flatnonzero(keep)
             for i, j in enumerate(kept):  # in place: no second stack
                 XcT[i] = XcT[j]
-            XcT, m, ss, dlt, prior, E, w, Ac = (XcT[:kept.size], m[keep], ss[keep], dlt[keep],
-                                                prior[keep], E[keep], w[keep], Ac[:, keep])
-            L = _logit_buffer(params.c, XcT)
+            XcT, m, ss, dlt, E, w, Ac = (XcT[:kept.size], m[keep], ss[keep], dlt[keep],
+                                         E[keep], w[keep], Ac[:, keep])
             view_of = np.unique(view_of[keep], return_inverse=True)[1]
             w /= np.bincount(view_of, w)[view_of]
-            beta, eta = _temperatures(np.bincount(view_of), n)
-            starts, equal = _view_starts(view_of), np.ptp(beta) == 0
+            L, starts, prior, beta, eta, equal = _of_columns(params.c, XcT, dlt, view_of)
         costs = np.bincount(view_of, w * E)
         v = _softmax(-costs / beta[0]) if equal else entropic_simplex_argmin(costs, beta)
         J = _objective_given_costs(costs, entropy, v, w, dlt, beta, eta)

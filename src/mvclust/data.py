@@ -46,6 +46,7 @@ import weakref
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,16 @@ def validate(dataset: MultiViewDataset) -> None:
 def _remember(dataset, **facts):
     # the memo's one writer; fits in two threads may both write the same values: harmless
     dataset._memo.update(facts)
+
+
+def _require_numbers(settings, kind, *names):
+    # a bool, a float where a count or a seed is due, or a string would be
+    # taken as a number, truncate or fail deep inside a fit; numpy scalars pass
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is Integral else "a real number"
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 def _check_dense_labels(lab):
@@ -493,8 +504,14 @@ def save_dataset(dataset: MultiViewDataset, out_dir) -> Path:
     byte from its file while that file keeps the stamp it had before the
     read. Any other array, a slice or copy of a loaded one included, is
     printed with %.17g (labels %d). Either way a write/read round trip is
-    exact.
+    exact. A view name that a manifest line cannot hold as it is (empty,
+    padded with whitespace, or with a line break) is refused before any
+    file is written.
     """
+    for h, name in enumerate(dataset.view_names or ()):
+        if not name or name != name.strip() or "\n" in name or "\r" in name:
+            raise DatasetError(f"view {h} name {name!r} would not load back: a manifest "
+                               "name must be one non-empty line with no outer whitespace")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["# mvclust dataset manifest"]

@@ -15,11 +15,12 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 from . import __version__, aamvfcm, amvfcm
-from .amvfcm import HyperParams, _require_integers
-from .data import DatasetError, load_dataset, validate
+from .amvfcm import HyperParams
+from .data import DatasetError, _require_numbers, load_dataset, validate
 from .metrics import score_all
 from .synth import NoiseSpec, append_noise, default_benchmark_spec, generate
 
@@ -55,7 +56,7 @@ class SynthSource:
     noise_features: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "n", "seed", "noise_features")
+        _require_numbers(self, Integral, "n", "seed", "noise_features")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -79,7 +80,7 @@ class ExperimentConfig:
     dump_weights: bool = False
 
     def __post_init__(self):
-        _require_integers(self, "trials", "jobs")
+        _require_numbers(self, Integral, "trials", "jobs")
         dataclasses.replace(self.params, seed=self.seed_base)  # HyperParams checks seeds
         if self.algorithm not in SOLVERS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")

@@ -10,10 +10,11 @@ to probe feature selection behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .data import MultiViewDataset
+from .data import MultiViewDataset, _require_numbers
 
 MIXING_TOL = 1e-12
 NOISE_LOW, NOISE_HIGH = 0.02, 0.05  # noise columns are uniform on [NOISE_LOW, NOISE_HIGH)
@@ -44,6 +45,7 @@ class GmmSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_numbers(self, Integral, "n", "seed")
         mixing = np.array(self.mixing, dtype=float)
         mixing.flags.writeable = False
         object.__setattr__(self, "mixing", mixing)
@@ -82,6 +84,7 @@ class NoiseSpec:
     features_per_view: int = 1
 
     def __post_init__(self):
+        _require_numbers(self, Integral, "features_per_view")
         if self.features_per_view < 0:
             raise ValueError("features_per_view must be >= 0")
 

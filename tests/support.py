@@ -19,6 +19,7 @@ the model.
 
 import dataclasses
 import math
+import os
 import threading
 
 import numpy as np
@@ -432,9 +433,14 @@ def fit_threads(monkeypatch, solver, meet=1):
 
     The first ``meet`` calls wait for each other before they fit, so a pool
     that runs every trial on one thread fails at the barrier instead of
-    passing on one thread.
+    passing on one thread. With ``meet > 1`` the process reports ``meet``
+    usable CPUs, so that the pool, capped at the CPUs, starts its threads on
+    a machine or under an affinity mask with fewer.
     """
     idents, lock, barrier, fit = [], threading.Lock(), threading.Barrier(meet), solver.fit
+    if meet > 1:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(meet)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: meet)
 
     def recording(*args):
         with lock:

@@ -342,6 +342,59 @@ def test_fit_restricts_weights_and_centers_to_the_survivors():
             np.testing.assert_allclose(A, B, rtol=1e-12)
 
 
+def single_column_problem():
+    """One view of 10 uniform columns at n = 20; the pruning guard keeps one."""
+    return MultiViewDataset([np.random.default_rng(9).uniform(0.5, 2.0, size=(20, 10))])
+
+
+def fed_state(monkeypatch, solver, ds, params):
+    # the fit, and per call of the feature-weight and objective kernels the
+    # per-column values the descent fed them: dlt, view_of, starts, prior and
+    # eta; beta and eta
+    weights, objectives = [], []
+    feature_weights, objective = amvfcm._feature_weights, amvfcm._objective_given_costs
+
+    def weights_fed(E, dlt, view_of, v, eta, starts, prior):
+        weights.append((dlt.copy(), view_of.copy(), starts.copy(), prior.copy(), eta))
+        return feature_weights(E, dlt, view_of, v, eta, starts, prior)
+
+    def objective_fed(costs, entropy, v, w, dlt, beta, eta):
+        objectives.append((beta.copy(), eta))
+        return objective(costs, entropy, v, w, dlt, beta, eta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(amvfcm, "_feature_weights", weights_fed)
+        patch.setattr(amvfcm, "_objective_given_costs", objective_fed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return solver(ds, params), weights, objectives
+
+
+@pytest.mark.parametrize("case", ["view dropped", "single column", "columns dropped"])
+def test_fit_after_pruning_holds_what_a_fresh_fit_of_the_survivors_holds(monkeypatch, case):
+    # the descent derives its per-column values after seeding and again after
+    # each pruning; iteration t + 1 of a fit that pruned in iteration t must
+    # be fed, bit for bit, what the first iteration of a fresh fit of the
+    # surviving columns is fed
+    ds, params, dims = {
+        "view dropped": (junk_view_problem(), HyperParams(c=3, seed=0), [2, 0]),
+        "single column": (single_column_problem(), HyperParams(c=2, seed=0, t_max=5), [1]),
+        "columns dropped": (noisy_benchmark(n=300, seed=17), HyperParams(c=5, seed=0), [2, 2]),
+    }[case]
+    res, weights, objectives = fed_state(monkeypatch, fit, ds, params)
+    assert res.mask.active_dims == dims
+    t = res.pruning_iterations[-1]
+    assert res.iterations > t
+    _, fresh_weights, fresh_objectives = fed_state(
+        monkeypatch, amvfcm.fit, res.reduced_dataset, params)
+    # call k of _feature_weights is iteration k + 1's; _objective_given_costs
+    # also runs for the initial objective, so its call k is iteration k's
+    for after, fresh in ((weights[t], fresh_weights[0]), (objectives[t + 1], fresh_objectives[0])):
+        for a, b in zip(after, fresh, strict=True):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_fit_delta_is_restricted_not_recomputed():
     ds = noisy_benchmark(n=500, seed=11)
     res = fit(ds, HyperParams(c=5, seed=11))

@@ -238,6 +238,16 @@ def test_save_load_round_trip(tmp_path):
     assert back.view_names == ds.view_names
 
 
+@pytest.mark.parametrize("names", [("a\nview = x.csv", "b"), ("", "b"), ("  padded ", "b")])
+def test_save_refuses_view_names_a_manifest_cannot_hold(tmp_path, names):
+    # a line break would inject a manifest line, an empty name writes an
+    # empty value and padding is stripped on load: none would load back
+    ds = MultiViewDataset(two_view_dataset().views, None, names)
+    with pytest.raises(data.DatasetError, match="view 0 name"):
+        save_dataset(ds, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_hand_written_manifest(tmp_path):
     (tmp_path / "a.csv").write_text("1,2\n3,4\n5,6\n7,8\n")
     (tmp_path / "b.csv").write_text("0,1\n1,0\n0,0\n1,1\n")

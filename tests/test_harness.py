@@ -80,6 +80,9 @@ INTEGER_FIELDS = {
     "n": lambda v: SynthSource(n=v),
     "synth seed": lambda v: SynthSource(n=10, seed=v),
     "noise_features": lambda v: SynthSource(n=10, noise_features=v),
+    "spec n": lambda v: dataclasses.replace(default_benchmark_spec(10), n=v),
+    "spec seed": lambda v: dataclasses.replace(default_benchmark_spec(10), seed=v),
+    "features_per_view": lambda v: NoiseSpec(features_per_view=v),
 }
 
 
@@ -90,8 +93,15 @@ def test_integer_settings_refuse_floats_and_bools(field, value):
         INTEGER_FIELDS[field](value)
 
 
+@pytest.mark.parametrize("value", [True, np.True_, "0.1", None])
+def test_epsilon_refuses_values_that_are_not_real_numbers(value):
+    with pytest.raises(ValueError, match="epsilon must be a real number"):
+        small_params(epsilon=value)
+
+
 def test_integer_settings_take_numpy_integers():
-    config = synth_config(params=small_params(c=np.int64(5), t_max=np.int32(3), seed=np.uint8(1)),
+    config = synth_config(params=small_params(c=np.int64(5), t_max=np.int32(3), seed=np.uint8(1),
+                                              epsilon=np.float32(0.5)),
                           trials=np.int64(2), jobs=np.int16(1),
                           synth=SynthSource(n=np.int64(10), seed=np.int64(0),
                                             noise_features=np.int64(1)))

@@ -15,6 +15,13 @@ both medians, how many pairs each side won, whether the hard labels were
 equal in every pair and the largest relative gap between the two objective
 traces (|a - b| / max(|a|, |b|) over their common prefix).
 
+One run's gap is not a verdict: on a shared 2-vCPU Xeon VM, identical code
+(this tree's own ``src/`` passed as ``OLD_SRC``) read gaps from -3.6% to
++6.0% over 40 pairs. So "no slowdown" is judged against an A/A control made
+in the same session: alternate runs against the old ``src/`` with runs
+against this tree's ``src/``, and the A/B gaps must lie within the
+control's.
+
 Then it times each block of each version, in a separate set of alternated
 fits with every kernel below rebound in the version's ``amvfcm`` to a timing
 wrapper: calls per fit and self milliseconds per fit, which leave out the
